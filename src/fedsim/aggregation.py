@@ -1,12 +1,14 @@
-"""Server-side aggregation math: pairwise model correlation over a probe set,
-personalized convex mixing, and the plain weighted-average baseline."""
+"""Aggregation as one mixing rule over the stacked uploads P: dispatch row n is
+gamma * sum_u W[n,u] * P[u] + (1 - gamma) * P[n]. Personalized mixing takes W
+from probe-set correlations, W[n,u] = R[n,u] / sum_{k!=n} R[n,k] with a zero
+diagonal; FedAvg is W = 1/N with gamma = 1."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .nn import MLP, forward_batch
+from .nn import forward_batch
 
 
 @dataclass(frozen=True)
@@ -31,89 +33,87 @@ class CorrelationMatrix:
     def n_clients(self) -> int:
         return self.entries.shape[0]
 
-    def row(self, n: int):
-        """Correlation of client n with every other client, as (indices, values)."""
-        others = [u for u in range(self.n_clients) if u != n]
-        return others, self.entries[n, others]
+
+def correlation_rows(embs: np.ndarray) -> np.ndarray:
+    """R[i, j] = sum_t cos(embs[i, t], embs[j, t]) for (N, T, dim) embeddings, built
+    by rows: the (N, N, T, dim) product would dominate peak memory at large N."""
+    norms = np.linalg.norm(embs, axis=-1)
+    if np.any(norms == 0):
+        raise DomainError("zero-norm probe embedding")
+    return np.stack([((e * embs).sum(-1) / (n * norms)).sum(-1)
+                     for e, n in zip(embs, norms)])
 
 
 def correlation_degree(emb_n, emb_u) -> float:
     """Sum over probe items of the cosine similarity of paired embeddings."""
-    a = np.asarray(emb_n, dtype=np.float64)
-    b = np.asarray(emb_u, dtype=np.float64)
+    a, b = np.asarray(emb_n, dtype=np.float64), np.asarray(emb_u, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:
         raise ShapeError("embedding sequences must be (T, dim) and equal shape")
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    if np.any(na == 0) or np.any(nb == 0):
-        raise DomainError("zero-norm probe embedding")
-    return float(((a * b).sum(axis=1) / (na * nb)).sum())
+    return float(correlation_rows(np.stack([a, b]))[0, 1])
 
 
 def build_correlation_matrix(models, probes: np.ndarray,
                              clamp_epsilon: float = 1e-6) -> CorrelationMatrix:
-    """Correlation degrees between all model pairs on a shared probe set.
-
-    Probe embeddings are computed once per model and reused across pairs;
-    results are identical to the per-pair double loop. Raw degrees are
-    clamped from below at clamp_epsilon so downstream weights stay positive.
-    """
+    """Correlation degrees between all model pairs on a shared probe set, clamped
+    from below at clamp_epsilon so downstream weights stay positive."""
     models = list(models)
-    n = len(models)
-    if n < 2:
+    if len(models) < 2:
         raise DomainError("need at least 2 models")
-    probes = np.asarray(probes, dtype=np.float64)
-    arch = models[0].sizes
-    for m in models:
-        if m.sizes != arch:
-            raise ShapeError("all models must share one architecture")
-    embs = [forward_batch(m, probes)[0] for m in models]
-    entries = np.full((n, n), np.nan)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = max(correlation_degree(embs[i], embs[j]), clamp_epsilon)
-            entries[i, j] = r
-            entries[j, i] = r
+    if any(m.sizes != models[0].sizes for m in models):
+        raise ShapeError("all models must share one architecture")
+    embs = np.stack([forward_batch(m, probes)[0] for m in models])
+    entries = np.maximum(correlation_rows(embs), clamp_epsilon)
+    np.fill_diagonal(entries, np.nan)
     return CorrelationMatrix(entries)
+
+
+def correlation_weights(entries: np.ndarray) -> np.ndarray:
+    """W[n, u] = R[n, u] / sum_{k != n} R[n, k], with a zero diagonal."""
+    n = entries.shape[0]
+    # Off-diagonal block, not a zero-padded row: padding changes the rounding.
+    r_sum = entries[~np.eye(n, dtype=bool)].reshape(n, n - 1).sum(axis=1)
+    if not np.all(r_sum > 0):  # also rejects NaN rows
+        raise DomainError("correlation row sum must be positive")
+    weights = entries / r_sum[:, None]
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
+def mix(params, weights: np.ndarray, gamma: float) -> np.ndarray:
+    """Rows gamma * sum_u weights[n, u] * params[u] + (1 - gamma) * params[n]: one axpy
+    per u in ascending order (rounds like a lone per-client sum), no copy of params."""
+    acc = np.zeros((len(weights), len(params[0])))
+    for u, p in enumerate(params):
+        acc += weights[:, u, None] * p
+    acc *= gamma
+    for row, p in zip(acc, params):
+        row += (1.0 - gamma) * p
+    return acc
+
+
+def _stack_params(params_list) -> np.ndarray:
+    """Stack equal-length parameter vectors into an (N, L) array."""
+    params = [np.asarray(p, dtype=np.float64) for p in params_list]
+    if any(p.ndim != 1 or p.shape != params[0].shape for p in params):
+        raise ShapeError("all parameter vectors must have equal length")
+    return np.stack(params)
 
 
 def personalized_aggregate(params_list, corr: CorrelationMatrix,
                            cfg: AggregationConfig, n: int) -> np.ndarray:
-    """Convex mix of the other clients' parameters with client n's own.
-
-    out = gamma * sum_u (R[n,u] / sum_k R[n,k]) * params[u] + (1-gamma) * params[n]
-    """
-    params_list = [np.asarray(p, dtype=np.float64) for p in params_list]
-    length = params_list[0].size
-    for p in params_list:
-        if p.shape != (length,):
-            raise ShapeError("all parameter vectors must have equal length")
-    if len(params_list) != corr.n_clients:
+    """Client n's row of the correlation mixing rule (see the module docstring)."""
+    params = _stack_params(params_list)
+    if params.shape[0] != corr.n_clients:
         raise ShapeError("parameter count does not match correlation matrix")
-    if cfg.gamma == 0.0:
-        return params_list[n].copy()
-    others, r = corr.row(n)
-    r_sum = float(r.sum())
-    if r_sum <= 0:
-        raise DomainError("correlation row sum must be positive")
-    mix = np.zeros(length)
-    for u, r_u in zip(others, r):
-        mix += (r_u / r_sum) * params_list[u]
-    return cfg.gamma * mix + (1.0 - cfg.gamma) * params_list[n]
+    return mix(params, correlation_weights(corr.entries), cfg.gamma)[n]
 
 
 def fedavg_aggregate(params_list, weights) -> np.ndarray:
-    """Element-wise weighted mean of parameter vectors."""
-    params_list = [np.asarray(p, dtype=np.float64) for p in params_list]
+    """Element-wise weighted mean of parameter vectors (gamma = 1, shared row)."""
+    params = _stack_params(params_list)
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(params_list),):
+    if weights.shape != (len(params),):
         raise ShapeError("one weight per model required")
     if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-9:
         raise DomainError("weights must be nonnegative and sum to 1")
-    length = params_list[0].size
-    out = np.zeros(length)
-    for w, p in zip(weights, params_list):
-        if p.shape != (length,):
-            raise ShapeError("all parameter vectors must have equal length")
-        out += w * p
-    return out
+    return mix(params, weights[None, :], 1.0)[0]

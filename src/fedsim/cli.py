@@ -210,8 +210,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
-        context = f" (round {exc.round_index}, batch {exc.batch_index})"
-        print(f"divergence: {exc}{context}", file=sys.stderr)
+        context = f"client {exc.client_id}, round {exc.round_index}, phase {exc.phase}"
+        if exc.batch_index is not None:
+            context += f", batch {exc.batch_index}"
+        print(f"divergence: {exc} ({context})", file=sys.stderr)
         return EXIT_DIVERGENCE
     except FedSimError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -144,10 +144,12 @@ class ClientState:
                     # non-finite activations from exploded parameters
                     raise DivergenceError(
                         f"local training diverged: {exc}",
-                        round_index=self.fed_round, batch_index=b_idx) from exc
+                        round_index=self.fed_round, batch_index=b_idx,
+                        client_id=self.client_id, phase="local") from exc
                 if not np.isfinite(loss):
                     raise DivergenceError("non-finite local training loss",
-                                          round_index=self.fed_round, batch_index=b_idx)
+                                          round_index=self.fed_round, batch_index=b_idx,
+                                          client_id=self.client_id, phase="local")
                 self.local_channel.params = sgd_step(self.local_channel.params,
                                                      grads["local"], self.lr)
                 self.fed_channel.params = sgd_step(self.fed_channel.params,
@@ -172,10 +174,12 @@ class ClientState:
             loss, grads = async_loss_and_grads(self.local_channel, self.head1, xb, yb)
         except DomainError as exc:
             raise DivergenceError(f"async training diverged: {exc}",
-                                  round_index=self.fed_round) from exc
+                                  round_index=self.fed_round,
+                                  client_id=self.client_id, phase="async") from exc
         if not np.isfinite(loss):
             raise DivergenceError("non-finite async training loss",
-                                  round_index=self.fed_round)
+                                  round_index=self.fed_round,
+                                  client_id=self.client_id, phase="async")
         self.local_channel.params = sgd_step(self.local_channel.params,
                                              grads["local"], self.lr)
         self.head1.params = sgd_step(self.head1.params, grads["head1"], self.lr)

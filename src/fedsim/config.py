@@ -28,6 +28,11 @@ def _parse_tristate(raw: str):
     return _parse_bool(raw)
 
 
+def _parse_optional_float(raw: str):
+    raw = raw.strip()
+    return float(raw) if raw else None
+
+
 def _parse_subset(raw: str):
     raw = raw.strip()
     if not raw:
@@ -49,7 +54,7 @@ SCHEMA = {
         "samples_per_class": (int, "6"),
         "input_dim": (int, "32"),
         "latent_dim": (int, "8"),
-        "rotation_step": (float, "45.0"),
+        "rotation_step": (_parse_optional_float, ""),  # unset: SynthSpec's spread
         "offset_scale": (float, "1.0"),
         "noise_scale": (float, "0.8"),
         "open_set_split": (float, "0.8"),
@@ -152,13 +157,14 @@ def load_config(path, overrides=None):
 def build_experiment_config(values) -> ExperimentConfig:
     v = lambda s, k: values[(s, k)]
     n = v("data", "n_clients")
+    step = v("data", "rotation_step")
     synth = SynthSpec(
         n_clients=n,
         classes_per_client=v("data", "classes_per_client"),
         samples_per_class=v("data", "samples_per_class"),
         input_dim=v("data", "input_dim"),
         latent_dim=v("data", "latent_dim"),
-        rotation_deg=tuple(c * v("data", "rotation_step") for c in range(n)),
+        rotation_deg=None if step is None else tuple(c * step for c in range(n)),
         offset_scale=v("data", "offset_scale"),
         noise_scale=v("data", "noise_scale"),
         seed=v("experiment", "seed"),

@@ -26,9 +26,15 @@ class StaleMessageError(ProtocolError):
 
 
 class DivergenceError(FedSimError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or non-finite parameters.
 
-    def __init__(self, message, round_index=None, batch_index=None):
+    phase names where it was caught: "local", "async" or "upload".
+    """
+
+    def __init__(self, message, round_index=None, batch_index=None,
+                 client_id=None, phase=None):
         super().__init__(message)
         self.round_index = round_index
         self.batch_index = batch_index
+        self.client_id = client_id
+        self.phase = phase

@@ -4,8 +4,6 @@ schedule, and per-round verification metrics."""
 import csv
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .aggregation import AggregationConfig
 from .client import build_client
 from .errors import ConfigError
@@ -137,8 +135,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         local_step_duration=cfg.local_step_duration,
         upload_latency=cfg.upload_latency, download_latency=cfg.download_latency,
         server_compute_time=cfg.server_compute_time,
-        async_step_duration=cfg.async_step_duration if async_on else None,
-        seed=cfg.seed)
+        async_step_duration=cfg.async_step_duration if async_on else None)
 
     metrics = []
     index_of = {c.client_id: i for i, c in enumerate(clients)}
@@ -153,8 +150,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
 
 def evaluate_client(client, test, round_index, seed) -> MetricsRecord:
-    emb = client.extract_embeddings(test.inputs)
-    scores = score_pairs(emb, test.labels, seed=seed * 1000 + client.client_id)
+    scores = client_score_set(client, test, seed)
     return MetricsRecord(client.client_id, round_index, eer(scores),
                          tar_at_far(scores, 0.01),
                          int(scores.genuine.size), int(scores.impostor.size))
@@ -173,10 +169,3 @@ def write_roc_csv(path, scores: ScoreSet) -> None:
         writer.writerow(["threshold", "far", "frr"])
         for t, fa, fr in zip(thresholds, far, frr):
             writer.writerow([repr(float(t)), repr(float(fa)), repr(float(fr))])
-
-
-def mean_eer(records) -> float:
-    by_client = {}
-    for rec in records:
-        by_client[rec.client_id] = rec
-    return float(np.mean([r.eer for r in by_client.values()]))

@@ -11,13 +11,6 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 
-def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} contains non-finite values")
-    return arr
-
-
 def param_count(sizes) -> int:
     """Number of parameters (weights + biases) for layer widths `sizes`."""
     return sum(sizes[i + 1] * sizes[i] + sizes[i + 1] for i in range(len(sizes) - 1))
@@ -161,14 +154,6 @@ def backward_batch(model: MLP, cache, dy: np.ndarray):
         dparams[b_lo:b_hi] = grad.sum(axis=0)
         grad = grad @ w
     return dparams, grad
-
-
-def backward(model: MLP, x: np.ndarray, dy: np.ndarray):
-    """Single-input convenience wrapper around backward_batch."""
-    x = np.asarray(x, dtype=np.float64)
-    _, cache = forward_batch(model, x[None, :])
-    dparams, dx = backward_batch(model, cache, np.asarray(dy, dtype=np.float64)[None, :])
-    return dparams, dx[0]
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Server runtime: collects uploads, builds the correlation matrix over the
-probe set, and dispatches per-client aggregated parameters."""
+"""Server runtime: collects uploads, picks the mixing weights for the round's
+strategy, and dispatches one mixed parameter vector per client."""
 
 import enum
 from dataclasses import dataclass, field
@@ -7,8 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregation import (AggregationConfig, build_correlation_matrix,
-                          fedavg_aggregate, personalized_aggregate)
-from .errors import ConfigError, ProtocolError, ShapeError, StaleMessageError
+                          correlation_weights, mix)
+from .errors import (ConfigError, DivergenceError, ProtocolError, ShapeError,
+                     StaleMessageError)
 from .client import UploadMessage
 from .nn import MLP
 
@@ -33,7 +34,7 @@ class ServerState:
     agg_cfg: AggregationConfig = field(default_factory=AggregationConfig)
     strategy: Strategy = Strategy.PERSONALIZED
     round: int = 0
-    received: dict = field(default_factory=dict)  # client_id -> UploadMessage
+    received: dict = field(default_factory=dict)  # client_id -> float64 params
     client_ids: tuple = None           # defaults to 0..expected_clients-1
 
     def __post_init__(self):
@@ -63,7 +64,10 @@ def handle_upload(server: ServerState, msg: UploadMessage) -> None:
     params = np.asarray(msg.params, dtype=np.float64)
     if params.shape != server.fed_arch.params.shape:
         raise ShapeError("uploaded parameters do not match federated architecture")
-    server.received[msg.client_id] = msg
+    if not np.all(np.isfinite(params)):
+        raise DivergenceError("non-finite upload", round_index=msg.fed_round,
+                              client_id=msg.client_id, phase="upload")
+    server.received[msg.client_id] = params
 
 
 def run_aggregation(server: ServerState):
@@ -73,21 +77,16 @@ def run_aggregation(server: ServerState):
             f"aggregation requires {server.expected_clients} uploads, "
             f"have {len(server.received)}")
     n = server.expected_clients
-    ids = server.client_ids
-    params_list = [server.received[c].params for c in ids]
+    params = [server.received.pop(c) for c in server.client_ids]
     if server.strategy is Strategy.PERSONALIZED:
-        models = [MLP(server.fed_arch.sizes, server.fed_arch.out_act, p.copy())
-                  for p in params_list]
-        corr = build_correlation_matrix(models, server.probes,
-                                        server.agg_cfg.clamp_epsilon)
-        outs = [personalized_aggregate(params_list, corr, server.agg_cfg, i)
-                for i in range(n)]
+        models = [MLP(server.fed_arch.sizes, server.fed_arch.out_act, p) for p in params]
+        corr = build_correlation_matrix(models, server.probes, server.agg_cfg.clamp_epsilon)
+        weights, gamma = correlation_weights(corr.entries), server.agg_cfg.gamma
     else:
-        avg = fedavg_aggregate(params_list, np.full(n, 1.0 / n))
-        outs = [avg.copy() for _ in range(n)]
-    dispatches = [DispatchMessage(c, server.round, outs[i])
-                  for i, c in enumerate(ids)]
-    server.received = {}
+        weights, gamma = np.full((n, n), 1.0 / n), 1.0
+    outs = mix(params, weights, gamma)
+    dispatches = [DispatchMessage(c, server.round, out)
+                  for c, out in zip(server.client_ids, outs)]
     server.round += 1
     return dispatches
 

@@ -5,6 +5,7 @@ kind rank (server work first, async steps before model returns) and then by
 subject id, so the processed sequence is a pure function of the inputs.
 """
 
+import dataclasses
 import enum
 import heapq
 import json
@@ -45,7 +46,6 @@ class SimConfig:
     download_latency: object = 10
     server_compute_time: int = 5
     async_step_duration: object = 2     # None disables async training
-    seed: int = 0
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -217,7 +217,5 @@ def _complete_round(cfg, clients, c, t, params, state, log, on_round_complete,
 def synchronous_reference(cfg: SimConfig, clients, server: ServerState = None,
                           on_round_complete=None):
     """Same schedule with async training disabled: waits are pure idle time."""
-    sync_cfg = SimConfig(cfg.n_clients, cfg.rounds, cfg.local_step_duration,
-                         cfg.upload_latency, cfg.download_latency,
-                         cfg.server_compute_time, None, cfg.seed)
-    return run_simulation(sync_cfg, clients, server, on_round_complete)
+    return run_simulation(dataclasses.replace(cfg, async_step_duration=None),
+                          clients, server, on_round_complete)

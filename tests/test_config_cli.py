@@ -10,6 +10,7 @@ from fedsim.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_OK, main)
 from fedsim.config import (build_experiment_config, default_values,
                            parse_config_text, run_id)
 from fedsim.errors import ConfigError
+from fedsim.synth import SynthSpec
 
 # deliberately tiny problem so every CLI test runs in well under a second
 SMALL = """
@@ -124,6 +125,11 @@ class TestConfigParsing:
         assert cfg.training.lr == 0.05
         assert cfg.agg.gamma == 0.5
 
+    def test_default_rotation_matches_library_default(self):
+        values, _ = parse_config_text("[data]\nn_clients = 8\n")
+        cfg = build_experiment_config(values)
+        assert cfg.synth.rotation_deg == SynthSpec(n_clients=8).rotation_deg
+
 
 class TestRunVerb:
     def test_run_produces_artifacts(self, small_config, tmp_path, capsys):
@@ -198,7 +204,9 @@ class TestRunVerb:
         code = main(["run", "--config", small_config, "--out", out,
                      "--set", "training.lr=1e200"])
         assert code == EXIT_DIVERGENCE
-        assert "divergence" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "divergence" in err
+        assert "(client 0, round 0, phase local" in err
         manifest = read_manifest(only_run_dir(out))
         assert manifest["status"].startswith("failed")
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim.errors import DomainError, ShapeError
-from fedsim.nn import (MLP, backward, backward_batch, channel,
+from fedsim.nn import (MLP, backward_batch, channel,
                        finite_difference_grad, forward, forward_batch,
                        fusion_head, linear_head, param_count, sgd_step)
 

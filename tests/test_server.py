@@ -6,8 +6,8 @@ import pytest
 
 from fedsim.aggregation import AggregationConfig
 from fedsim.client import UploadMessage
-from fedsim.errors import ConfigError, ProtocolError, ShapeError, \
-    StaleMessageError
+from fedsim.errors import ConfigError, DivergenceError, ProtocolError, \
+    ShapeError, StaleMessageError
 from fedsim.nn import MLP, channel, forward_batch
 from fedsim.server import (DispatchMessage, ServerState, Strategy,
                            handle_upload, load_probe_set, run_aggregation)
@@ -68,6 +68,18 @@ class TestHandleUpload:
         with pytest.raises(ShapeError):
             handle_upload(s, UploadMessage(0, 0, np.zeros(7)))
 
+    def test_non_finite_upload_rejected_before_it_poisons_others(self):
+        s = make_server(n=4)
+        for c in (0, 1, 3):
+            upload(s, c, seed=c)
+        bad = channel(4, 5, 3, seed=2).params
+        bad[3] = np.nan
+        with pytest.raises(DivergenceError) as info:
+            upload(s, 2, params=bad)
+        assert (info.value.client_id, info.value.round_index,
+                info.value.phase) == (2, 0, "upload")
+        assert 2 not in s.received
+
 
 class TestRunAggregation:
     def test_requires_all_uploads(self):
@@ -118,6 +130,43 @@ class TestRunAggregation:
                 expected = 0.5 * mix + 0.5 * msgs[c].params
                 np.testing.assert_allclose(dispatches[c].params, expected,
                                            atol=1e-12)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_bit_exact_against_per_client_loops_at_n9(self, strategy):
+        # n >= 8 (and T >= 8 probes) is where numpy's pairwise summation
+        # starts blocking, so a reordered sum would show up here first.
+        n, gamma = 9, 0.3
+        s = make_server(n=n, gamma=gamma, strategy=strategy, seed=n)
+        s.probes = np.random.default_rng(n).standard_normal((12, 4))
+        params = [upload(s, c, seed=90 + c).params for c in range(n)]
+        dispatches = run_aggregation(s)
+
+        if strategy is Strategy.FEDAVG:
+            avg = np.zeros(params[0].size)
+            for p in params:
+                avg += np.full(n, 1.0 / n)[0] * p
+            expected = [avg] * n
+        else:
+            embs = [forward_batch(MLP((4, 5, 3), "linear", p), s.probes)[0]
+                    for p in params]
+            corr = np.full((n, n), np.nan)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    a, b = embs[i], embs[j]
+                    cos = (a * b).sum(axis=1) / (np.linalg.norm(a, axis=1)
+                                                 * np.linalg.norm(b, axis=1))
+                    corr[i, j] = corr[j, i] = max(float(cos.sum()), 1e-6)
+            expected = []
+            for c in range(n):
+                others = [u for u in range(n) if u != c]
+                r = corr[c, others]
+                r_sum = float(r.sum())
+                acc = np.zeros(params[0].size)
+                for u, r_u in zip(others, r):
+                    acc += (r_u / r_sum) * params[u]
+                expected.append(gamma * acc + (1.0 - gamma) * params[c])
+        for d, want in zip(dispatches, expected):
+            assert np.array_equal(d.params, want)
 
     def test_round_advances_and_buffer_clears(self):
         s = make_server(n=2)
