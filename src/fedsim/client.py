@@ -11,7 +11,7 @@ from .errors import DivergenceError, DomainError, ProtocolError, ShapeError
 from .losses import (CenterBank, LossWeights, center_loss_grad,
                      cross_entropy_batch, total_loss, update_centers)
 from .nn import (MLP, backward_batch, channel, forward, forward_batch,
-                 fusion_head, linear_head, sgd_step)
+                 fusion_head, linear_head)
 from .synth import LabeledDataset
 
 
@@ -150,12 +150,10 @@ class ClientState:
                     raise DivergenceError("non-finite local training loss",
                                           round_index=self.fed_round, batch_index=b_idx,
                                           client_id=self.client_id, phase="local")
-                self.local_channel.params = sgd_step(self.local_channel.params,
-                                                     grads["local"], self.lr)
-                self.fed_channel.params = sgd_step(self.fed_channel.params,
-                                                   grads["fed"], self.lr)
-                self.fusion.params = sgd_step(self.fusion.params, grads["fusion"], self.lr)
-                self.head2.params = sgd_step(self.head2.params, grads["head2"], self.lr)
+                self._step(self.local_channel, grads["local"], "local", b_idx)
+                self._step(self.fed_channel, grads["fed"], "local", b_idx)
+                self._step(self.fusion, grads["fusion"], "local", b_idx)
+                self._step(self.head2, grads["head2"], "local", b_idx)
                 if self.loss_weights.alpha3 > 0:
                     update_centers(self.center_bank, z, yb)
                 batch_losses.append(loss)
@@ -180,10 +178,22 @@ class ClientState:
             raise DivergenceError("non-finite async training loss",
                                   round_index=self.fed_round,
                                   client_id=self.client_id, phase="async")
-        self.local_channel.params = sgd_step(self.local_channel.params,
-                                             grads["local"], self.lr)
-        self.head1.params = sgd_step(self.head1.params, grads["head1"], self.lr)
+        self._step(self.local_channel, grads["local"], "async")
+        self._step(self.head1, grads["head1"], "async")
         return loss
+
+    def _step(self, model: MLP, grad: np.ndarray, phase: str, batch_index=None) -> None:
+        """In-place SGD step (the arithmetic of `nn.sgd_step`), then a finite check.
+
+        Non-finite parameters are stopped here, at the client and step that
+        made them, before they are used or uploaded.
+        """
+        params = model.params
+        params -= self.lr * grad
+        if not np.isfinite(params).all():
+            raise DivergenceError(f"non-finite {phase} training parameters",
+                                  round_index=self.fed_round, batch_index=batch_index,
+                                  client_id=self.client_id, phase=phase)
 
     def async_loss(self) -> float:
         """Waiting-time classification loss over the full training set (no update)."""
@@ -199,6 +209,11 @@ class ClientState:
         new_fed_params = np.asarray(new_fed_params, dtype=np.float64)
         if new_fed_params.shape != self.fed_channel.params.shape:
             raise ShapeError("dispatched parameters do not match federated channel")
+        if not np.isfinite(new_fed_params).all():
+            raise DivergenceError("non-finite dispatched parameters",
+                                  round_index=self.fed_round,
+                                  client_id=self.client_id, phase="adopt")
+        # a copy: in-place training must never write into the sender's array
         self.fed_channel.params = new_fed_params.copy()
         self.fed_round += 1
         self.phase = Phase.LOCAL_TRAINING
@@ -240,9 +255,8 @@ def build_client(client_id: int, train: LabeledDataset, *, input_dim: int,
     f_p, _ = forward_batch(lc, train.inputs)
     f_g, _ = forward_batch(fc, train.inputs)
     z, _ = forward_batch(fu, np.concatenate([f_p, f_g], axis=1))
-    bank = CenterBank(
-        {k: z[train.labels == k].mean(axis=0) for k in range(n_classes)},
-        lr=center_lr)
+    bank = CenterBank([z[train.labels == k].mean(axis=0) for k in range(n_classes)],
+                      lr=center_lr)
     return ClientState(
         client_id=client_id, local_channel=lc, fed_channel=fc, head1=h1,
         head2=h2, fusion=fu, center_bank=bank, dataset=train,

@@ -28,7 +28,9 @@ class StaleMessageError(ProtocolError):
 class DivergenceError(FedSimError):
     """Training produced a non-finite loss or non-finite parameters.
 
-    phase names where it was caught: "local", "async" or "upload".
+    phase names where it was caught: "local" or "async" (a client's own
+    training step), "upload" (the server's barrier) or "adopt" (a client
+    receiving its dispatched model).
     """
 
     def __init__(self, message, round_index=None, batch_index=None,

@@ -31,15 +31,30 @@ class LossWeights:
 
 @dataclass
 class CenterBank:
-    """Per-class embedding centers with their own update rate."""
+    """Per-class embedding centers with their own update rate.
 
-    centers: dict = field(default_factory=dict)  # class id -> (dim,) array
+    `centers` is a (K, dim) float64 array; row k is the center of class k.
+    It may be given as a mapping {k: vector} with keys exactly 0..K-1.
+    """
+
+    centers: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     lr: float = 0.5
 
-    def center(self, label) -> np.ndarray:
-        if label not in self.centers:
-            raise DomainError(f"no center for class {label}")
-        return self.centers[label]
+    def __post_init__(self):
+        centers = self.centers
+        if isinstance(centers, dict):
+            if sorted(centers) != list(range(len(centers))):
+                raise DomainError(f"center classes must be 0..K-1, got {sorted(centers)}")
+            centers = [centers[k] for k in range(len(centers))]
+        try:
+            centers = np.array(centers, dtype=np.float64)
+        except ValueError as exc:
+            raise ShapeError(f"centers must share one dimension: {exc}") from exc
+        if centers.ndim != 2:
+            raise ShapeError(f"centers must be a (K, dim) array, got shape {centers.shape}")
+        if not np.isfinite(centers).all():
+            raise DomainError("non-finite class center")
+        self.centers = centers
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -65,18 +80,20 @@ def cross_entropy(logits: np.ndarray, label_onehot: np.ndarray) -> float:
 
 
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy over a batch; returns (loss, dlogits)."""
+    """Mean cross-entropy over a batch; returns (loss, dlogits).
+
+    Labels are trusted to lie in 0..k-1: datasets check them when built.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise ShapeError("expect (B, k) logits and (B,) integer labels")
-    if np.any(labels < 0) or np.any(labels >= logits.shape[1]):
-        raise DomainError("label out of range")
     b = logits.shape[0]
+    rows = np.arange(b)
     lsm = log_softmax(logits)
-    loss = float(-lsm[np.arange(b), labels].mean())
+    loss = float(-(lsm[rows, labels].sum() / b))
     dlogits = np.exp(lsm)
-    dlogits[np.arange(b), labels] -= 1.0
+    dlogits[rows, labels] -= 1.0
     return loss, dlogits / b
 
 
@@ -110,34 +127,45 @@ def center_loss(embeddings: np.ndarray, labels, bank: CenterBank) -> float:
     return loss
 
 
-def center_loss_grad(embeddings: np.ndarray, labels, bank: CenterBank):
-    embeddings = np.asarray(embeddings, dtype=np.float64)
+def _center_labels(embeddings: np.ndarray, labels, bank: CenterBank) -> np.ndarray:
+    """Check a (B, dim) batch against the bank; return its labels as an array."""
     if embeddings.ndim != 2:
         raise ShapeError("embeddings must be a (B, dim) batch")
-    labels = list(labels)
-    if len(labels) != embeddings.shape[0]:
+    labels = np.asarray(labels)
+    if labels.shape != (embeddings.shape[0],):
         raise ShapeError("one label per embedding required")
-    diffs = np.empty_like(embeddings)
-    for i, lab in enumerate(labels):
-        c = bank.center(lab)
-        if c.shape != embeddings[i].shape:
-            raise ShapeError("center dimension mismatch")
-        diffs[i] = embeddings[i] - c
+    if embeddings.shape[1] != bank.centers.shape[1]:
+        raise ShapeError("center dimension mismatch")
+    if labels.size and (labels.dtype.kind not in "iu" or labels.min() < 0
+                        or labels.max() >= bank.centers.shape[0]):
+        raise DomainError(f"no center for a class in {np.unique(labels)}")
+    return labels
+
+
+def center_loss_grad(embeddings: np.ndarray, labels, bank: CenterBank):
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    labels = _center_labels(embeddings, labels, bank)
+    diffs = embeddings - bank.centers[labels]
     loss = 0.5 * float((diffs * diffs).sum())
     return loss, diffs
 
 
 def update_centers(bank: CenterBank, embeddings: np.ndarray, labels) -> None:
-    """Move each touched center toward its class's batch mean by bank.lr."""
+    """Move each touched center toward its class's batch mean by bank.lr.
+
+    Each class sum accumulates its rows in order. That equals numpy's
+    per-class `mean(axis=0)` bit for bit when dim >= 2; for dim == 1 numpy
+    sums pairwise, so eight or more same-class rows may round differently.
+    """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = list(labels)
-    if len(labels) != embeddings.shape[0]:
-        raise ShapeError("one label per embedding required")
-    for lab in set(labels):
-        rows = [i for i, l in enumerate(labels) if l == lab]
-        batch_mean = embeddings[rows].mean(axis=0)
-        c = bank.center(lab)
-        bank.centers[lab] = c + bank.lr * (batch_mean - c)
+    labels = _center_labels(embeddings, labels, bank)
+    sums = np.zeros_like(bank.centers)
+    np.add.at(sums, labels, embeddings)
+    counts = np.bincount(labels, minlength=bank.centers.shape[0])
+    touched = np.flatnonzero(counts)
+    c = bank.centers[touched]
+    batch_mean = sums[touched] / counts[touched, None]
+    bank.centers[touched] = c + bank.lr * (batch_mean - c)
 
 
 def total_loss(fv: float, ce2: float, cen: float, w: LossWeights) -> float:

@@ -38,6 +38,11 @@ class MLP:
     sizes: tuple
     out_act: str = "linear"  # "linear" or "tanh"
     params: np.ndarray = field(default=None)
+    # (w_lo, b_lo, b_hi) slice offsets of each layer in the flat vector
+    _offsets: tuple = field(default=(), init=False, repr=False, compare=False)
+    # cached (W, b) views and the params array they view
+    _views: tuple = field(default=(), init=False, repr=False, compare=False)
+    _views_of: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.sizes = tuple(int(s) for s in self.sizes)
@@ -52,6 +57,12 @@ class MLP:
             raise ShapeError(
                 f"params length {self.params.size} != expected {param_count(self.sizes)}"
             )
+        offsets, off = [], 0
+        for fan_in, fan_out in zip(self.sizes, self.sizes[1:]):
+            b_lo = off + fan_out * fan_in
+            offsets.append((off, b_lo, b_lo + fan_out))
+            off = b_lo + fan_out
+        self._offsets = tuple(offsets)
 
     @property
     def in_dim(self) -> int:
@@ -61,16 +72,20 @@ class MLP:
     def out_dim(self) -> int:
         return self.sizes[-1]
 
-    def layers(self):
-        """Yield (W, b) views into the flat parameter vector."""
-        off = 0
-        for i in range(len(self.sizes) - 1):
-            fan_in, fan_out = self.sizes[i], self.sizes[i + 1]
-            w = self.params[off : off + fan_out * fan_in].reshape(fan_out, fan_in)
-            off += fan_out * fan_in
-            b = self.params[off : off + fan_out]
-            off += fan_out
-            yield w, b
+    def layers(self) -> tuple:
+        """(W, b) views into the flat parameter vector, one pair per layer.
+
+        The views are cached and rebuilt when `params` is rebound; in-place
+        updates of `params` show through them.
+        """
+        if self._views_of is not self.params:
+            p = self.params
+            self._views = tuple(
+                (p[w_lo:b_lo].reshape(fan_out, fan_in), p[b_lo:b_hi])
+                for (w_lo, b_lo, b_hi), fan_in, fan_out
+                in zip(self._offsets, self.sizes, self.sizes[1:]))
+            self._views_of = p
+        return self._views
 
     def clone(self) -> "MLP":
         return MLP(self.sizes, self.out_act, self.params.copy())
@@ -94,23 +109,21 @@ def fusion_head(in_dim, out_dim, seed) -> MLP:
 
 
 def forward_batch(model: MLP, x: np.ndarray):
-    """Forward pass on a (B, in_dim) batch; returns (output, cache)."""
+    """Forward pass on a (B, in_dim) batch; returns (output, cache).
+
+    Inputs are not scanned for non-finite values: datasets are validated
+    when built and parameters after every update.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.in_dim:
         raise ShapeError(f"input shape {x.shape} incompatible with in_dim {model.in_dim}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("non-finite input to forward")
     acts = [x]
     h = x
-    layer_list = list(model.layers())
-    for i, (w, b) in enumerate(layer_list):
+    layers = model.layers()
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
         z = h @ w.T + b
-        if i < len(layer_list) - 1:
-            h = np.tanh(z)
-        elif model.out_act == "tanh":
-            h = np.tanh(z)
-        else:
-            h = z
+        h = np.tanh(z, out=z) if i < last or model.out_act == "tanh" else z
         acts.append(h)
     return h, acts
 
@@ -120,6 +133,8 @@ def forward(model: MLP, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError("forward expects a 1-D input vector")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("non-finite input to forward")
     y, _ = forward_batch(model, x[None, :])
     return y[0]
 
@@ -133,23 +148,16 @@ def backward_batch(model: MLP, cache, dy: np.ndarray):
     dy = np.asarray(dy, dtype=np.float64)
     if dy.shape != cache[-1].shape:
         raise ShapeError(f"upstream gradient shape {dy.shape} != output {cache[-1].shape}")
-    layer_list = list(model.layers())
-    n_layers = len(layer_list)
-    dparams = np.zeros_like(model.params)
-    # Slice offsets mirror MLP.layers ordering.
-    offsets = []
-    off = 0
-    for w, b in layer_list:
-        offsets.append((off, off + w.size, off + w.size + b.size))
-        off += w.size + b.size
-
+    layers = model.layers()
+    last = len(layers) - 1
+    dparams = np.empty_like(model.params)
     grad = dy
-    for i in range(n_layers - 1, -1, -1):
-        w, _ = layer_list[i]
+    for i in range(last, -1, -1):
+        w, _ = layers[i]
         out = cache[i + 1]
-        if i < n_layers - 1 or model.out_act == "tanh":
+        if i < last or model.out_act == "tanh":
             grad = grad * (1.0 - out * out)
-        w_lo, b_lo, b_hi = offsets[i]
+        w_lo, b_lo, b_hi = model._offsets[i]
         dparams[w_lo:b_lo] = (grad.T @ cache[i]).ravel()
         dparams[b_lo:b_hi] = grad.sum(axis=0)
         grad = grad @ w

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ShapeError
 
 PROTO_SCALE = 2.0
 
@@ -80,9 +80,26 @@ class SynthSpec:
 
 @dataclass
 class LabeledDataset:
-    inputs: np.ndarray   # (n, dim)
-    labels: np.ndarray   # (n,), dense 0..K-1 within role
+    """Inputs and labels, validated once here so training never rescans them."""
+
+    inputs: np.ndarray   # (n, dim) finite float64
+    labels: np.ndarray   # (n,) integers, dense 0..K-1 within role
     role: str            # "train" or "test"
+
+    def __post_init__(self):
+        inputs, labels = self.inputs, self.labels
+        if not isinstance(inputs, np.ndarray) or inputs.ndim != 2:
+            raise ShapeError("dataset inputs must be a 2-D array")
+        if inputs.dtype != np.float64:
+            raise DomainError(f"dataset inputs must be float64, got {inputs.dtype}")
+        if not isinstance(labels, np.ndarray) or labels.shape != (inputs.shape[0],):
+            raise ShapeError("dataset needs a 1-D label array with one label per input")
+        if labels.dtype.kind not in "iu":
+            raise DomainError(f"dataset labels must be integers, got {labels.dtype}")
+        if labels.size and labels.min() < 0:
+            raise DomainError("dataset labels must be >= 0")
+        if not np.isfinite(inputs).all():
+            raise DomainError("dataset contains non-finite inputs")
 
     @property
     def n_classes(self) -> int:
@@ -168,6 +185,4 @@ def load_dataset(path) -> LabeledDataset:
             labels.append(int(parts[0]))
             rows.append([float(v) for v in parts[1:]])
     inputs = np.asarray(rows, dtype=np.float64)
-    if inputs.size and not np.all(np.isfinite(inputs)):
-        raise DomainError("dataset contains non-finite inputs")
     return LabeledDataset(inputs, np.asarray(labels, dtype=np.int64), header["role"])

@@ -8,7 +8,7 @@ import pytest
 
 from fedsim.client import (ClientState, Phase, UploadMessage, build_client,
                            async_loss_and_grads, local_loss_and_grads)
-from fedsim.errors import ProtocolError, ShapeError
+from fedsim.errors import DivergenceError, ProtocolError, ShapeError
 from fedsim.losses import CenterBank, LossWeights
 from fedsim.nn import MLP, channel, finite_difference_grad, fusion_head, \
     linear_head
@@ -259,3 +259,52 @@ class TestEmbeddingsAndDeterminism:
                                       clients[1].fed_channel.params)
         assert not np.array_equal(clients[0].local_channel.params,
                                   clients[1].local_channel.params)
+
+
+def one_batch_client(lr):
+    """Default client 0, one training sample per class: a single batch per epoch."""
+    (train, _), *_ = generate(SynthSpec())[0]
+    _, first = np.unique(train.labels, return_index=True)
+    one = LabeledDataset(train.inputs[first], train.labels[first], "train")
+    c = build_client(0, one, input_dim=32, epochs=1, seed=0)
+    assert c.n_batches() == 1
+    c.lr = lr
+    return c
+
+
+class TestDivergenceStoppedAtTheClient:
+    def test_last_local_step_blow_up_never_uploads(self):
+        # the only step is also the last: nothing after it would catch it
+        c = one_batch_client(lr=np.inf)
+        with pytest.raises(DivergenceError) as info:
+            c.local_train_round()
+        assert (info.value.phase, info.value.client_id,
+                info.value.batch_index) == ("local", 0, 0)
+
+    def test_first_async_blow_up_raises_on_that_step(self):
+        c = one_batch_client(lr=0.05)
+        c.local_train_round()
+        c.lr = np.inf
+        with pytest.raises(DivergenceError) as info:
+            c.async_train_step()
+        assert (info.value.phase, info.value.client_id) == ("async", 0)
+
+    def test_non_finite_dispatch_rejected_at_adoption(self):
+        c = small_client(seed=12)
+        msg = c.local_train_round()
+        bad = msg.params.copy()
+        bad[5] = np.nan
+        with pytest.raises(DivergenceError) as info:
+            c.adopt_global(bad)
+        assert (info.value.phase, info.value.client_id,
+                info.value.round_index) == ("adopt", 0, 0)
+        assert c.phase is Phase.WAITING and c.fed_round == 0
+
+    def test_training_never_writes_into_the_adopted_array(self):
+        c = small_client(seed=13)
+        msg = c.local_train_round()
+        dispatched = msg.params.copy()
+        c.adopt_global(dispatched)
+        c.local_train_round()
+        np.testing.assert_array_equal(dispatched, msg.params)
+        assert not np.array_equal(c.fed_channel.params, msg.params)

@@ -255,3 +255,81 @@ class TestFusedLogits:
         h2 = MLP((3, 5))
         with pytest.raises(ShapeError):
             fused_logits(lc, fc, fu, h2, np.ones(4))
+
+
+# -- per-label oracles for the array center bank ------------------------------
+
+def oracle_center_loss_grad(embeddings, labels, centers):
+    """One row at a time against a {class: center} dict."""
+    diffs = np.empty_like(embeddings)
+    for i, lab in enumerate(labels):
+        diffs[i] = embeddings[i] - centers[lab]
+    return 0.5 * float((diffs * diffs).sum()), diffs
+
+
+def oracle_update_centers(centers, lr, embeddings, labels):
+    """One class at a time: move each touched center toward its batch mean."""
+    labels = list(labels)
+    for lab in set(labels):
+        rows = [i for i, l in enumerate(labels) if l == lab]
+        batch_mean = embeddings[rows].mean(axis=0)
+        c = centers[lab]
+        centers[lab] = c + lr * (batch_mean - c)
+
+
+class TestCenterBankMatchesPerLabelOracle:
+    # dim >= 2: a (m, 1) block's mean(axis=0) sums pairwise once m >= 8,
+    # while every wider block, and the bank, sums its rows in order
+    @given(st.integers(1, 6), st.integers(2, 5), st.integers(1, 24),
+           st.floats(0.0, 1.0), st.integers(0, 2 ** 31), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_exact(self, k, dim, b, lr, seed, data):
+        # repeated classes and classes absent from the batch both occur
+        labels = data.draw(st.lists(st.integers(0, k - 1), min_size=b, max_size=b))
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3, 3)
+        emb = scale * rng.standard_normal((b, dim))
+        start = {c: scale * rng.standard_normal(dim) for c in range(k)}
+        bank = CenterBank(dict(start), lr=lr)
+
+        loss, diffs = center_loss_grad(emb, labels, bank)
+        o_loss, o_diffs = oracle_center_loss_grad(emb, labels, start)
+        assert loss == o_loss
+        assert np.array_equal(diffs, o_diffs)
+
+        update_centers(bank, emb, labels)
+        expected = dict(start)
+        oracle_update_centers(expected, lr, emb, labels)
+        assert np.array_equal(bank.centers, np.array([expected[c] for c in range(k)]))
+
+
+class TestCenterBankConstruction:
+    def test_mapping_and_array_forms_agree(self):
+        rows = np.arange(6.0).reshape(3, 2)
+        by_map = CenterBank({k: rows[k] for k in (2, 0, 1)})
+        by_array = CenterBank(rows)
+        assert np.array_equal(by_map.centers, by_array.centers)
+        assert np.array_equal(by_map.centers[2], [4.0, 5.0])
+
+    def test_bank_owns_its_centers(self):
+        rows = np.zeros((2, 2))
+        bank = CenterBank(rows, lr=1.0)
+        update_centers(bank, np.ones((1, 2)), [0])
+        assert np.array_equal(rows, np.zeros((2, 2)))
+
+    def test_invalid_banks_rejected(self):
+        with pytest.raises(DomainError):
+            CenterBank({0: np.zeros(2), 2: np.zeros(2)})   # class 1 missing
+        with pytest.raises(DomainError):
+            CenterBank({0: np.array([np.nan, 0.0])})
+        with pytest.raises(ShapeError):
+            CenterBank({0: np.zeros(2), 1: np.zeros(3)})
+
+    def test_out_of_range_labels_rejected(self):
+        bank = CenterBank(np.zeros((2, 2)))
+        for bad in ([2], [-1]):
+            with pytest.raises(DomainError):
+                center_loss_grad(np.zeros((1, 2)), bad, bank)
+            with pytest.raises(DomainError):
+                update_centers(bank, np.zeros((1, 2)), bad)
+        assert np.array_equal(bank.centers, np.zeros((2, 2)))

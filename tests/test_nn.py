@@ -183,3 +183,23 @@ class TestInit:
     def test_params_finite(self):
         m = channel(16, 32, 8, seed=123)
         assert np.all(np.isfinite(m.params))
+
+
+class TestLayerViews:
+    def test_views_follow_rebinding(self):
+        m = channel(3, 4, 2, seed=0)
+        x = np.ones((1, 3))
+        before, _ = forward_batch(m, x)
+        m.params = np.zeros_like(m.params)
+        after, _ = forward_batch(m, x)
+        assert np.array_equal(after, np.zeros((1, 2)))
+        assert not np.array_equal(before, after)
+
+    def test_views_see_in_place_updates(self):
+        m = make_linear(2, 2, np.eye(2))
+        x = np.array([[1.0, 2.0]])
+        forward_batch(m, x)
+        m.params *= 2.0
+        assert np.array_equal(forward_batch(m, x)[0], [[2.0, 4.0]])
+        (w, b), = m.layers()
+        assert np.shares_memory(w, m.params) and np.shares_memory(b, m.params)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fedsim.errors import ConfigError
+from fedsim.errors import ConfigError, DomainError, ShapeError
 from fedsim.synth import (LabeledDataset, SynthSpec, generate, load_dataset,
                           rotation_matrix, save_dataset)
 
@@ -167,4 +167,32 @@ class TestSaveLoad:
         path = tmp_path / "bad.txt"
         path.write_text("0,1.0,2.0\n")
         with pytest.raises(ConfigError):
+            load_dataset(path)
+
+
+class TestDatasetValidation:
+    def test_negative_label_rejected_at_construction(self):
+        with pytest.raises(DomainError):
+            LabeledDataset(np.zeros((3, 2)), np.array([0, -1, 1]), "train")
+
+    def test_non_finite_input_rejected_at_construction(self):
+        inputs = np.zeros((3, 2))
+        inputs[1, 0] = np.nan
+        with pytest.raises(DomainError):
+            LabeledDataset(inputs, np.array([0, 1, 1]), "train")
+
+    def test_shape_and_dtype_rejected_at_construction(self):
+        with pytest.raises(ShapeError):
+            LabeledDataset(np.zeros(3), np.array([0, 1, 1]), "train")
+        with pytest.raises(ShapeError):
+            LabeledDataset(np.zeros((3, 2)), np.array([0, 1]), "train")
+        with pytest.raises(DomainError):
+            LabeledDataset(np.zeros((3, 2), dtype=np.float32), np.array([0, 1, 1]), "train")
+        with pytest.raises(DomainError):
+            LabeledDataset(np.zeros((3, 2)), np.array([0.0, 1.0, 1.0]), "train")
+
+    def test_load_rejects_non_finite_values(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text('# {"role": "train"}\n0,1.0,nan\n')
+        with pytest.raises(DomainError):
             load_dataset(path)
