@@ -7,12 +7,40 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, ProtocolError, ShapeError
+from .errors import ConfigError, DivergenceError, DomainError, ProtocolError, ShapeError
 from .losses import (CenterBank, LossWeights, center_loss_grad,
                      cross_entropy_batch, total_loss, update_centers)
 from .nn import (MLP, backward_batch, channel, forward, forward_batch,
                  fusion_head, linear_head)
 from .synth import LabeledDataset
+
+
+@dataclass(frozen=True)
+class TrainingParams:
+    """Every client training setting; the single source of their defaults."""
+
+    lr: float = 0.05
+    epochs: int = 3
+    batch: int = 16
+    alpha1: float = 0.05
+    alpha2: float = 1.0
+    alpha3: float = 0.02
+    center_lr: float = 0.1
+    local_hidden: int = 64
+    fed_hidden: int = 32
+    emb_dim: int = 16
+    fuse_dim: int = 16
+
+    def __post_init__(self):
+        if not (self.lr >= 0 and self.center_lr >= 0):
+            raise ConfigError("lr and center_lr must be >= 0")
+        if min(self.epochs, self.batch, self.local_hidden, self.fed_hidden,
+               self.emb_dim, self.fuse_dim) < 1:
+            raise ConfigError("epochs, batch and layer widths must be >= 1")
+        self.loss_weights()  # checks the alphas
+
+    def loss_weights(self) -> LossWeights:
+        return LossWeights(self.alpha1, self.alpha2, self.alpha3)
 
 
 class Phase(enum.Enum):
@@ -98,21 +126,15 @@ class ClientState:
     fusion: MLP
     center_bank: CenterBank
     dataset: LabeledDataset
-    loss_weights: LossWeights = field(default_factory=LossWeights)
-    lr: float = 0.01
-    local_epochs: int = 3
-    batch_size: int = 16
+    loss_weights: LossWeights
+    lr: float
+    local_epochs: int
+    batch_size: int
+    _batch_rng: np.random.Generator
+    _async_rng: np.random.Generator
     fed_round: int = 0
     phase: Phase = Phase.LOCAL_TRAINING
     last_epoch_losses: list = field(default_factory=list)
-    _batch_rng: np.random.Generator = None
-    _async_rng: np.random.Generator = None
-
-    def __post_init__(self):
-        if self._batch_rng is None:
-            self._batch_rng = np.random.default_rng((11, self.client_id))
-        if self._async_rng is None:
-            self._async_rng = np.random.default_rng((13, self.client_id))
 
     # -- training ---------------------------------------------------------
 
@@ -237,31 +259,29 @@ class ClientState:
 
 
 def build_client(client_id: int, train: LabeledDataset, *, input_dim: int,
-                 local_hidden: int = 64, fed_hidden: int = 32, emb_dim: int = 16,
-                 fuse_dim: int = 16, loss_weights: LossWeights = None,
-                 lr: float = 0.01, epochs: int = 3, batch_size: int = 16,
-                 center_lr: float = 0.5, seed: int = 0) -> ClientState:
+                 training: TrainingParams = TrainingParams(), seed: int = 0) -> ClientState:
     """Assemble a freshly initialized client for a training set."""
+    tr = training
     n_classes = train.n_classes
     base = (seed, client_id)
-    lc = channel(input_dim, local_hidden, emb_dim, (*base, 1))
+    lc = channel(input_dim, tr.local_hidden, tr.emb_dim, (*base, 1))
     # Common init across clients: parameter averaging needs aligned neurons.
-    fc = channel(input_dim, fed_hidden, emb_dim, (seed, 2))
-    h1 = linear_head(emb_dim, n_classes, (*base, 3))
-    fu = fusion_head(2 * emb_dim, fuse_dim, (*base, 4))
-    h2 = linear_head(fuse_dim, n_classes, (*base, 5))
+    fc = channel(input_dim, tr.fed_hidden, tr.emb_dim, (seed, 2))
+    h1 = linear_head(tr.emb_dim, n_classes, (*base, 3))
+    fu = fusion_head(2 * tr.emb_dim, tr.fuse_dim, (*base, 4))
+    h2 = linear_head(tr.fuse_dim, n_classes, (*base, 5))
     # Centers start at each class's initial embedding mean, not at zero:
     # a zero init drags every embedding toward the origin early in training.
     f_p, _ = forward_batch(lc, train.inputs)
     f_g, _ = forward_batch(fc, train.inputs)
     z, _ = forward_batch(fu, np.concatenate([f_p, f_g], axis=1))
     bank = CenterBank([z[train.labels == k].mean(axis=0) for k in range(n_classes)],
-                      lr=center_lr)
+                      lr=tr.center_lr)
     return ClientState(
         client_id=client_id, local_channel=lc, fed_channel=fc, head1=h1,
         head2=h2, fusion=fu, center_bank=bank, dataset=train,
-        loss_weights=loss_weights or LossWeights(), lr=lr, local_epochs=epochs,
-        batch_size=batch_size,
+        loss_weights=tr.loss_weights(), lr=tr.lr, local_epochs=tr.epochs,
+        batch_size=tr.batch,
         _batch_rng=np.random.default_rng((*base, 11)),
         _async_rng=np.random.default_rng((*base, 13)),
     )

@@ -1,14 +1,17 @@
-"""Experiment configuration files: flat INI-style key/value sections with a
-documented default for every key. Unknown sections or keys are hard errors."""
+"""Experiment configuration files: flat INI-style key/value sections. Every
+key's default is read off the dataclass field it sets, so the dataclasses are
+the one place a setting and its default are written. Unknown sections or keys
+are hard errors."""
 
 import configparser
 import hashlib
 import json
 import os
 import tempfile
+from dataclasses import fields
 
 from .aggregation import AggregationConfig
-from .errors import ConfigError
+from .errors import ConfigError, DomainError, ShapeError
 from .experiment import ExperimentConfig, Toggles, TrainingParams
 from .synth import SynthSpec
 
@@ -40,65 +43,46 @@ def _parse_subset(raw: str):
     return tuple(int(v) for v in raw.split(","))
 
 
-# section -> key -> (parser, default-as-string)
+def _defaults(cls, names=None):
+    """{field name: default} for the named fields of a dataclass (all by default)."""
+    found = {f.name: f.default for f in fields(cls)}
+    return {name: found[name] for name in (names or found)}
+
+
+# INI toggle key -> Toggles field ("async" is a Python keyword)
+_TOGGLE_FIELDS = {"async": "async_enabled", "total_loss": "use_total_loss",
+                  "personalized": "personalized_agg"}
+
+# section -> key -> default. Only the CLI's own keys and the toggles are
+# written here; every other default is read off its dataclass field.
 SCHEMA = {
-    "experiment": {
-        "mode": (str, "full"),
-        "seed": (int, "0"),
-        "rounds": (int, "10"),
-        "out": (str, "runs"),
-    },
-    "data": {
-        "n_clients": (int, "4"),
-        "classes_per_client": (int, "20"),
-        "samples_per_class": (int, "6"),
-        "input_dim": (int, "32"),
-        "latent_dim": (int, "8"),
-        "rotation_step": (_parse_optional_float, ""),  # unset: SynthSpec's spread
-        "offset_scale": (float, "1.0"),
-        "noise_scale": (float, "0.8"),
-        "open_set_split": (float, "0.8"),
-        "client_subset": (_parse_subset, ""),
-    },
-    "training": {
-        "lr": (float, "0.05"),
-        "epochs": (int, "3"),
-        "batch": (int, "16"),
-        "alpha1": (float, "0.05"),
-        "alpha2": (float, "1.0"),
-        "alpha3": (float, "0.02"),
-        "center_lr": (float, "0.1"),
-        "local_hidden": (int, "64"),
-        "fed_hidden": (int, "32"),
-        "emb_dim": (int, "16"),
-        "fuse_dim": (int, "16"),
-    },
-    "aggregation": {
-        "gamma": (float, "0.5"),
-        "clamp_epsilon": (float, "1e-6"),
-        "probe_size": (int, "32"),
-    },
-    "sim": {
-        "local_step_duration": (int, "1"),
-        "upload_latency": (int, "25"),
-        "download_latency": (int, "25"),
-        "server_compute_time": (int, "10"),
-        "async_step_duration": (int, "1"),
-    },
-    "toggles": {
-        "async": (_parse_tristate, "auto"),
-        "total_loss": (_parse_tristate, "auto"),
-        "personalized": (_parse_tristate, "auto"),
-    },
+    "experiment": {**_defaults(ExperimentConfig, ("mode", "seed", "rounds")),
+                   "out": "runs"},
+    "data": {**_defaults(SynthSpec, ("n_clients", "classes_per_client",
+                                     "samples_per_class", "input_dim", "latent_dim",
+                                     "offset_scale", "noise_scale", "open_set_split")),
+             **_defaults(ExperimentConfig, ("client_subset",)),
+             "rotation_step": None},  # unset: SynthSpec's spread
+    "training": _defaults(TrainingParams),
+    "aggregation": {**_defaults(AggregationConfig),
+                    **_defaults(ExperimentConfig, ("probe_size",))},
+    "sim": _defaults(ExperimentConfig, ("local_step_duration", "upload_latency",
+                                        "download_latency", "server_compute_time",
+                                        "async_step_duration")),
+    "toggles": {key: _defaults(Toggles)[name] for key, name in _TOGGLE_FIELDS.items()},
+}
+
+# A key is parsed by the type of its default, except these.
+_PARSERS = {
+    ("data", "rotation_step"): _parse_optional_float,
+    ("data", "client_subset"): _parse_subset,
+    **{("toggles", key): _parse_tristate for key in _TOGGLE_FIELDS},
 }
 
 
 def default_values():
-    values = {}
-    for section, keys in SCHEMA.items():
-        for key, (parser, default) in keys.items():
-            values[(section, key)] = parser(default)
-    return values
+    return {(section, key): default for section, keys in SCHEMA.items()
+            for key, default in keys.items()}
 
 
 def parse_config_text(text: str, overrides=None):
@@ -138,7 +122,7 @@ def parse_config_text(text: str, overrides=None):
 
 
 def _convert(section, key, raw):
-    parser_fn, _ = SCHEMA[section][key]
+    parser_fn = _PARSERS.get((section, key)) or type(SCHEMA[section][key])
     try:
         return parser_fn(raw)
     except (ValueError, TypeError) as exc:
@@ -155,48 +139,20 @@ def load_config(path, overrides=None):
 
 
 def build_experiment_config(values) -> ExperimentConfig:
-    v = lambda s, k: values[(s, k)]
-    n = v("data", "n_clients")
-    step = v("data", "rotation_step")
-    synth = SynthSpec(
-        n_clients=n,
-        classes_per_client=v("data", "classes_per_client"),
-        samples_per_class=v("data", "samples_per_class"),
-        input_dim=v("data", "input_dim"),
-        latent_dim=v("data", "latent_dim"),
-        rotation_deg=None if step is None else tuple(c * step for c in range(n)),
-        offset_scale=v("data", "offset_scale"),
-        noise_scale=v("data", "noise_scale"),
-        seed=v("experiment", "seed"),
-        open_set_split=v("data", "open_set_split"),
-    )
-    training = TrainingParams(
-        lr=v("training", "lr"), epochs=v("training", "epochs"),
-        batch=v("training", "batch"), alpha1=v("training", "alpha1"),
-        alpha2=v("training", "alpha2"), alpha3=v("training", "alpha3"),
-        center_lr=v("training", "center_lr"),
-        local_hidden=v("training", "local_hidden"),
-        fed_hidden=v("training", "fed_hidden"),
-        emb_dim=v("training", "emb_dim"), fuse_dim=v("training", "fuse_dim"),
-    )
-    return ExperimentConfig(
-        mode=v("experiment", "mode"),
-        seed=v("experiment", "seed"),
-        rounds=v("experiment", "rounds"),
-        synth=synth,
-        training=training,
-        agg=AggregationConfig(v("aggregation", "gamma"),
-                              v("aggregation", "clamp_epsilon")),
-        probe_size=v("aggregation", "probe_size"),
-        local_step_duration=v("sim", "local_step_duration"),
-        upload_latency=v("sim", "upload_latency"),
-        download_latency=v("sim", "download_latency"),
-        server_compute_time=v("sim", "server_compute_time"),
-        async_step_duration=v("sim", "async_step_duration"),
-        toggles=Toggles(v("toggles", "async"), v("toggles", "total_loss"),
-                        v("toggles", "personalized")),
-        client_subset=v("data", "client_subset"),
-    )
+    v = values_as_dict(values)
+    exp, data, agg = v["experiment"], v["data"], v["aggregation"]
+    del exp["out"]  # where the CLI writes, not a setting of the experiment
+    step, subset = data.pop("rotation_step"), data.pop("client_subset")
+    rotation = None if step is None else tuple(c * step for c in range(data["n_clients"]))
+    probe_size = agg.pop("probe_size")
+    try:
+        return ExperimentConfig(
+            **exp, **v["sim"], probe_size=probe_size, client_subset=subset,
+            synth=SynthSpec(**data, seed=exp["seed"], rotation_deg=rotation),
+            training=TrainingParams(**v["training"]), agg=AggregationConfig(**agg),
+            toggles=Toggles(**{_TOGGLE_FIELDS[k]: t for k, t in v["toggles"].items()}))
+    except (DomainError, ShapeError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def run_id(values, canonical: str) -> str:

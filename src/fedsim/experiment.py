@@ -2,12 +2,11 @@
 schedule, and per-round verification metrics."""
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .aggregation import AggregationConfig
-from .client import build_client
+from .client import TrainingParams, build_client
 from .errors import ConfigError
-from .losses import LossWeights
 from .metrics import MetricsRecord, ScoreSet, _operating_points, eer, score_pairs, tar_at_far
 from .server import ServerState, Strategy, load_probe_set
 from .simulation import SimConfig, run_simulation
@@ -36,21 +35,6 @@ class Toggles:
         return tuple(p if o is None else bool(o)
                      for o, p in zip((self.async_enabled, self.use_total_loss,
                                       self.personalized_agg), preset))
-
-
-@dataclass(frozen=True)
-class TrainingParams:
-    lr: float = 0.05
-    epochs: int = 3
-    batch: int = 16
-    alpha1: float = 0.05
-    alpha2: float = 1.0
-    alpha3: float = 0.02
-    center_lr: float = 0.1
-    local_hidden: int = 64
-    fed_hidden: int = 32
-    emb_dim: int = 16
-    fuse_dim: int = 16
 
 
 @dataclass(frozen=True)
@@ -103,20 +87,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     data, probe_source = generate(cfg.synth)
     subset = cfg.client_subset or tuple(range(cfg.synth.n_clients))
     tr = cfg.training
-    if total_loss_on:
-        weights = LossWeights(tr.alpha1, tr.alpha2, tr.alpha3)
-    else:
-        weights = LossWeights(0.0, tr.alpha2, 0.0)
+    if not total_loss_on:
+        tr = replace(tr, alpha1=0.0, alpha3=0.0)
 
     clients = []
     test_sets = []
     for c in subset:
         train, test = data[c]
-        clients.append(build_client(
-            c, train, input_dim=cfg.synth.input_dim, local_hidden=tr.local_hidden,
-            fed_hidden=tr.fed_hidden, emb_dim=tr.emb_dim, fuse_dim=tr.fuse_dim,
-            loss_weights=weights, lr=tr.lr, epochs=tr.epochs, batch_size=tr.batch,
-            center_lr=tr.center_lr, seed=cfg.seed))
+        clients.append(build_client(c, train, input_dim=cfg.synth.input_dim,
+                                    training=tr, seed=cfg.seed))
         test_sets.append(test)
 
     n = len(clients)

@@ -18,9 +18,9 @@ EPS = 1e-300  # guards log of exact zero only
 class LossWeights:
     """Weights of the alignment, classification, and center terms."""
 
-    alpha1: float = 0.5
-    alpha2: float = 1.0
-    alpha3: float = 0.01
+    alpha1: float
+    alpha2: float
+    alpha3: float
 
     def __post_init__(self):
         if self.alpha1 < 0 or self.alpha2 < 0 or self.alpha3 < 0:

@@ -11,11 +11,10 @@ import heapq
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .client import ClientState, Phase
 from .errors import ConfigError
 from .server import ServerState, handle_upload, run_aggregation
+from .synth import _per_client
 
 
 class EventKind(enum.Enum):
@@ -26,15 +25,6 @@ class EventKind(enum.Enum):
     MODEL_RETURNED = 3
     LOCAL_ROUND_DONE = 4
     EXPERIMENT_END = 5
-
-
-def _per_client(value, n, name):
-    if np.isscalar(value):
-        return tuple(int(value) for _ in range(n))
-    value = tuple(int(v) for v in value)
-    if len(value) != n:
-        raise ConfigError(f"{name} needs one value per client")
-    return value
 
 
 @dataclass(frozen=True)
@@ -53,7 +43,8 @@ class SimConfig:
         if self.n_clients < 1:
             raise ConfigError("n_clients must be >= 1")
         for name in ("local_step_duration", "upload_latency", "download_latency"):
-            vals = _per_client(getattr(self, name), self.n_clients, name)
+            vals = tuple(int(v) for v in _per_client(getattr(self, name),
+                                                      self.n_clients, name))
             if any(v < 0 for v in vals):
                 raise ConfigError(f"{name} must be nonnegative")
             object.__setattr__(self, name, vals)
@@ -160,7 +151,8 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
                 push(t + cfg.upload_latency[subject], EventKind.UPLOAD_ARRIVED,
                      subject, msg)
                 if cfg.async_step_duration is not None:
-                    push(t + cfg.async_step_duration, EventKind.ASYNC_STEP_DUE, subject)
+                    push(t + cfg.async_step_duration, EventKind.ASYNC_STEP_DUE, subject,
+                         client.fed_round)
 
         elif kind is EventKind.UPLOAD_ARRIVED:
             handle_upload(server, payload)
@@ -178,11 +170,13 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
 
         elif kind is EventKind.ASYNC_STEP_DUE:
             client = clients[subject]
-            if client.phase is Phase.WAITING:
+            # a chain from an earlier round stops even if its client waits again
+            if client.phase is Phase.WAITING and client.fed_round == payload:
                 client.async_train_step()
                 state[subject].async_count += 1
                 log.append(TimelineRecord(t, kind.name, subject, client.fed_round))
-                push(t + cfg.async_step_duration, EventKind.ASYNC_STEP_DUE, subject)
+                push(t + cfg.async_step_duration, EventKind.ASYNC_STEP_DUE, subject,
+                     payload)
 
         elif kind is EventKind.MODEL_RETURNED:
             _complete_round(cfg, clients, subject, t, payload, state, log,

@@ -6,7 +6,6 @@ scale) so clients differ systematically. Train and test identities are
 disjoint per client.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -156,33 +155,3 @@ def generate(spec: SynthSpec):
     probe_source = (PROTO_SCALE * probe_rng.standard_normal((128, spec.latent_dim))
                     @ basis.T)
     return clients, probe_source
-
-
-def save_dataset(path, spec: SynthSpec, dataset: LabeledDataset) -> None:
-    """Write a dataset as structured text: spec echo header, then label + values."""
-    header = {
-        "n_clients": spec.n_clients,
-        "input_dim": spec.input_dim,
-        "seed": spec.seed,
-        "open_set_split": spec.open_set_split,
-        "role": dataset.role,
-    }
-    with open(path, "w") as fh:
-        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        for label, row in zip(dataset.labels, dataset.inputs):
-            fh.write(str(int(label)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_dataset(path) -> LabeledDataset:
-    with open(path) as fh:
-        first = fh.readline()
-        if not first.startswith("# "):
-            raise ConfigError("missing spec header line")
-        header = json.loads(first[2:])
-        labels, rows = [], []
-        for line in fh:
-            parts = line.strip().split(",")
-            labels.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-    inputs = np.asarray(rows, dtype=np.float64)
-    return LabeledDataset(inputs, np.asarray(labels, dtype=np.int64), header["role"])

@@ -14,7 +14,8 @@ import pytest
 import fedsim.simulation as simulation_module
 from fedsim.aggregation import (AggregationConfig, CorrelationMatrix,
                                 build_correlation_matrix, personalized_aggregate)
-from fedsim.client import async_loss_and_grads, build_client, local_loss_and_grads
+from fedsim.client import (TrainingParams, async_loss_and_grads, build_client,
+                           local_loss_and_grads)
 from fedsim.convergence import make_problem, run_fedavg_convergence, verify_simplex
 from fedsim.experiment import ExperimentConfig, Toggles, run_experiment
 from fedsim.losses import (CenterBank, LossWeights, center_loss,
@@ -254,9 +255,10 @@ def _sim_clients(n, seed=0, epochs=1):
         labels = np.repeat(np.arange(4), 4)
         clients.append(build_client(
             c, LabeledDataset(inputs, labels, "train"), input_dim=6,
-            local_hidden=8, fed_hidden=6, emb_dim=4, fuse_dim=4,
-            loss_weights=LossWeights(0.1, 1.0, 0.01), lr=0.05,
-            epochs=epochs, batch_size=8, seed=seed))
+            training=TrainingParams(local_hidden=8, fed_hidden=6, emb_dim=4,
+                                    fuse_dim=4, alpha1=0.1, alpha2=1.0, alpha3=0.01,
+                                    lr=0.05, epochs=epochs, batch=8, center_lr=0.5),
+            seed=seed))
     return clients
 
 

@@ -6,8 +6,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from fedsim.client import (ClientState, Phase, UploadMessage, build_client,
-                           async_loss_and_grads, local_loss_and_grads)
+from fedsim.client import (ClientState, Phase, TrainingParams, UploadMessage,
+                           build_client, async_loss_and_grads, local_loss_and_grads)
 from fedsim.errors import DivergenceError, ProtocolError, ShapeError
 from fedsim.losses import CenterBank, LossWeights
 from fedsim.nn import MLP, channel, finite_difference_grad, fusion_head, \
@@ -21,10 +21,11 @@ def small_client(seed=0, lr=0.05, weights=None, n_classes=5):
     inputs = np.repeat(protos, 4, axis=0) + 0.5 * rng.standard_normal((n_classes * 4, 8))
     labels = np.repeat(np.arange(n_classes), 4)
     train = LabeledDataset(inputs, labels, "train")
-    return build_client(0, train, input_dim=8, local_hidden=12, fed_hidden=8,
-                        emb_dim=6, fuse_dim=6, lr=lr, epochs=1, batch_size=8,
-                        loss_weights=weights or LossWeights(0.1, 1.0, 0.01),
-                        seed=seed)
+    w = weights or LossWeights(0.1, 1.0, 0.01)
+    training = TrainingParams(lr=lr, epochs=1, batch=8, alpha1=w.alpha1,
+                              alpha2=w.alpha2, alpha3=w.alpha3, center_lr=0.5,
+                              local_hidden=12, fed_hidden=8, emb_dim=6, fuse_dim=6)
+    return build_client(0, train, input_dim=8, training=training, seed=seed)
 
 
 def checksum(arr):
@@ -224,8 +225,9 @@ class TestEmbeddingsAndDeterminism:
 
     def test_zero_parameter_model_gives_zero_embedding(self):
         train = LabeledDataset(np.ones((4, 3)), np.array([0, 0, 1, 1]), "train")
-        c = build_client(0, train, input_dim=3, local_hidden=4, fed_hidden=4,
-                         emb_dim=2, fuse_dim=2, seed=0)
+        c = build_client(0, train, input_dim=3, seed=0,
+                         training=TrainingParams(local_hidden=4, fed_hidden=4,
+                                                 emb_dim=2, fuse_dim=2))
         for m in (c.local_channel, c.fed_channel, c.fusion):
             m.params = np.zeros_like(m.params)
         np.testing.assert_array_equal(c.extract_embedding(np.ones(3)), [0.0, 0.0])
@@ -266,7 +268,7 @@ def one_batch_client(lr):
     (train, _), *_ = generate(SynthSpec())[0]
     _, first = np.unique(train.labels, return_index=True)
     one = LabeledDataset(train.inputs[first], train.labels[first], "train")
-    c = build_client(0, one, input_dim=32, epochs=1, seed=0)
+    c = build_client(0, one, input_dim=32, training=TrainingParams(epochs=1), seed=0)
     assert c.n_batches() == 1
     c.lr = lr
     return c

@@ -3,13 +3,16 @@
 
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
+from fedsim.aggregation import AggregationConfig
 from fedsim.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_OK, main)
 from fedsim.config import (build_experiment_config, default_values,
                            parse_config_text, run_id)
 from fedsim.errors import ConfigError
+from fedsim.experiment import ExperimentConfig, Toggles, TrainingParams
 from fedsim.synth import SynthSpec
 
 # deliberately tiny problem so every CLI test runs in well under a second
@@ -41,6 +44,59 @@ upload_latency = 3
 download_latency = 0
 server_compute_time = 0
 """
+
+
+# the canonical text of an empty config, which the run id hashes
+EMPTY_CANONICAL = """\
+aggregation.clamp_epsilon=1e-06
+aggregation.gamma=0.5
+aggregation.probe_size=32
+data.classes_per_client=20
+data.client_subset=None
+data.input_dim=32
+data.latent_dim=8
+data.n_clients=4
+data.noise_scale=0.8
+data.offset_scale=1.0
+data.open_set_split=0.8
+data.rotation_step=None
+data.samples_per_class=6
+experiment.mode='full'
+experiment.out='runs'
+experiment.rounds=10
+experiment.seed=0
+sim.async_step_duration=1
+sim.download_latency=25
+sim.local_step_duration=1
+sim.server_compute_time=10
+sim.upload_latency=25
+toggles.async=None
+toggles.personalized=None
+toggles.total_loss=None
+training.alpha1=0.05
+training.alpha2=1.0
+training.alpha3=0.02
+training.batch=16
+training.center_lr=0.1
+training.emb_dim=16
+training.epochs=3
+training.fed_hidden=32
+training.fuse_dim=16
+training.local_hidden=64
+training.lr=0.05"""
+
+# the dataclasses whose fields each INI section sets
+SECTION_OWNERS = {
+    "experiment": (ExperimentConfig,),
+    "data": (SynthSpec, ExperimentConfig),
+    "training": (TrainingParams,),
+    "aggregation": (AggregationConfig, ExperimentConfig),
+    "sim": (ExperimentConfig,),
+    "toggles": (Toggles,),
+}
+TOGGLE_FIELDS = {"async": "async_enabled", "total_loss": "use_total_loss",
+                 "personalized": "personalized_agg"}
+CLI_ONLY = {("experiment", "out"): "runs", ("data", "rotation_step"): None}
 
 
 @pytest.fixture
@@ -125,6 +181,24 @@ class TestConfigParsing:
         assert cfg.training.lr == 0.05
         assert cfg.agg.gamma == 0.5
 
+    def test_every_default_is_its_dataclass_field_default(self):
+        values = default_values()
+        for (section, key), value in values.items():
+            if (section, key) in CLI_ONLY:
+                assert value == CLI_ONLY[(section, key)]
+                continue
+            name = TOGGLE_FIELDS.get(key, key) if section == "toggles" else key
+            default = next(f.default for cls in SECTION_OWNERS[section]
+                           for f in fields(cls) if f.name == name)
+            assert value == default and type(value) is type(default), (section, key)
+        assert {k for s, k in values if s == "training"} \
+            == {f.name for f in fields(TrainingParams)}
+
+    def test_empty_config_keeps_canonical_text_and_run_id(self):
+        values, canonical = parse_config_text("")
+        assert canonical == EMPTY_CANONICAL
+        assert run_id(values, canonical) == "0-full-cc6cf8d3"
+
     def test_default_rotation_matches_library_default(self):
         values, _ = parse_config_text("[data]\nn_clients = 8\n")
         cfg = build_experiment_config(values)
@@ -196,6 +270,11 @@ class TestRunVerb:
         assert "config error" in capsys.readouterr().err
         assert main(["run", "--config", str(tmp_path / "missing.ini")]) \
             == EXIT_CONFIG
+        for bad in ("training.batch=0", "training.local_hidden=0", "training.lr=-1",
+                    "training.epochs=0", "aggregation.gamma=2", "training.alpha1=-1"):
+            assert main(["run", "--config", small_config, "--out",
+                         str(tmp_path / "out"), "--set", bad]) == EXIT_CONFIG, bad
+            assert "config error" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate overflow
     def test_divergence_exit_code_and_failed_manifest(

@@ -210,7 +210,7 @@ class TestTotalLoss:
 
     def test_negative_term_rejected(self):
         with pytest.raises(DomainError):
-            total_loss(-1.0, 0.0, 0.0, LossWeights())
+            total_loss(-1.0, 0.0, 0.0, LossWeights(0.5, 1.0, 0.01))
 
 
 class TestFusedLogits:

@@ -3,11 +3,12 @@ tie-breaking, sim-time conservation, and determinism."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.aggregation import AggregationConfig
-from fedsim.client import build_client
+from fedsim.client import TrainingParams, build_client
 from fedsim.errors import ConfigError
-from fedsim.losses import LossWeights
 from fedsim.nn import channel
 from fedsim.server import ServerState, Strategy
 from fedsim.simulation import (EventKind, SimConfig, TimelineLog,
@@ -26,9 +27,11 @@ def make_clients(n, seed=0, epochs=1, batch_size=8, n_classes=4, per_class=4):
         labels = np.repeat(np.arange(n_classes), per_class)
         clients.append(build_client(
             c, LabeledDataset(inputs, labels, "train"), input_dim=6,
-            local_hidden=8, fed_hidden=6, emb_dim=4, fuse_dim=4,
-            loss_weights=LossWeights(0.1, 1.0, 0.01), lr=0.05,
-            epochs=epochs, batch_size=batch_size, seed=seed))
+            training=TrainingParams(local_hidden=8, fed_hidden=6, emb_dim=4,
+                                    fuse_dim=4, alpha1=0.1, alpha2=1.0, alpha3=0.01,
+                                    lr=0.05, epochs=epochs, batch=batch_size,
+                                    center_lr=0.5),
+            seed=seed))
     return clients
 
 
@@ -83,6 +86,61 @@ class TestAsyncBudget:
         log, _, _ = run_simulation(cfg, make_clients(2), make_server(2))
         by_subject = {r.subject: r for r in returns_of(log)}
         assert by_subject[0].async_steps > by_subject[1].async_steps
+
+
+    def test_stale_chain_stops_when_its_round_ends(self):
+        # a 2-tick local round ends before the previous round's chain is due
+        # again (t=10), so that chain must not step beside the new one
+        cfg = SimConfig(n_clients=1, rounds=3, upload_latency=5,
+                        download_latency=0, server_compute_time=0,
+                        async_step_duration=4)
+        log, _, _ = run_simulation(cfg, make_clients(1), make_server(1))
+        assert [(r.async_steps, r.idle) for r in returns_of(log)] == [(1, 1)] * 3
+        assert len(log.by_kind(EventKind.ASYNC_STEP_DUE.name)) == 3
+
+
+@st.composite
+def schedules(draw):
+    n = draw(st.integers(1, 3))
+    ticks = lambda hi: st.lists(st.integers(0, hi), min_size=n, max_size=n)
+    return SimConfig(n_clients=n, rounds=draw(st.integers(1, 3)),
+                     local_step_duration=draw(ticks(3)),
+                     upload_latency=draw(ticks(12)),
+                     download_latency=draw(ticks(12)),
+                     server_compute_time=draw(st.integers(0, 6)),
+                     async_step_duration=draw(st.none() | st.integers(1, 4)))
+
+
+class TestScheduleProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(cfg=schedules())
+    def test_schedule_invariants(self, cfg):
+        def run():
+            server = make_server(cfg.n_clients)
+            log, _, _ = run_simulation(cfg, make_clients(cfg.n_clients), server)
+            return log, server
+
+        log, server = run()
+        d = cfg.async_step_duration
+        done = {(r.subject, r.round): r.t
+                for r in log.by_kind(EventKind.LOCAL_ROUND_DONE.name)}
+        steps = log.by_kind(EventKind.ASYNC_STEP_DUE.name)
+        for r in returns_of(log):
+            wait = r.t - done[(r.subject, r.round)]
+            if d is None:
+                assert (r.async_steps, r.idle) == (0, wait)
+            else:
+                assert wait == r.async_steps * d + r.idle and 0 <= r.idle < d
+            assert r.async_steps == sum(s.subject == r.subject and s.round == r.round
+                                        for s in steps)
+        for c in range(cfg.n_clients):
+            assert [r.round for r in returns_of(log) if r.subject == c] \
+                == list(range(cfg.rounds))
+        ts = [r.t for r in log.records]
+        assert ts == sorted(ts)
+        assert server.round == cfg.rounds
+        again, _ = run()
+        assert [r.as_json() for r in again.records] == [r.as_json() for r in log.records]
 
 
 class TestConservation:

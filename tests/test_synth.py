@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from fedsim.errors import ConfigError, DomainError, ShapeError
-from fedsim.synth import (LabeledDataset, SynthSpec, generate, load_dataset,
-                          rotation_matrix, save_dataset)
+from fedsim.synth import LabeledDataset, SynthSpec, generate, rotation_matrix
 
 
 class TestSpecValidation:
@@ -151,25 +150,6 @@ class TestGenerate:
             generate(SynthSpec(latent_dim=64, input_dim=32))
 
 
-class TestSaveLoad:
-    def test_roundtrip(self, tmp_path):
-        spec = SynthSpec(seed=4, classes_per_client=6, samples_per_class=3)
-        clients, _ = generate(spec)
-        train, _ = clients[0]
-        path = tmp_path / "train.txt"
-        save_dataset(path, spec, train)
-        loaded = load_dataset(path)
-        np.testing.assert_array_equal(loaded.labels, train.labels)
-        np.testing.assert_array_equal(loaded.inputs, train.inputs)
-        assert loaded.role == "train"
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0,1.0,2.0\n")
-        with pytest.raises(ConfigError):
-            load_dataset(path)
-
-
 class TestDatasetValidation:
     def test_negative_label_rejected_at_construction(self):
         with pytest.raises(DomainError):
@@ -190,9 +170,3 @@ class TestDatasetValidation:
             LabeledDataset(np.zeros((3, 2), dtype=np.float32), np.array([0, 1, 1]), "train")
         with pytest.raises(DomainError):
             LabeledDataset(np.zeros((3, 2)), np.array([0.0, 1.0, 1.0]), "train")
-
-    def test_load_rejects_non_finite_values(self, tmp_path):
-        path = tmp_path / "nan.txt"
-        path.write_text('# {"role": "train"}\n0,1.0,nan\n')
-        with pytest.raises(DomainError):
-            load_dataset(path)
