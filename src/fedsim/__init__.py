@@ -11,10 +11,10 @@ from .errors import (ConfigError, DivergenceError, DomainError, FedSimError,
                      ProtocolError, ShapeError, StaleMessageError)
 from .experiment import ExperimentConfig, Toggles, TrainingParams, run_experiment
 from .losses import CenterBank, LossWeights, center_loss, cross_entropy, \
-    fused_logits, fv_cos_loss, total_loss, update_centers
+    fv_cos_loss, total_loss, update_centers
 from .metrics import MetricsRecord, ScoreSet, eer, score_pairs, tar_at_far
 from .nn import MLP, forward, sgd_step
 from .server import DispatchMessage, ServerState, Strategy, handle_upload, \
     load_probe_set, run_aggregation
-from .simulation import SimConfig, TimelineLog, run_simulation, synchronous_reference
+from .simulation import SimConfig, TimelineLog, run_simulation
 from .synth import LabeledDataset, SynthSpec, generate

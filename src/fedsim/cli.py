@@ -74,7 +74,7 @@ def _execute_run(values, canonical, out_root):
 
 
 def cmd_run(args) -> int:
-    values, canonical = load_config(args.config, _collect_overrides(args))
+    values, canonical = load_config(args.config, args.set)
     out_root = args.out or values[("experiment", "out")]
     result, run_dir = _execute_run(values, canonical, out_root)
     for rec in result.final_metrics():
@@ -90,15 +90,12 @@ def _parse_grid(items):
         if "=" not in item:
             raise ConfigError(f"grid axis {item!r} is not section.key=v1|v2")
         path, raw = item.split("=", 1)
-        choices = raw.split("|")
-        if not choices:
-            raise ConfigError(f"grid axis {item!r} has no values")
-        axes.append((path, choices))
+        axes.append((path, raw.split("|")))
     return axes
 
 
 def cmd_sweep(args) -> int:
-    base_values, _ = load_config(args.config, _collect_overrides(args))
+    base_values, _ = load_config(args.config, args.set)
     out_root = args.out or base_values[("experiment", "out")]
     os.makedirs(out_root, exist_ok=True)
     axes = _parse_grid(args.grid)
@@ -111,7 +108,7 @@ def cmd_sweep(args) -> int:
             for combo in itertools.product(*(choices for _, choices in axes)):
                 overrides = [f"{p}={v}" for (p, _), v in zip(axes, combo)]
                 values, canonical = load_config(args.config,
-                                                _collect_overrides(args) + overrides)
+                                                (args.set or []) + overrides)
                 result, _ = _execute_run(values, canonical, out_root)
                 rid = run_id(values, canonical)
                 for rec in result.final_metrics():
@@ -162,10 +159,6 @@ def cmd_verify(args) -> int:
 
     print(f"{4 - failures}/4 checks passed")
     return EXIT_OK if failures == 0 else EXIT_FAILURE
-
-
-def _collect_overrides(args):
-    return list(args.set or [])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,8 +10,8 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, DomainError, ProtocolError, ShapeError
 from .losses import (CenterBank, LossWeights, center_loss_grad,
                      cross_entropy_batch, total_loss, update_centers)
-from .nn import (MLP, backward_batch, channel, forward, forward_batch,
-                 fusion_head, linear_head)
+from .nn import (MLP, backward_batch, channel, forward_batch, fusion_head,
+                 linear_head)
 from .synth import LabeledDataset
 
 
@@ -116,6 +116,19 @@ def async_loss_and_grads(local_channel, head1, x_batch, y_batch):
     return loss, {"local": dp_local, "head1": dp_head1}
 
 
+def fused_embeddings(local_channel, fed_channel, fusion, inputs):
+    """(B, fuse_dim) fused representations of a (B, input_dim) batch."""
+    f_p, _ = forward_batch(local_channel, inputs)
+    f_g, _ = forward_batch(fed_channel, inputs)
+    z, _ = forward_batch(fusion, np.concatenate([f_p, f_g], axis=1))
+    return z
+
+
+# grads dict key -> the ClientState field holding that part's model
+_PART_MODELS = {"local": "local_channel", "fed": "fed_channel", "fusion": "fusion",
+                "head1": "head1", "head2": "head2"}
+
+
 @dataclass
 class ClientState:
     client_id: int
@@ -158,24 +171,10 @@ class ClientState:
         for _ in range(epochs):
             batch_losses = []
             for b_idx, (xb, yb) in enumerate(self._minibatches(self._batch_rng)):
-                try:
-                    loss, grads, z = local_loss_and_grads(
-                        self.local_channel, self.fed_channel, self.fusion, self.head2,
-                        self.center_bank, xb, yb, self.loss_weights)
-                except DomainError as exc:
-                    # non-finite activations from exploded parameters
-                    raise DivergenceError(
-                        f"local training diverged: {exc}",
-                        round_index=self.fed_round, batch_index=b_idx,
-                        client_id=self.client_id, phase="local") from exc
-                if not np.isfinite(loss):
-                    raise DivergenceError("non-finite local training loss",
-                                          round_index=self.fed_round, batch_index=b_idx,
-                                          client_id=self.client_id, phase="local")
-                self._step(self.local_channel, grads["local"], "local", b_idx)
-                self._step(self.fed_channel, grads["fed"], "local", b_idx)
-                self._step(self.fusion, grads["fusion"], "local", b_idx)
-                self._step(self.head2, grads["head2"], "local", b_idx)
+                loss, _, z = self._train_step(
+                    "local", b_idx, local_loss_and_grads, self.local_channel,
+                    self.fed_channel, self.fusion, self.head2, self.center_bank,
+                    xb, yb, self.loss_weights)
                 if self.loss_weights.alpha3 > 0:
                     update_centers(self.center_bank, z, yb)
                 batch_losses.append(loss)
@@ -189,39 +188,37 @@ class ClientState:
             raise ProtocolError(f"async_train_step in phase {self.phase}")
         n = self.dataset.labels.size
         idx = self._async_rng.choice(n, size=min(self.batch_size, n), replace=False)
-        xb, yb = self.dataset.inputs[idx], self.dataset.labels[idx]
-        try:
-            loss, grads = async_loss_and_grads(self.local_channel, self.head1, xb, yb)
-        except DomainError as exc:
-            raise DivergenceError(f"async training diverged: {exc}",
-                                  round_index=self.fed_round,
-                                  client_id=self.client_id, phase="async") from exc
-        if not np.isfinite(loss):
-            raise DivergenceError("non-finite async training loss",
-                                  round_index=self.fed_round,
-                                  client_id=self.client_id, phase="async")
-        self._step(self.local_channel, grads["local"], "async")
-        self._step(self.head1, grads["head1"], "async")
-        return loss
+        return self._train_step("async", None, async_loss_and_grads, self.local_channel,
+                                self.head1, self.dataset.inputs[idx],
+                                self.dataset.labels[idx])[0]
 
-    def _step(self, model: MLP, grad: np.ndarray, phase: str, batch_index=None) -> None:
-        """In-place SGD step (the arithmetic of `nn.sgd_step`), then a finite check.
+    def _train_step(self, phase: str, batch_index, loss_and_grads, *args):
+        """SGD on loss_and_grads(*args) -> (loss, grads, ...), which it returns.
 
-        Non-finite parameters are stopped here, at the client and step that
-        made them, before they are used or uploaded.
+        Each part in grads is updated in place (`nn.sgd_step`'s arithmetic) in
+        the dict's order; a non-finite loss or part stops at the step that made it.
         """
-        params = model.params
-        params -= self.lr * grad
-        if not np.isfinite(params).all():
-            raise DivergenceError(f"non-finite {phase} training parameters",
-                                  round_index=self.fed_round, batch_index=batch_index,
-                                  client_id=self.client_id, phase=phase)
+        try:
+            out = loss_and_grads(*args)
+        except DomainError as exc:
+            # non-finite activations from exploded parameters
+            raise self._diverged(f"{phase} training diverged: {exc}",
+                                 phase, batch_index) from exc
+        loss, grads = out[0], out[1]
+        if not np.isfinite(loss):
+            raise self._diverged(f"non-finite {phase} training loss", phase, batch_index)
+        for part, grad in grads.items():
+            params = getattr(self, _PART_MODELS[part]).params
+            params -= self.lr * grad
+            if not np.isfinite(params).all():
+                raise self._diverged(f"non-finite {phase} training parameters",
+                                     phase, batch_index)
+        return out
 
-    def async_loss(self) -> float:
-        """Waiting-time classification loss over the full training set (no update)."""
-        loss, _ = async_loss_and_grads(self.local_channel, self.head1,
-                                       self.dataset.inputs, self.dataset.labels)
-        return loss
+    def _diverged(self, message: str, phase: str, batch_index=None) -> DivergenceError:
+        return DivergenceError(message, round_index=self.fed_round,
+                               batch_index=batch_index, client_id=self.client_id,
+                               phase=phase)
 
     # -- protocol ---------------------------------------------------------
 
@@ -232,9 +229,7 @@ class ClientState:
         if new_fed_params.shape != self.fed_channel.params.shape:
             raise ShapeError("dispatched parameters do not match federated channel")
         if not np.isfinite(new_fed_params).all():
-            raise DivergenceError("non-finite dispatched parameters",
-                                  round_index=self.fed_round,
-                                  client_id=self.client_id, phase="adopt")
+            raise self._diverged("non-finite dispatched parameters", "adopt")
         # a copy: in-place training must never write into the sender's array
         self.fed_channel.params = new_fed_params.copy()
         self.fed_round += 1
@@ -245,17 +240,9 @@ class ClientState:
 
     # -- inference --------------------------------------------------------
 
-    def extract_embedding(self, x: np.ndarray) -> np.ndarray:
-        """Fused pre-classifier representation used for open-set matching."""
-        f_p = forward(self.local_channel, x)
-        f_g = forward(self.fed_channel, x)
-        return forward(self.fusion, np.concatenate([f_p, f_g]))
-
     def extract_embeddings(self, inputs: np.ndarray) -> np.ndarray:
-        f_p, _ = forward_batch(self.local_channel, inputs)
-        f_g, _ = forward_batch(self.fed_channel, inputs)
-        z, _ = forward_batch(self.fusion, np.concatenate([f_p, f_g], axis=1))
-        return z
+        """Fused pre-classifier representations used for open-set matching."""
+        return fused_embeddings(self.local_channel, self.fed_channel, self.fusion, inputs)
 
 
 def build_client(client_id: int, train: LabeledDataset, *, input_dim: int,
@@ -272,9 +259,7 @@ def build_client(client_id: int, train: LabeledDataset, *, input_dim: int,
     h2 = linear_head(tr.fuse_dim, n_classes, (*base, 5))
     # Centers start at each class's initial embedding mean, not at zero:
     # a zero init drags every embedding toward the origin early in training.
-    f_p, _ = forward_batch(lc, train.inputs)
-    f_g, _ = forward_batch(fc, train.inputs)
-    z, _ = forward_batch(fu, np.concatenate([f_p, f_g], axis=1))
+    z = fused_embeddings(lc, fc, fu, train.inputs)
     bank = CenterBank([z[train.labels == k].mean(axis=0) for k in range(n_classes)],
                       lr=tr.center_lr)
     return ClientState(

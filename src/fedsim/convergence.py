@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aggregation import correlation_weights
 from .errors import ConfigError, DomainError
 
 
@@ -135,21 +136,22 @@ def run_fedavg_convergence(problem: ConvexProblem, rounds: int, local_steps: int
 
 
 def verify_simplex(n_samples: int, seed, eps: float = 1e-6, tol: float = 1e-12):
-    """Check that the personalized aggregation weights sum to exactly 1.
+    """Check that every personalized mixing row's weights sum to exactly 1.
 
-    Samples random clamped correlation rows and gammas; the effective weight
-    of the client itself is (1 - gamma), of each other client
-    gamma * R_u / sum R. Returns (violations, worst_deviation).
+    Draws random clamped (n, n) correlation matrices (n in 2..8) and gammas,
+    takes W from `aggregation.correlation_weights`, and checks
+    gamma * W.sum(1) + (1 - gamma) == 1 row by row. Returns (violations,
+    worst_deviation), counting a matrix with any row off by tol or more once.
     """
     rng = np.random.default_rng(seed)
     violations = 0
     worst = 0.0
     for _ in range(n_samples):
-        n_others = int(rng.integers(1, 8))
-        row = np.maximum(rng.uniform(-1.0, 5.0, size=n_others), eps)
+        n = int(rng.integers(2, 9))
+        entries = np.maximum(rng.uniform(-1.0, 5.0, size=(n, n)), eps)
         gamma = float(rng.uniform(0.0, 1.0))
-        total = gamma * float((row / row.sum()).sum()) + (1.0 - gamma)
-        dev = abs(total - 1.0)
+        totals = gamma * correlation_weights(entries).sum(axis=1) + (1.0 - gamma)
+        dev = float(np.abs(totals - 1.0).max())
         worst = max(worst, dev)
         if dev >= tol:
             violations += 1

@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.client_subset is not None:
             subset = tuple(sorted(set(int(c) for c in self.client_subset)))
             if not subset or any(c < 0 or c >= self.synth.n_clients for c in subset):

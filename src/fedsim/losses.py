@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .nn import MLP, forward
 
 EPS = 1e-300  # guards log of exact zero only
 
@@ -60,10 +59,6 @@ class CenterBank:
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(logits))
 
 
 def cross_entropy(logits: np.ndarray, label_onehot: np.ndarray) -> float:
@@ -174,20 +169,3 @@ def total_loss(fv: float, ce2: float, cen: float, w: LossWeights) -> float:
         if not np.isfinite(v) or v < 0:
             raise DomainError(f"loss term {name} must be finite and nonnegative")
     return w.alpha1 * fv + w.alpha2 * ce2 + w.alpha3 * cen
-
-
-def fused_logits(local_channel: MLP, fed_channel: MLP, fusion: MLP, head2: MLP,
-                 x: np.ndarray) -> np.ndarray:
-    """Classifier logits from the fused dual-channel representation.
-
-    Concatenation order is fixed: local channel first, federated second.
-    """
-    f_p = forward(local_channel, x)
-    f_g = forward(fed_channel, x)
-    fused_in = np.concatenate([f_p, f_g])
-    if fused_in.size != fusion.in_dim:
-        raise ShapeError("channel output dims do not sum to fusion in_dim")
-    z = forward(fusion, fused_in)
-    if z.size != head2.in_dim:
-        raise ShapeError("fusion out_dim does not match classifier in_dim")
-    return forward(head2, z)

@@ -5,13 +5,12 @@ kind rank (server work first, async steps before model returns) and then by
 subject id, so the processed sequence is a pure function of the inputs.
 """
 
-import dataclasses
 import enum
 import heapq
 import json
 from dataclasses import dataclass, field
 
-from .client import ClientState, Phase
+from .client import Phase
 from .errors import ConfigError
 from .server import ServerState, handle_upload, run_aggregation
 from .synth import _per_client
@@ -29,13 +28,15 @@ class EventKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One run's schedule in ticks; `ExperimentConfig` holds its defaults."""
+
     n_clients: int
     rounds: int
-    local_step_duration: object = 1     # scalar or per-client, ticks per SGD step
-    upload_latency: object = 10
-    download_latency: object = 10
-    server_compute_time: int = 5
-    async_step_duration: object = 2     # None disables async training
+    local_step_duration: object     # scalar or per-client, ticks per SGD step
+    upload_latency: object          # scalar or per-client
+    download_latency: object        # scalar or per-client
+    server_compute_time: int
+    async_step_duration: object     # None disables async training
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -89,21 +90,13 @@ class TimelineLog:
         return [r for r in self.records if r.kind == kind]
 
 
-@dataclass
-class _Pending:
-    round_start: int = 0
-    wait_start: int = 0
-    async_count: int = 0
-    rounds_done: int = 0
-
-
 def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
                    on_round_complete=None):
     """Drive clients (and optionally a server) through cfg.rounds federated rounds.
 
-    Without a server each client runs solo: local rounds back to back, no
-    waiting and no async steps. on_round_complete(client, round_index, t) is
-    called after each adoption.
+    Without a server a client's own upload returns on the tick its local round
+    ends: no waiting, no async steps. Every round ends in the MODEL_RETURNED
+    handler, which calls on_round_complete(client, round_index, t).
 
     Returns (TimelineLog, clients, server).
     """
@@ -122,13 +115,15 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
         heapq.heappush(queue, (t, kind.value, subject, seq, kind, payload))
         seq += 1
 
-    state = [_Pending() for _ in clients]
+    d = cfg.async_step_duration
+    first_round = [client.fed_round for client in clients]
+    wait_start = [0] * cfg.n_clients
+    async_count = [0] * cfg.n_clients
     # dispatches carry client ids, which need not equal list positions
     index_of = {client.client_id: i for i, client in enumerate(clients)}
 
     def start_round(c, t):
         client = clients[c]
-        state[c].round_start = t
         dur = cfg.local_step_duration[c] * client.local_epochs * client.n_batches()
         push(t + dur, EventKind.LOCAL_ROUND_DONE, c)
 
@@ -142,17 +137,16 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
             client = clients[subject]
             msg = client.local_train_round()
             log.append(TimelineRecord(t, kind.name, subject, client.fed_round))
-            state[subject].wait_start = t
-            state[subject].async_count = 0
+            wait_start[subject] = t
+            async_count[subject] = 0
             if server is None:
-                _complete_round(cfg, clients, subject, t, msg.params, state, log,
-                                on_round_complete, start_round)
+                # ranks before LOCAL_ROUND_DONE: handled before any other round ending now
+                push(t, EventKind.MODEL_RETURNED, subject, msg.params)
             else:
                 push(t + cfg.upload_latency[subject], EventKind.UPLOAD_ARRIVED,
                      subject, msg)
-                if cfg.async_step_duration is not None:
-                    push(t + cfg.async_step_duration, EventKind.ASYNC_STEP_DUE, subject,
-                         client.fed_round)
+                if d is not None:
+                    push(t + d, EventKind.ASYNC_STEP_DUE, subject, client.fed_round)
 
         elif kind is EventKind.UPLOAD_ARRIVED:
             handle_upload(server, payload)
@@ -163,53 +157,36 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
         elif kind is EventKind.AGGREGATION_DONE:
             dispatches = run_aggregation(server)
             log.append(TimelineRecord(t, kind.name, -1, server.round - 1))
-            for d in dispatches:
-                c = index_of[d.client_id]
-                push(t + cfg.download_latency[c], EventKind.MODEL_RETURNED,
-                     c, d.params)
+            for msg in dispatches:
+                c = index_of[msg.client_id]
+                push(t + cfg.download_latency[c], EventKind.MODEL_RETURNED, c,
+                     msg.params)
 
         elif kind is EventKind.ASYNC_STEP_DUE:
             client = clients[subject]
             # a chain from an earlier round stops even if its client waits again
             if client.phase is Phase.WAITING and client.fed_round == payload:
                 client.async_train_step()
-                state[subject].async_count += 1
+                async_count[subject] += 1
                 log.append(TimelineRecord(t, kind.name, subject, client.fed_round))
-                push(t + cfg.async_step_duration, EventKind.ASYNC_STEP_DUE, subject,
-                     payload)
+                push(t + d, EventKind.ASYNC_STEP_DUE, subject, payload)
 
         elif kind is EventKind.MODEL_RETURNED:
-            _complete_round(cfg, clients, subject, t, payload, state, log,
-                            on_round_complete, start_round)
+            client = clients[subject]
+            round_index = client.fed_round
+            client.adopt_global(payload)
+            steps = async_count[subject]
+            idle = t - wait_start[subject] - steps * (d or 0)
+            log.append(TimelineRecord(t, kind.name, subject, round_index,
+                                      async_steps=steps, idle=idle))
+            if on_round_complete is not None:
+                on_round_complete(client, round_index, t)
+            if client.fed_round - first_round[subject] < cfg.rounds:
+                start_round(subject, t)
+            else:
+                client.finish()
 
     end_time = log.records[-1].t if log.records else 0
     log.append(TimelineRecord(end_time, EventKind.EXPERIMENT_END.name, -1,
                               cfg.rounds))
     return log, clients, server
-
-
-def _complete_round(cfg, clients, c, t, params, state, log, on_round_complete,
-                    start_round):
-    client = clients[c]
-    pend = state[c]
-    wait = t - pend.wait_start
-    d = cfg.async_step_duration
-    idle = wait - pend.async_count * d if d is not None else wait
-    round_index = client.fed_round
-    client.adopt_global(params)
-    log.append(TimelineRecord(t, EventKind.MODEL_RETURNED.name, c, round_index,
-                              async_steps=pend.async_count, idle=idle))
-    if on_round_complete is not None:
-        on_round_complete(client, round_index, t)
-    pend.rounds_done += 1
-    if pend.rounds_done < cfg.rounds:
-        start_round(c, t)
-    else:
-        client.finish()
-
-
-def synchronous_reference(cfg: SimConfig, clients, server: ServerState = None,
-                          on_round_complete=None):
-    """Same schedule with async training disabled: waits are pure idle time."""
-    return run_simulation(dataclasses.replace(cfg, async_step_duration=None),
-                          clients, server, on_round_complete)

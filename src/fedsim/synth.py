@@ -43,6 +43,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_clients < 1:
             raise ConfigError("need at least one client")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not 0.0 < self.open_set_split < 1.0:
             raise ConfigError("open_set_split must be in (0, 1)")
         n = self.n_clients
@@ -58,6 +60,8 @@ class SynthSpec:
                            _per_client(self.offset_scale, n, "offset_scale"))
         object.__setattr__(self, "noise_scale",
                            _per_client(self.noise_scale, n, "noise_scale"))
+        if not np.isfinite(self.rotation_deg + self.offset_scale + self.noise_scale).all():
+            raise ConfigError("rotation_deg, offset_scale and noise_scale must be finite")
         seeds = self.client_seeds
         if seeds is None:
             seeds = tuple((self.seed, c) for c in range(n))

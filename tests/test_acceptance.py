@@ -27,6 +27,7 @@ from fedsim.nn import (MLP, channel, finite_difference_grad, forward_batch,
 from fedsim.server import ServerState, Strategy, handle_upload
 from fedsim.simulation import EventKind, SimConfig, run_simulation
 from fedsim.synth import LabeledDataset
+from sim_defaults import sim_config
 
 
 def report(num, name, ok, detail=""):
@@ -272,14 +273,14 @@ def _sim_server(n, seed=0):
 
 def test_criterion_07_async_schedule_exactness():
     # wait window of 5 ticks with unit steps: exactly 5 logged steps
-    cfg = SimConfig(n_clients=1, rounds=1, upload_latency=5, download_latency=0,
-                    server_compute_time=0, async_step_duration=1)
+    cfg = sim_config(n_clients=1, rounds=1, upload_latency=5, download_latency=0,
+                     server_compute_time=0, async_step_duration=1)
     log, _, _ = run_simulation(cfg, _sim_clients(1), _sim_server(1))
     five = [r.async_steps for r in log.by_kind("MODEL_RETURNED")] == [5]
 
     # all latencies zero: exactly 0 steps
-    cfg = SimConfig(n_clients=2, rounds=2, upload_latency=0, download_latency=0,
-                    server_compute_time=0, async_step_duration=1)
+    cfg = sim_config(n_clients=2, rounds=2, upload_latency=0, download_latency=0,
+                     server_compute_time=0, async_step_duration=1)
     log, _, _ = run_simulation(cfg, _sim_clients(2), _sim_server(2))
     zero = all(r.async_steps == 0 for r in log.by_kind("MODEL_RETURNED"))
 
@@ -334,9 +335,9 @@ def test_criterion_08_freeze_and_upload_isolation(monkeypatch):
         return handle_upload(server_, msg)
 
     monkeypatch.setattr(simulation_module, "handle_upload", checking_upload)
-    cfg = SimConfig(n_clients=3, rounds=10, upload_latency=6,
-                    download_latency=4, server_compute_time=2,
-                    async_step_duration=1)
+    cfg = sim_config(n_clients=3, rounds=10, upload_latency=6,
+                     download_latency=4, server_compute_time=2,
+                     async_step_duration=1)
     log, _, _ = run_simulation(cfg, clients, server)
     steps = len(log.by_kind("ASYNC_STEP_DUE"))
     report(8, "frozen parts unchanged by wait-window steps; uploads bit-exact",

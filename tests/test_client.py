@@ -146,14 +146,18 @@ class TestAsyncTrainStep:
             c.async_train_step()
 
     def test_async_loss_decreases_after_steps(self):
+        def full_set_loss(c):
+            return async_loss_and_grads(c.local_channel, c.head1, c.dataset.inputs,
+                                        c.dataset.labels)[0]
+
         improved = 0
         for seed in range(20):
             c = small_client(seed=seed)
             c.local_train_round()
-            start = c.async_loss()
+            start = full_set_loss(c)
             for _ in range(50):
                 c.async_train_step()
-            improved += c.async_loss() < start
+            improved += full_set_loss(c) < start
         assert improved >= 18
 
 
@@ -220,8 +224,8 @@ class TestEmbeddingsAndDeterminism:
     def test_extract_embedding_deterministic(self):
         c = small_client(seed=9)
         x = np.random.default_rng(0).standard_normal(8)
-        np.testing.assert_array_equal(c.extract_embedding(x),
-                                      c.extract_embedding(x))
+        np.testing.assert_array_equal(c.extract_embeddings(x[None])[0],
+                                      c.extract_embeddings(x[None])[0])
 
     def test_zero_parameter_model_gives_zero_embedding(self):
         train = LabeledDataset(np.ones((4, 3)), np.array([0, 0, 1, 1]), "train")
@@ -230,7 +234,8 @@ class TestEmbeddingsAndDeterminism:
                                                  emb_dim=2, fuse_dim=2))
         for m in (c.local_channel, c.fed_channel, c.fusion):
             m.params = np.zeros_like(m.params)
-        np.testing.assert_array_equal(c.extract_embedding(np.ones(3)), [0.0, 0.0])
+        np.testing.assert_array_equal(c.extract_embeddings(np.ones(3)[None])[0],
+                                      [0.0, 0.0])
 
     def test_identical_seeds_identical_trajectories(self):
         a, b = small_client(seed=10), small_client(seed=10)
@@ -249,7 +254,7 @@ class TestEmbeddingsAndDeterminism:
         from fedsim.nn import forward
         manual = forward(c.fusion, np.concatenate([
             forward(c.local_channel, x), forward(c.fed_channel, x)]))
-        np.testing.assert_allclose(c.extract_embedding(x), manual, atol=1e-12)
+        np.testing.assert_allclose(c.extract_embeddings(x[None])[0], manual, atol=1e-12)
 
     def test_shared_federated_initialization_across_clients(self):
         # parameter averaging requires the federated channel to start aligned

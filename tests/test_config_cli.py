@@ -204,6 +204,12 @@ class TestConfigParsing:
         cfg = build_experiment_config(values)
         assert cfg.synth.rotation_deg == SynthSpec(n_clients=8).rotation_deg
 
+    def test_negative_seed_rejected_without_a_synth_spec(self):
+        # ExperimentConfig(seed=-1) keeps the default SynthSpec, so it checks the
+        # seed itself before build_client would seed numpy with it
+        with pytest.raises(ConfigError):
+            ExperimentConfig(seed=-1)
+
 
 class TestRunVerb:
     def test_run_produces_artifacts(self, small_config, tmp_path, capsys):
@@ -271,10 +277,13 @@ class TestRunVerb:
         assert main(["run", "--config", str(tmp_path / "missing.ini")]) \
             == EXIT_CONFIG
         for bad in ("training.batch=0", "training.local_hidden=0", "training.lr=-1",
-                    "training.epochs=0", "aggregation.gamma=2", "training.alpha1=-1"):
+                    "training.epochs=0", "aggregation.gamma=2", "training.alpha1=-1",
+                    "experiment.seed=-1", "data.offset_scale=nan",
+                    "data.noise_scale=inf"):
             assert main(["run", "--config", small_config, "--out",
                          str(tmp_path / "out"), "--set", bad]) == EXIT_CONFIG, bad
             assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # refused before any run directory
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate overflow
     def test_divergence_exit_code_and_failed_manifest(

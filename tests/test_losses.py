@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from fedsim.errors import DomainError, ShapeError
 from fedsim.losses import (CenterBank, LossWeights, center_loss,
                            center_loss_grad, cross_entropy,
-                           cross_entropy_batch, fused_logits, fv_cos_grad,
-                           fv_cos_loss, total_loss, update_centers)
-from fedsim.nn import MLP, channel, finite_difference_grad, forward_batch, \
-    fusion_head, linear_head
+                           cross_entropy_batch, fv_cos_grad, fv_cos_loss,
+                           total_loss, update_centers)
+from fedsim.nn import finite_difference_grad
 
 
 class TestCrossEntropy:
@@ -211,50 +210,6 @@ class TestTotalLoss:
     def test_negative_term_rejected(self):
         with pytest.raises(DomainError):
             total_loss(-1.0, 0.0, 0.0, LossWeights(0.5, 1.0, 0.01))
-
-
-class TestFusedLogits:
-    def test_zero_params_propagate_to_zero_logits(self):
-        lc = MLP((4, 3, 2))
-        fc = MLP((4, 3, 2))
-        fu = MLP((4, 3), "tanh")
-        h2 = MLP((3, 5))
-        out = fused_logits(lc, fc, fu, h2, np.ones(4))
-        np.testing.assert_array_equal(out, np.zeros(5))
-
-    def test_concatenation_order_local_first(self):
-        # identity fusion/head expose the concatenated vector directly
-        lc = MLP((2, 2))
-        fc = MLP((2, 2))
-        lc.params = np.concatenate([np.eye(2).ravel(), np.zeros(2)])
-        fc.params = np.concatenate([(2 * np.eye(2)).ravel(), np.zeros(2)])
-        fu = MLP((4, 4))
-        fu.params = np.concatenate([np.eye(4).ravel(), np.zeros(4)])
-        h2 = MLP((4, 4))
-        h2.params = np.concatenate([np.eye(4).ravel(), np.zeros(4)])
-        out = fused_logits(lc, fc, fu, h2, np.array([1.0, 0.5]))
-        # local channel output (1, 0.5) must precede federated (2, 1)
-        np.testing.assert_array_equal(out, [1.0, 0.5, 2.0, 1.0])
-
-    def test_seeded_golden_value(self):
-        # frozen from an independent matrix-arithmetic recomputation
-        lc = channel(4, 5, 3, seed=1)
-        fc = channel(4, 4, 3, seed=2)
-        fu = fusion_head(6, 3, seed=3)
-        h2 = linear_head(3, 4, seed=4)
-        x = np.array([0.5, -1.0, 2.0, 0.25])
-        expected = [-0.2401191722883824, 0.2933963099608424,
-                    0.486400187540037, -0.20301506289957968]
-        np.testing.assert_allclose(fused_logits(lc, fc, fu, h2, x), expected,
-                                   rtol=0, atol=1e-15)
-
-    def test_dim_mismatch_raises(self):
-        lc = MLP((4, 3, 2))
-        fc = MLP((4, 3, 2))
-        fu = MLP((5, 3), "tanh")  # 2+2 != 5
-        h2 = MLP((3, 5))
-        with pytest.raises(ShapeError):
-            fused_logits(lc, fc, fu, h2, np.ones(4))
 
 
 # -- per-label oracles for the array center bank ------------------------------

@@ -1,6 +1,8 @@
 """Tests for the discrete-event protocol schedule: async-step budgets,
 tie-breaking, sim-time conservation, and determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,9 @@ from fedsim.errors import ConfigError
 from fedsim.nn import channel
 from fedsim.server import ServerState, Strategy
 from fedsim.simulation import (EventKind, SimConfig, TimelineLog,
-                               TimelineRecord, run_simulation,
-                               synchronous_reference)
+                               TimelineRecord, run_simulation)
 from fedsim.synth import LabeledDataset
+from sim_defaults import sim_config
 
 
 def make_clients(n, seed=0, epochs=1, batch_size=8, n_classes=4, per_class=4):
@@ -52,18 +54,18 @@ def returns_of(log):
 
 class TestAsyncBudget:
     def test_zero_latencies_zero_async_steps(self):
-        cfg = SimConfig(n_clients=2, rounds=2, upload_latency=0,
-                        download_latency=0, server_compute_time=0,
-                        async_step_duration=1)
+        cfg = sim_config(n_clients=2, rounds=2, upload_latency=0,
+                         download_latency=0, server_compute_time=0,
+                         async_step_duration=1)
         log, _, _ = run_simulation(cfg, make_clients(2), make_server(2))
         for rec in returns_of(log):
             assert rec.async_steps == 0
 
     def test_wait_window_five_gives_exactly_five_steps(self):
         # single client, instant barrier: W = 5 + 0 + 0
-        cfg = SimConfig(n_clients=1, rounds=1, upload_latency=5,
-                        download_latency=0, server_compute_time=0,
-                        async_step_duration=1)
+        cfg = sim_config(n_clients=1, rounds=1, upload_latency=5,
+                         download_latency=0, server_compute_time=0,
+                         async_step_duration=1)
         log, _, _ = run_simulation(cfg, make_clients(1), make_server(1))
         recs = returns_of(log)
         assert len(recs) == 1 and recs[0].async_steps == 5
@@ -71,9 +73,9 @@ class TestAsyncBudget:
 
     def test_floor_division_of_wait_window(self):
         # W = 7, step 2 -> floor(7/2) = 3 steps, idle 1
-        cfg = SimConfig(n_clients=1, rounds=1, upload_latency=3,
-                        download_latency=2, server_compute_time=2,
-                        async_step_duration=2)
+        cfg = sim_config(n_clients=1, rounds=1, upload_latency=3,
+                         download_latency=2, server_compute_time=2,
+                         async_step_duration=2)
         log, _, _ = run_simulation(cfg, make_clients(1), make_server(1))
         rec = returns_of(log)[0]
         assert rec.async_steps == 3 and rec.idle == 1
@@ -91,9 +93,9 @@ class TestAsyncBudget:
     def test_stale_chain_stops_when_its_round_ends(self):
         # a 2-tick local round ends before the previous round's chain is due
         # again (t=10), so that chain must not step beside the new one
-        cfg = SimConfig(n_clients=1, rounds=3, upload_latency=5,
-                        download_latency=0, server_compute_time=0,
-                        async_step_duration=4)
+        cfg = sim_config(n_clients=1, rounds=3, upload_latency=5,
+                         download_latency=0, server_compute_time=0,
+                         async_step_duration=4)
         log, _, _ = run_simulation(cfg, make_clients(1), make_server(1))
         assert [(r.async_steps, r.idle) for r in returns_of(log)] == [(1, 1)] * 3
         assert len(log.by_kind(EventKind.ASYNC_STEP_DUE.name)) == 3
@@ -142,6 +144,24 @@ class TestScheduleProperties:
         again, _ = run()
         assert [r.as_json() for r in again.records] == [r.as_json() for r in log.records]
 
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=schedules())
+    def test_solo_schedule_invariants(self, cfg):
+        # without a server each upload returns on the tick its round ends
+        def run():
+            log, _, _ = run_simulation(cfg, make_clients(cfg.n_clients), server=None)
+            return log
+
+        log = run()
+        for c in range(cfg.n_clients):
+            assert [r.round for r in returns_of(log) if r.subject == c] \
+                == list(range(cfg.rounds))
+        assert all((r.async_steps, r.idle) == (0, 0) for r in returns_of(log))
+        assert not log.by_kind(EventKind.ASYNC_STEP_DUE.name)
+        ts = [r.t for r in log.records]
+        assert ts == sorted(ts)
+        assert [r.as_json() for r in run().records] == [r.as_json() for r in log.records]
+
 
 class TestConservation:
     def test_sim_time_conservation_every_round(self):
@@ -167,13 +187,13 @@ class TestConservation:
                 starts.append(r.t)
 
     def test_timestamps_nondecreasing(self):
-        cfg = SimConfig(n_clients=2, rounds=3, async_step_duration=1)
+        cfg = sim_config(n_clients=2, rounds=3, async_step_duration=1)
         log, _, _ = run_simulation(cfg, make_clients(2), make_server(2))
         ts = [r.t for r in log.records]
         assert ts == sorted(ts)
 
     def test_experiment_end_at_last_event(self):
-        cfg = SimConfig(n_clients=2, rounds=2, async_step_duration=2)
+        cfg = sim_config(n_clients=2, rounds=2, async_step_duration=2)
         log, _, _ = run_simulation(cfg, make_clients(2), make_server(2))
         assert log.records[-1].kind == EventKind.EXPERIMENT_END.name
         assert log.records[-1].t == log.records[-2].t
@@ -182,7 +202,7 @@ class TestConservation:
 class TestDeterminism:
     def test_identical_runs_bit_identical_logs(self):
         def one():
-            cfg = SimConfig(n_clients=2, rounds=3, async_step_duration=1)
+            cfg = sim_config(n_clients=2, rounds=3, async_step_duration=1)
             log, _, _ = run_simulation(cfg, make_clients(2, seed=5),
                                        make_server(2, seed=5))
             return "\n".join(r.as_json() for r in log.records)
@@ -190,7 +210,7 @@ class TestDeterminism:
 
     def test_final_params_reproducible(self):
         def one():
-            cfg = SimConfig(n_clients=2, rounds=2, async_step_duration=1)
+            cfg = sim_config(n_clients=2, rounds=2, async_step_duration=1)
             _, clients, _ = run_simulation(cfg, make_clients(2, seed=6),
                                            make_server(2, seed=6))
             return np.concatenate([c.fed_channel.params for c in clients])
@@ -199,10 +219,11 @@ class TestDeterminism:
 
 class TestSynchronousReference:
     def test_zero_async_steps_and_full_idle(self):
-        cfg = SimConfig(n_clients=2, rounds=2, upload_latency=4,
-                        download_latency=3, server_compute_time=2,
-                        async_step_duration=1)
-        log, _, _ = synchronous_reference(cfg, make_clients(2), make_server(2))
+        cfg = sim_config(n_clients=2, rounds=2, upload_latency=4,
+                         download_latency=3, server_compute_time=2,
+                         async_step_duration=1)
+        log, _, _ = run_simulation(replace(cfg, async_step_duration=None),
+                                   make_clients(2), make_server(2))
         for rec in returns_of(log):
             assert rec.async_steps == 0
             assert rec.idle == rec.t - max(
@@ -218,43 +239,60 @@ class TestSynchronousReference:
             _, clients, _ = builder(clients)
             return np.concatenate([c.fed_channel.params for c in clients])
 
-        cfg_sync = SimConfig(n_clients=2, rounds=2, async_step_duration=1)
-        a = final(lambda cl: synchronous_reference(cfg_sync, cl, make_server(2, 7)))
-        cfg_huge = SimConfig(n_clients=2, rounds=2, async_step_duration=10 ** 9)
+        cfg_sync = sim_config(n_clients=2, rounds=2, async_step_duration=1)
+        a = final(lambda cl: run_simulation(replace(cfg_sync, async_step_duration=None),
+                                           cl, make_server(2, 7)))
+        cfg_huge = sim_config(n_clients=2, rounds=2, async_step_duration=10 ** 9)
         b = final(lambda cl: run_simulation(cfg_huge, cl, make_server(2, 7)))
         np.testing.assert_array_equal(a, b)
 
 
 class TestSoloMode:
     def test_no_server_events(self):
-        cfg = SimConfig(n_clients=2, rounds=2, async_step_duration=1)
+        cfg = sim_config(n_clients=2, rounds=2, async_step_duration=1)
         log, _, _ = run_simulation(cfg, make_clients(2), server=None)
         assert not log.by_kind(EventKind.UPLOAD_ARRIVED.name)
         assert not log.by_kind(EventKind.AGGREGATION_DONE.name)
         assert not log.by_kind(EventKind.ASYNC_STEP_DUE.name)
 
     def test_solo_rounds_complete(self):
-        cfg = SimConfig(n_clients=1, rounds=3, async_step_duration=1)
+        cfg = sim_config(n_clients=1, rounds=3, async_step_duration=1)
         log, clients, _ = run_simulation(cfg, make_clients(1), server=None)
         assert len(returns_of(log)) == 3
         assert clients[0].fed_round == 3
 
 
+class TestRoundCount:
+    @pytest.mark.parametrize("solo", [True, False])
+    def test_client_entering_after_round_zero_runs_cfg_rounds(self, solo):
+        clients = make_clients(2)
+        for client in clients:  # one federated round done before this run
+            client.adopt_global(client.local_train_round().params)
+        server = None if solo else make_server(2)
+        if server is not None:
+            server.round = 1
+        log, clients, _ = run_simulation(sim_config(n_clients=2, rounds=2), clients,
+                                         server)
+        for c in range(2):
+            assert [r.round for r in returns_of(log) if r.subject == c] == [1, 2]
+        assert [client.fed_round for client in clients] == [3, 3]
+
+
 class TestValidation:
     def test_bad_rounds_rejected(self):
         with pytest.raises(ConfigError):
-            SimConfig(n_clients=1, rounds=0)
+            sim_config(n_clients=1, rounds=0)
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ConfigError):
-            SimConfig(n_clients=1, rounds=1, upload_latency=-1)
+            sim_config(n_clients=1, rounds=1, upload_latency=-1)
 
     def test_zero_async_step_rejected(self):
         with pytest.raises(ConfigError):
-            SimConfig(n_clients=1, rounds=1, async_step_duration=0)
+            sim_config(n_clients=1, rounds=1, async_step_duration=0)
 
     def test_client_count_mismatch_rejected(self):
-        cfg = SimConfig(n_clients=3, rounds=1)
+        cfg = sim_config(n_clients=3, rounds=1)
         with pytest.raises(ConfigError):
             run_simulation(cfg, make_clients(2), make_server(3))
 

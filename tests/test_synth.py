@@ -44,6 +44,14 @@ class TestSpecValidation:
             # 2 classes at 0.9: floor(1.8) = 1 train class, too few
             SynthSpec(classes_per_client=2, open_set_split=0.9)
 
+    def test_negative_seed_and_non_finite_transforms_rejected(self):
+        # caught here, before numpy's seeding or the dataset check would fail
+        for bad in ({"seed": -1}, {"offset_scale": math.nan},
+                    {"noise_scale": (0.8, 0.8, math.inf, 0.8)},
+                    {"rotation_deg": math.nan}):
+            with pytest.raises(ConfigError):
+                SynthSpec(**bad)
+
     def test_small_client_mix_allowed(self):
         spec = SynthSpec(classes_per_client=(20, 20, 20, 5))
         clients, _ = generate(spec)
