@@ -12,7 +12,7 @@ from .errors import (ConfigError, DivergenceError, DomainError, FedSimError,
 from .experiment import ExperimentConfig, Toggles, TrainingParams, run_experiment
 from .losses import CenterBank, LossWeights, center_loss, cross_entropy, \
     fv_cos_loss, total_loss, update_centers
-from .metrics import MetricsRecord, ScoreSet, eer, score_pairs, tar_at_far
+from .metrics import MetricsRecord, ScoreSet, eer, operating_points, score_pairs, tar_at_far
 from .nn import MLP, forward, sgd_step
 from .server import DispatchMessage, ServerState, Strategy, handle_upload, \
     load_probe_set, run_aggregation

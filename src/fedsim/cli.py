@@ -17,14 +17,13 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, client
 from .config import (build_experiment_config, load_config, run_id,
                      values_as_dict, write_manifest_atomic)
 from .convergence import make_problem, run_fedavg_convergence, verify_simplex
 from .errors import ConfigError, DivergenceError, FedSimError
-from .experiment import client_score_set, run_experiment, write_roc_csv
-from .losses import fv_cos_loss
-from .metrics import ScoreSet, eer, tar_at_far, write_metrics_csv
+from .experiment import run_experiment, write_roc_csv
+from .metrics import ScoreSet, eer, operating_points, tar_at_far, write_metrics_csv
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -57,11 +56,9 @@ def _execute_run(values, canonical, out_root):
         result.timeline.export(timeline_path)
         manifest["files"] = {"metrics": metrics_path, "timeline": timeline_path,
                              "traces": []}
-        for client, test in zip(result.clients, result.test_sets):
-            scores = client_score_set(client, test, cfg.seed)
-            roc_path = os.path.join(run_dir, "traces",
-                                    f"roc_client{client.client_id}.csv")
-            write_roc_csv(roc_path, scores)
+        for client_id in sorted(result.final_scores):
+            roc_path = os.path.join(run_dir, "traces", f"roc_client{client_id}.csv")
+            write_roc_csv(roc_path, result.final_scores[client_id])
             manifest["files"]["traces"].append(roc_path)
         manifest["final_metrics"] = [vars(rec) for rec in result.final_metrics()]
         manifest["status"] = "ok"
@@ -109,8 +106,8 @@ def cmd_sweep(args) -> int:
                 overrides = [f"{p}={v}" for (p, _), v in zip(axes, combo)]
                 values, canonical = load_config(args.config,
                                                 (args.set or []) + overrides)
-                result, _ = _execute_run(values, canonical, out_root)
-                rid = run_id(values, canonical)
+                result, run_dir = _execute_run(values, canonical, out_root)
+                rid = os.path.basename(run_dir)
                 for rec in result.final_metrics():
                     writer.writerow(list(combo) + [rid, rec.client_id,
                                                    repr(rec.eer), repr(rec.tar_at_far01)])
@@ -133,20 +130,19 @@ def cmd_verify(args) -> int:
     report("aggregation weight simplex (10k samples)", violations == 0,
            f"worst deviation {worst:.3e}")
 
-    report("cosine alignment loss algebra",
-           fv_cos_loss([3.0, 4.0], [3.0, 4.0]) == 0.0
-           and fv_cos_loss([1.0, 0.0], [0.0, 1.0]) == 1.0
-           and fv_cos_loss([1.0, 0.0], [-1.0, 0.0]) == 2.0)
+    f_p = np.array([[3.0, 4.0], [1.0, 0.0], [1.0, 0.0]])
+    f_g = np.array([[3.0, 4.0], [0.0, 1.0], [-1.0, 0.0]])
+    losses = [client._fv_cos_batch(f_p[i:i + 1], f_g[i:i + 1])[0] for i in range(3)]
+    report("cosine alignment loss algebra", losses == [0.0, 1.0, 2.0])
 
     rng = np.random.default_rng(args.seed)
     ok = True
     for _ in range(10):
         scores = ScoreSet(rng.normal(0.6, 0.2, 200), rng.normal(0.3, 0.2, 300))
-        e = eer(scores)
-        t = tar_at_far(scores, 0.01)
-        ok = ok and 0.0 <= e <= 1.0 and 0.0 <= t <= 1.0
         shifted = ScoreSet(2 * scores.genuine + 1, 2 * scores.impostor + 1)
-        ok = ok and eer(shifted) == e and tar_at_far(shifted, 0.01) == t
+        (e, t), shifted_rates = [(eer(p), tar_at_far(p, 0.01))
+                                 for p in map(operating_points, (scores, shifted))]
+        ok = ok and 0.0 <= e <= 1.0 and 0.0 <= t <= 1.0 and shifted_rates == (e, t)
     report("verification metrics range + monotone-transform invariance", ok)
 
     problem = make_problem(4, 5, seed=args.seed)
@@ -193,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is not None and args.command in ("run", "sweep"):
+    if getattr(args, "seed", None) is not None and args.command == "run":
         args.set = (args.set or []) + [f"experiment.seed={args.seed}"]
     if getattr(args, "mode", None) is not None:
         args.set = (args.set or []) + [f"experiment.mode={args.mode}"]

@@ -1,13 +1,12 @@
 """End-to-end experiment wiring: datasets, clients, server, event-driven
 schedule, and per-round verification metrics."""
 
-import csv
 from dataclasses import dataclass, field, replace
 
 from .aggregation import AggregationConfig
 from .client import TrainingParams, build_client
 from .errors import ConfigError
-from .metrics import MetricsRecord, ScoreSet, _operating_points, eer, score_pairs, tar_at_far
+from .metrics import MetricsRecord, ScoreSet, eer, operating_points, score_pairs, tar_at_far
 from .server import ServerState, Strategy, load_probe_set
 from .simulation import SimConfig, run_simulation
 from .synth import SynthSpec, generate
@@ -73,9 +72,7 @@ class RunResult:
     config: ExperimentConfig
     metrics: list            # MetricsRecord, in event order
     timeline: object         # TimelineLog
-    clients: list
-    server: object
-    test_sets: list
+    final_scores: dict       # client id -> ScoreSet of its last evaluation
 
     def final_metrics(self):
         last = {}
@@ -93,12 +90,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         tr = replace(tr, alpha1=0.0, alpha3=0.0)
 
     clients = []
-    test_sets = []
+    test_of = {}   # client id -> test split
     for c in subset:
-        train, test = data[c]
+        train, test_of[c] = data[c]
         clients.append(build_client(c, train, input_dim=cfg.synth.input_dim,
                                     training=tr, seed=cfg.seed))
-        test_sets.append(test)
 
     n = len(clients)
     if cfg.mode == "solo" or n == 1:
@@ -119,22 +115,25 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         async_step_duration=cfg.async_step_duration if async_on else None)
 
     metrics = []
-    index_of = {c.client_id: i for i, c in enumerate(clients)}
+    final_scores = {}
 
     def on_round_complete(client, round_index, t):
-        test = test_sets[index_of[client.client_id]]
-        metrics.append(evaluate_client(client, test, round_index, cfg.seed))
+        record, final_scores[client.client_id] = evaluate_client(
+            client, test_of[client.client_id], round_index, cfg.seed)
+        metrics.append(record)
 
-    timeline, clients, server = run_simulation(sim_cfg, clients, server,
-                                               on_round_complete)
-    return RunResult(cfg, metrics, timeline, clients, server, test_sets)
+    timeline, _, _ = run_simulation(sim_cfg, clients, server, on_round_complete)
+    return RunResult(cfg, metrics, timeline, final_scores)
 
 
-def evaluate_client(client, test, round_index, seed) -> MetricsRecord:
+def evaluate_client(client, test, round_index, seed):
+    """Score and sweep one test split once; returns (MetricsRecord, ScoreSet)."""
     scores = client_score_set(client, test, seed)
-    return MetricsRecord(client.client_id, round_index, eer(scores),
-                         tar_at_far(scores, 0.01),
-                         int(scores.genuine.size), int(scores.impostor.size))
+    points = operating_points(scores)
+    record = MetricsRecord(client.client_id, round_index, eer(points),
+                           tar_at_far(points, 0.01),
+                           int(scores.genuine.size), int(scores.impostor.size))
+    return record, scores
 
 
 def client_score_set(client, test, seed) -> ScoreSet:
@@ -143,10 +142,14 @@ def client_score_set(client, test, seed) -> ScoreSet:
 
 
 def write_roc_csv(path, scores: ScoreSet) -> None:
-    """Raw threshold sweep (threshold, FAR, FRR) for external DET plotting."""
-    thresholds, far, frr = _operating_points(scores)
+    """Raw threshold sweep (threshold, FAR, FRR) for external DET plotting.
+
+    The bytes are `csv.writer`'s: repr'd floats and CRLF line ends.
+    """
+    thresholds, far, frr = operating_points(scores)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "far", "frr"])
-        for t, fa, fr in zip(thresholds, far, frr):
-            writer.writerow([repr(float(t)), repr(float(fa)), repr(float(fr))])
+        fh.write("threshold,far,frr\r\n")
+        for i in range(0, thresholds.size, 4096):  # chunks: no whole-file string
+            rows = slice(i, i + 4096)
+            fh.write("".join(f"{t!r},{fa!r},{fr!r}\r\n" for t, fa, fr in zip(
+                thresholds[rows].tolist(), far[rows].tolist(), frr[rows].tolist())))

@@ -62,10 +62,11 @@ def score_pairs(embeddings: np.ndarray, labels, cap: int = IMPOSTOR_PAIR_CAP,
     unit = embeddings / norms[:, None]
     sims = unit @ unit.T
     n = embeddings.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    same = labels[iu] == labels[ju]
-    genuine = sims[iu[same], ju[same]]
-    impostor = sims[iu[~same], ju[~same]]
+    # boolean masks read the upper triangle in row-major (i < j) order
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    same = labels[:, None] == labels[None, :]
+    genuine = sims[same & upper]
+    impostor = sims[~same & upper]
     if genuine.size == 0:
         raise DomainError("no genuine pairs: need an identity with >= 2 samples")
     if impostor.size == 0:
@@ -77,12 +78,14 @@ def score_pairs(embeddings: np.ndarray, labels, cap: int = IMPOSTOR_PAIR_CAP,
     return ScoreSet(genuine, impostor)
 
 
-def _operating_points(scores: ScoreSet):
+def operating_points(scores: ScoreSet):
     """FAR and FRR at every observed threshold (ascending) plus a +inf sentinel.
 
     Acceptance rule: accept when score >= threshold. FAR(t) is the impostor
     acceptance fraction, FRR(t) the genuine rejection fraction.
     """
+    if scores.genuine.size == 0 or scores.impostor.size == 0:
+        raise DomainError("both genuine and impostor scores are required")
     thresholds = np.unique(np.concatenate([scores.genuine, scores.impostor]))
     gen = np.sort(scores.genuine)
     imp = np.sort(scores.impostor)
@@ -96,11 +99,9 @@ def _operating_points(scores: ScoreSet):
     return thresholds, far, frr
 
 
-def eer(scores: ScoreSet) -> float:
-    """Error rate where FAR equals FRR, linearly interpolated at the crossing."""
-    if scores.genuine.size == 0 or scores.impostor.size == 0:
-        raise DomainError("both genuine and impostor scores are required")
-    _, far, frr = _operating_points(scores)
+def eer(points) -> float:
+    """Error rate where FAR equals FRR on an `operating_points` sweep, interpolated."""
+    _, far, frr = points
     diff = far - frr
     # diff is nonincreasing and ends at -1; find the sign change.
     k = int(np.argmax(diff <= 0))
@@ -113,13 +114,11 @@ def eer(scores: ScoreSet) -> float:
     return float((1.0 - alpha) * e0 + alpha * e1)
 
 
-def tar_at_far(scores: ScoreSet, far_target: float = 0.01) -> float:
-    """TAR at the lowest observed threshold whose empirical FAR <= far_target."""
-    if scores.genuine.size == 0 or scores.impostor.size == 0:
-        raise DomainError("both genuine and impostor scores are required")
+def tar_at_far(points, far_target: float = 0.01) -> float:
+    """TAR at the lowest swept threshold whose empirical FAR <= far_target."""
     if not 0.0 < far_target < 1.0:
         raise DomainError("far_target must be in (0, 1)")
-    _, far, frr = _operating_points(scores)
+    _, far, frr = points
     ok = np.nonzero(far <= far_target)[0]
     k = int(ok[0])  # sentinel guarantees at least one
     return float(1.0 - frr[k])

@@ -21,7 +21,8 @@ from fedsim.experiment import ExperimentConfig, Toggles, run_experiment
 from fedsim.losses import (CenterBank, LossWeights, center_loss,
                            center_loss_grad, cross_entropy_batch, fv_cos_grad,
                            fv_cos_loss)
-from fedsim.metrics import ScoreSet, eer, tar_at_far, write_metrics_csv
+from fedsim.metrics import (ScoreSet, eer, operating_points, tar_at_far,
+                            write_metrics_csv)
 from fedsim.nn import (MLP, channel, finite_difference_grad, forward_batch,
                        fusion_head, linear_head)
 from fedsim.server import ServerState, Strategy, handle_upload
@@ -236,8 +237,9 @@ def test_criterion_06_metric_oracle():
     for seed in range(50):
         rng = np.random.default_rng(seed)
         scores = ScoreSet(rng.normal(0.5, 0.25, 400), rng.normal(0.0, 0.25, 600))
-        worst = max(worst, abs(eer(scores) - brute_eer(scores)),
-                    abs(tar_at_far(scores, 0.01) - brute_tar(scores, 0.01)))
+        points = operating_points(scores)
+        worst = max(worst, abs(eer(points) - brute_eer(scores)),
+                    abs(tar_at_far(points, 0.01) - brute_tar(scores, 0.01)))
     elapsed = time.perf_counter() - start
     report(6, "EER and TAR@FAR match exhaustive threshold sweeps",
            worst < 1e-9 and elapsed < 10.0,

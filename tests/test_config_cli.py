@@ -7,8 +7,9 @@ from dataclasses import fields
 
 import pytest
 
+import fedsim.client
 from fedsim.aggregation import AggregationConfig
-from fedsim.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_OK, main)
+from fedsim.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_FAILURE, EXIT_OK, main)
 from fedsim.config import (build_experiment_config, default_values,
                            parse_config_text, run_id)
 from fedsim.errors import ConfigError
@@ -344,3 +345,14 @@ class TestVerifyVerb:
         out = capsys.readouterr().out
         assert "4/4 checks passed" in out
         assert "FAIL" not in out
+
+    def test_verify_checks_the_alignment_kernel_runs_use(self, monkeypatch, capsys):
+        real = fedsim.client._fv_cos_batch
+
+        def doubled(f_p, f_g):
+            loss, d_p, d_g = real(f_p, f_g)
+            return 2.0 * loss, d_p, d_g
+
+        monkeypatch.setattr(fedsim.client, "_fv_cos_batch", doubled)
+        assert main(["verify"]) == EXIT_FAILURE
+        assert "[FAIL] cosine alignment loss algebra" in capsys.readouterr().out

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim.errors import DomainError
-from fedsim.metrics import (MetricsRecord, ScoreSet, eer, score_pairs,
-                            tar_at_far, write_metrics_csv)
+from fedsim.metrics import (MetricsRecord, ScoreSet, eer, operating_points,
+                            score_pairs, tar_at_far, write_metrics_csv)
 
 
 def brute_force_rates(scores, threshold):
@@ -37,6 +37,22 @@ def brute_force_eer(scores):
                     + alpha * 0.5 * (far + frr))
         prev = (far, frr)
     raise AssertionError("no crossing found")
+
+
+def double_loop_pairs(embeddings, labels, cap, seed):
+    """Genuine and impostor scores in i < j double-loop order, impostors
+    subsampled past `cap` with the seed and rule that `score_pairs` uses."""
+    unit = embeddings / np.linalg.norm(embeddings, axis=1)[:, None]
+    sims = unit @ unit.T
+    genuine, impostor = [], []
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            (genuine if labels[i] == labels[j] else impostor).append(sims[i, j])
+    impostor = np.array(impostor)
+    if impostor.size > cap:
+        idx = np.random.default_rng(seed).choice(impostor.size, size=cap, replace=False)
+        impostor = impostor[np.sort(idx)]
+    return np.array(genuine), impostor
 
 
 def brute_force_tar(scores, target):
@@ -88,6 +104,22 @@ class TestScorePairs:
         assert a.impostor.size == 100
         np.testing.assert_array_equal(a.impostor, b.impostor)
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.integers(1, 6),
+           st.integers(1, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_pair_order_matches_double_loop(self, seed, n, n_ids, cap):
+        rng = np.random.default_rng(seed)
+        emb = rng.standard_normal((n, 3))
+        labels = rng.integers(0, n_ids, n)
+        genuine, impostor = double_loop_pairs(emb, labels, cap, seed)
+        if genuine.size == 0 or impostor.size == 0:
+            with pytest.raises(DomainError):
+                score_pairs(emb, labels, cap=cap, seed=seed)
+            return
+        s = score_pairs(emb, labels, cap=cap, seed=seed)
+        assert np.array_equal(s.genuine, genuine)
+        assert np.array_equal(s.impostor, impostor)
+
     def test_scores_are_cosines(self):
         emb = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0], [5.0, 0.0]])
         labels = [0, 1, 0, 1]
@@ -99,28 +131,28 @@ class TestScorePairs:
 class TestEer:
     def test_perfect_separation(self):
         s = ScoreSet([0.9, 0.8], [0.1, 0.2])
-        assert eer(s) == 0.0
+        assert eer(operating_points(s)) == 0.0
 
     def test_chance_level(self):
         vals = [0.1, 0.4, 0.6, 0.9]
         s = ScoreSet(vals, vals)
-        assert eer(s) == pytest.approx(0.5, abs=1e-12)
+        assert eer(operating_points(s)) == pytest.approx(0.5, abs=1e-12)
 
     def test_fully_inverted(self):
         s = ScoreSet([0.1, 0.2], [0.8, 0.9])
-        assert eer(s) == pytest.approx(1.0, abs=1e-12)
+        assert eer(operating_points(s)) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_matches_brute_force_sweep(self, seed):
         rng = np.random.default_rng(seed)
         s = ScoreSet(rng.normal(0.6, 0.3, 500), rng.normal(0.2, 0.3, 500))
-        assert eer(s) == pytest.approx(brute_force_eer(s), abs=1e-9)
+        assert eer(operating_points(s)) == pytest.approx(brute_force_eer(s), abs=1e-9)
 
     def test_value_in_unit_interval(self):
         rng = np.random.default_rng(99)
         for _ in range(20):
             s = ScoreSet(rng.uniform(-1, 1, 30), rng.uniform(-1, 1, 40))
-            assert 0.0 <= eer(s) <= 1.0
+            assert 0.0 <= eer(operating_points(s)) <= 1.0
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=50, deadline=None)
@@ -128,62 +160,62 @@ class TestEer:
         rng = np.random.default_rng(seed)
         gen = rng.normal(0.5, 0.4, 50)
         imp = rng.normal(0.0, 0.4, 60)
-        base = eer(ScoreSet(gen, imp))
+        base = eer(operating_points(ScoreSet(gen, imp)))
         # strictly increasing map: exp preserves score order
-        mapped = eer(ScoreSet(np.exp(gen), np.exp(imp)))
+        mapped = eer(operating_points(ScoreSet(np.exp(gen), np.exp(imp))))
         assert mapped == pytest.approx(base, abs=1e-12)
 
     def test_swap_and_negate_symmetry(self):
         rng = np.random.default_rng(5)
         gen = rng.normal(0.5, 0.3, 80)
         imp = rng.normal(0.1, 0.3, 90)
-        a = eer(ScoreSet(gen, imp))
-        b = eer(ScoreSet(-imp, -gen))
+        a = eer(operating_points(ScoreSet(gen, imp)))
+        b = eer(operating_points(ScoreSet(-imp, -gen)))
         assert b == pytest.approx(a, abs=1e-9)
 
     def test_empty_raises(self):
         with pytest.raises(DomainError):
-            eer(ScoreSet([], [0.1]))
+            eer(operating_points(ScoreSet([], [0.1])))
 
 
 class TestTarAtFar:
     def test_perfect_separation_gives_one(self):
         s = ScoreSet([0.9, 0.8, 0.7], [0.1, 0.2])
-        assert tar_at_far(s, 0.01) == 1.0
+        assert tar_at_far(operating_points(s), 0.01) == 1.0
 
     def test_fully_inverted_gives_zero(self):
         s = ScoreSet([0.1, 0.2], [0.8, 0.9])
-        assert tar_at_far(s, 0.01) == 0.0
+        assert tar_at_far(operating_points(s), 0.01) == 0.0
 
     @pytest.mark.parametrize("seed", range(50))
     def test_matches_brute_force_sweep(self, seed):
         rng = np.random.default_rng(seed + 1000)
         s = ScoreSet(rng.normal(0.6, 0.3, 500), rng.normal(0.1, 0.3, 500))
         for target in (0.01, 0.05, 0.2):
-            assert tar_at_far(s, target) == pytest.approx(
+            assert tar_at_far(operating_points(s), target) == pytest.approx(
                 brute_force_tar(s, target), abs=1e-9)
 
     def test_nondecreasing_in_target(self):
         rng = np.random.default_rng(7)
         s = ScoreSet(rng.normal(0.5, 0.4, 100), rng.normal(0.0, 0.4, 100))
         targets = [0.005, 0.01, 0.05, 0.1, 0.3, 0.7]
-        vals = [tar_at_far(s, t) for t in targets]
+        vals = [tar_at_far(operating_points(s), t) for t in targets]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(8)
         gen = rng.normal(0.5, 0.4, 60)
         imp = rng.normal(0.0, 0.4, 70)
-        a = tar_at_far(ScoreSet(gen, imp), 0.01)
-        b = tar_at_far(ScoreSet(np.tanh(gen), np.tanh(imp)), 0.01)
+        a = tar_at_far(operating_points(ScoreSet(gen, imp)), 0.01)
+        b = tar_at_far(operating_points(ScoreSet(np.tanh(gen), np.tanh(imp))), 0.01)
         assert a == b
 
     def test_bad_target_raises(self):
         s = ScoreSet([0.5], [0.1])
         with pytest.raises(DomainError):
-            tar_at_far(s, 0.0)
+            tar_at_far(operating_points(s), 0.0)
         with pytest.raises(DomainError):
-            tar_at_far(s, 1.0)
+            tar_at_far(operating_points(s), 1.0)
 
 
 class TestMetricsCsv:
