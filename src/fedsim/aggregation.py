@@ -19,19 +19,8 @@ class AggregationConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise DomainError("gamma must be in [0, 1]")
-        if self.clamp_epsilon <= 0:
-            raise DomainError("clamp_epsilon must be positive")
-
-
-@dataclass
-class CorrelationMatrix:
-    """Pairwise correlation degrees; the diagonal is undefined (NaN)."""
-
-    entries: np.ndarray  # (N, N), NaN diagonal
-
-    @property
-    def n_clients(self) -> int:
-        return self.entries.shape[0]
+        if not (np.isfinite(self.clamp_epsilon) and self.clamp_epsilon > 0):
+            raise DomainError("clamp_epsilon must be finite and positive")
 
 
 def correlation_rows(embs: np.ndarray) -> np.ndarray:
@@ -53,9 +42,9 @@ def correlation_degree(emb_n, emb_u) -> float:
 
 
 def build_correlation_matrix(models, probes: np.ndarray,
-                             clamp_epsilon: float = 1e-6) -> CorrelationMatrix:
-    """Correlation degrees between all model pairs on a shared probe set, clamped
-    from below at clamp_epsilon so downstream weights stay positive."""
+                             clamp_epsilon=AggregationConfig.clamp_epsilon) -> np.ndarray:
+    """(N, N) correlation degrees of all model pairs on a shared probe set, NaN on the
+    diagonal, clamped from below at clamp_epsilon so downstream weights stay positive."""
     models = list(models)
     if len(models) < 2:
         raise DomainError("need at least 2 models")
@@ -64,7 +53,7 @@ def build_correlation_matrix(models, probes: np.ndarray,
     embs = np.stack([forward_batch(m, probes)[0] for m in models])
     entries = np.maximum(correlation_rows(embs), clamp_epsilon)
     np.fill_diagonal(entries, np.nan)
-    return CorrelationMatrix(entries)
+    return entries
 
 
 def correlation_weights(entries: np.ndarray) -> np.ndarray:
@@ -99,13 +88,13 @@ def _stack_params(params_list) -> np.ndarray:
     return np.stack(params)
 
 
-def personalized_aggregate(params_list, corr: CorrelationMatrix,
+def personalized_aggregate(params_list, entries: np.ndarray,
                            cfg: AggregationConfig, n: int) -> np.ndarray:
-    """Client n's row of the correlation mixing rule (see the module docstring)."""
+    """Client n's row of the correlation mixing rule for the (N, N) matrix `entries`."""
     params = _stack_params(params_list)
-    if params.shape[0] != corr.n_clients:
+    if params.shape[0] != entries.shape[0]:
         raise ShapeError("parameter count does not match correlation matrix")
-    return mix(params, correlation_weights(corr.entries), cfg.gamma)[n]
+    return mix(params, correlation_weights(entries), cfg.gamma)[n]
 
 
 def fedavg_aggregate(params_list, weights) -> np.ndarray:

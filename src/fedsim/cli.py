@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, client
+from . import __version__, losses
 from .config import (build_experiment_config, load_config, run_id,
                      values_as_dict, write_manifest_atomic)
 from .convergence import make_problem, run_fedavg_convergence, verify_simplex
@@ -117,6 +117,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     """Fast cross-module invariant suite; prints one line per check."""
+    if args.seed < 0:
+        raise ConfigError("seed must be >= 0")
     failures = 0
 
     def report(name, ok, detail=""):
@@ -132,8 +134,8 @@ def cmd_verify(args) -> int:
 
     f_p = np.array([[3.0, 4.0], [1.0, 0.0], [1.0, 0.0]])
     f_g = np.array([[3.0, 4.0], [0.0, 1.0], [-1.0, 0.0]])
-    losses = [client._fv_cos_batch(f_p[i:i + 1], f_g[i:i + 1])[0] for i in range(3)]
-    report("cosine alignment loss algebra", losses == [0.0, 1.0, 2.0])
+    alignment = [losses.fv_cos_batch(f_p[i:i + 1], f_g[i:i + 1])[0] for i in range(3)]
+    report("cosine alignment loss algebra", alignment == [0.0, 1.0, 2.0])
 
     rng = np.random.default_rng(args.seed)
     ok = True

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, DomainError, ProtocolError, ShapeError
 from .losses import (CenterBank, LossWeights, center_loss_grad,
-                     cross_entropy_batch, total_loss, update_centers)
+                     cross_entropy_batch, fv_cos_batch, total_loss, update_centers)
 from .nn import (MLP, backward_batch, channel, forward_batch, fusion_head,
                  linear_head)
 from .synth import LabeledDataset
@@ -56,21 +56,6 @@ class UploadMessage:
     params: np.ndarray
 
 
-def _fv_cos_batch(f_p: np.ndarray, f_g: np.ndarray):
-    """Mean alignment loss over a batch with per-sample gradients (already /B)."""
-    norm_p = np.linalg.norm(f_p, axis=1)
-    norm_g = np.linalg.norm(f_g, axis=1)
-    if np.any(norm_p == 0) or np.any(norm_g == 0):
-        raise DomainError("zero-norm embedding in cosine alignment loss")
-    cos = (f_p * f_g).sum(axis=1) / (norm_p * norm_g)
-    loss = float(np.abs(cos - 1.0).mean())
-    b = f_p.shape[0]
-    sign = np.sign(cos - 1.0)[:, None] / b
-    d_p = sign * (f_g / (norm_p * norm_g)[:, None] - (cos / norm_p**2)[:, None] * f_p)
-    d_g = sign * (f_p / (norm_p * norm_g)[:, None] - (cos / norm_g**2)[:, None] * f_g)
-    return loss, d_p, d_g
-
-
 def local_loss_and_grads(local_channel, fed_channel, fusion, head2, bank,
                          x_batch, y_batch, weights: LossWeights):
     """Full local-training loss and analytic gradients for the four trained parts.
@@ -85,7 +70,7 @@ def local_loss_and_grads(local_channel, fed_channel, fusion, head2, bank,
 
     ce2, dlogits = cross_entropy_batch(logits, y_batch)
     if weights.alpha1 > 0:
-        fv, dfp_fv, dfg_fv = _fv_cos_batch(f_p, f_g)
+        fv, dfp_fv, dfg_fv = fv_cos_batch(f_p, f_g)
     else:
         fv, dfp_fv, dfg_fv = 0.0, 0.0, 0.0
     if weights.alpha3 > 0:
@@ -162,13 +147,11 @@ class ClientState:
         n = self.dataset.labels.size
         return -(-n // self.batch_size)
 
-    def local_train_round(self, epochs=None) -> UploadMessage:
+    def local_train_round(self) -> UploadMessage:
         if self.phase is not Phase.LOCAL_TRAINING:
             raise ProtocolError(f"local_train_round in phase {self.phase}")
-        if epochs is None:
-            epochs = self.local_epochs
         self.last_epoch_losses = []
-        for _ in range(epochs):
+        for _ in range(self.local_epochs):
             batch_losses = []
             for b_idx, (xb, yb) in enumerate(self._minibatches(self._batch_rng)):
                 loss, _, z = self._train_step(

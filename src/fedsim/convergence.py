@@ -2,12 +2,11 @@
 strongly convex quadratics with known constants, plus the aggregation-weight
 simplex check."""
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import correlation_weights
+from .aggregation import AggregationConfig, correlation_weights
 from .errors import ConfigError, DomainError
 
 
@@ -89,13 +88,6 @@ class ConvergenceTrace:
     mean_gap: np.ndarray   # mean optimality gap over replicates
     std_gap: np.ndarray
 
-    def export(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "mean_gap", "std_gap"])
-            for r, m, s in zip(self.rounds, self.mean_gap, self.std_gap):
-                writer.writerow([int(r), repr(float(m)), repr(float(s))])
-
 
 def run_fedavg_convergence(problem: ConvexProblem, rounds: int, local_steps: int,
                            lr_scale: float, lr_offset: float, noise: float,
@@ -135,7 +127,7 @@ def run_fedavg_convergence(problem: ConvexProblem, rounds: int, local_steps: int
     return ConvergenceTrace(rounds_axis, gaps.mean(axis=0), gaps.std(axis=0))
 
 
-def verify_simplex(n_samples: int, seed, eps: float = 1e-6, tol: float = 1e-12):
+def verify_simplex(n_samples: int, seed, eps=AggregationConfig.clamp_epsilon, tol=1e-12):
     """Check that every personalized mixing row's weights sum to exactly 1.
 
     Draws random clamped (n, n) correlation matrices (n in 2..8) and gammas,

@@ -9,7 +9,7 @@ from .errors import ConfigError
 from .metrics import MetricsRecord, ScoreSet, eer, operating_points, score_pairs, tar_at_far
 from .server import ServerState, Strategy, load_probe_set
 from .simulation import SimConfig, run_simulation
-from .synth import SynthSpec, generate
+from .synth import PROBE_POOL_SIZE, SynthSpec, generate
 
 MODES = ("solo", "fedavg", "full")
 
@@ -56,8 +56,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.client_subset is not None:
@@ -65,6 +63,26 @@ class ExperimentConfig:
             if not subset or any(c < 0 or c >= self.synth.n_clients for c in subset):
                 raise ConfigError("client_subset must index the synthetic clients")
             object.__setattr__(self, "client_subset", subset)
+        self.schedule()  # SimConfig checks the rounds and every duration
+        if not 1 <= self.probe_size <= PROBE_POOL_SIZE:
+            raise ConfigError(f"probe_size must be in [1, {PROBE_POOL_SIZE}]")
+        for c in self.clients:
+            if self.synth.class_split(c)[1] < 2:
+                raise ConfigError(f"client {c} needs 2 test identities for impostor pairs")
+
+    @property
+    def clients(self) -> tuple:
+        """Indices of the synthetic clients the run trains."""
+        return self.client_subset or tuple(range(self.synth.n_clients))
+
+    def schedule(self) -> SimConfig:
+        """The run's schedule, with async training as configured."""
+        return SimConfig(
+            n_clients=len(self.clients), rounds=self.rounds,
+            local_step_duration=self.local_step_duration,
+            upload_latency=self.upload_latency, download_latency=self.download_latency,
+            server_compute_time=self.server_compute_time,
+            async_step_duration=self.async_step_duration)
 
 
 @dataclass
@@ -84,14 +102,13 @@ class RunResult:
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     async_on, total_loss_on, personalized_on = cfg.toggles.resolve(cfg.mode)
     data, probe_source = generate(cfg.synth)
-    subset = cfg.client_subset or tuple(range(cfg.synth.n_clients))
     tr = cfg.training
     if not total_loss_on:
         tr = replace(tr, alpha1=0.0, alpha3=0.0)
 
     clients = []
     test_of = {}   # client id -> test split
-    for c in subset:
+    for c in cfg.clients:
         train, test_of[c] = data[c]
         clients.append(build_client(c, train, input_dim=cfg.synth.input_dim,
                                     training=tr, seed=cfg.seed))
@@ -105,14 +122,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         server = ServerState(expected_clients=n, probes=probes,
                              fed_arch=clients[0].fed_channel.clone(),
                              agg_cfg=cfg.agg, strategy=strategy,
-                             client_ids=subset)
+                             client_ids=cfg.clients)
 
-    sim_cfg = SimConfig(
-        n_clients=n, rounds=cfg.rounds,
-        local_step_duration=cfg.local_step_duration,
-        upload_latency=cfg.upload_latency, download_latency=cfg.download_latency,
-        server_compute_time=cfg.server_compute_time,
-        async_step_duration=cfg.async_step_duration if async_on else None)
+    sim_cfg = cfg.schedule()
+    if not async_on:
+        sim_cfg = replace(sim_cfg, async_step_duration=None)
 
     metrics = []
     final_scores = {}

@@ -1,10 +1,10 @@
-"""Loss functions used on clients, with analytic gradients.
+"""Batch loss kernels used on clients, with analytic gradients.
 
-Covers the two classification cross-entropies, the channel-alignment cosine
-loss, the class-center loss, and the weighted total.
+Covers the classification cross-entropy, the channel-alignment cosine loss,
+the class-center loss and its center update, and the weighted total.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,8 @@ class CenterBank:
     It may be given as a mapping {k: vector} with keys exactly 0..K-1.
     """
 
-    centers: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    lr: float = 0.5
+    centers: np.ndarray
+    lr: float
 
     def __post_init__(self):
         centers = self.centers
@@ -61,19 +61,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def cross_entropy(logits: np.ndarray, label_onehot: np.ndarray) -> float:
-    """Softmax cross-entropy for a single logits vector and one-hot label."""
-    logits = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(label_onehot, dtype=np.float64)
-    if logits.shape != y.shape or logits.ndim != 1:
-        raise ShapeError("logits and label must be 1-D vectors of equal length")
-    if logits.size < 2:
-        raise DomainError("need at least 2 classes")
-    if not np.all((y == 0) | (y == 1)) or int(y.sum()) != 1:
-        raise DomainError("label must be one-hot with exactly one hot index")
-    return float(-(y * log_softmax(logits)).sum())
-
-
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy over a batch; returns (loss, dlogits).
 
@@ -92,34 +79,19 @@ def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
     return loss, dlogits / b
 
 
-def fv_cos_loss(f_p: np.ndarray, f_g: np.ndarray) -> float:
-    """Alignment loss |cos(f_p, f_g) - 1|; 0 iff positively collinear."""
-    loss, _, _ = fv_cos_grad(f_p, f_g)
-    return loss
-
-
-def fv_cos_grad(f_p: np.ndarray, f_g: np.ndarray):
-    """Alignment loss with gradients w.r.t. both vectors."""
-    f_p = np.asarray(f_p, dtype=np.float64)
-    f_g = np.asarray(f_g, dtype=np.float64)
-    if f_p.shape != f_g.shape or f_p.ndim != 1:
-        raise ShapeError("vectors must be 1-D and of equal length")
-    np_norm = np.linalg.norm(f_p)
-    ng_norm = np.linalg.norm(f_g)
-    if np_norm == 0.0 or ng_norm == 0.0:
+def fv_cos_batch(f_p: np.ndarray, f_g: np.ndarray):
+    """Mean alignment loss over a batch with per-sample gradients (already /B)."""
+    norm_p = np.linalg.norm(f_p, axis=1)
+    norm_g = np.linalg.norm(f_g, axis=1)
+    if np.any(norm_p == 0) or np.any(norm_g == 0):
         raise DomainError("zero-norm embedding in cosine alignment loss")
-    cos = float(f_p @ f_g / (np_norm * ng_norm))
-    loss = abs(cos - 1.0)
-    sign = np.sign(cos - 1.0)
-    dcos_dp = f_g / (np_norm * ng_norm) - cos * f_p / (np_norm * np_norm)
-    dcos_dg = f_p / (np_norm * ng_norm) - cos * f_g / (ng_norm * ng_norm)
-    return loss, sign * dcos_dp, sign * dcos_dg
-
-
-def center_loss(embeddings: np.ndarray, labels, bank: CenterBank) -> float:
-    """Half the summed squared distance of each embedding to its class center."""
-    loss, _ = center_loss_grad(embeddings, labels, bank)
-    return loss
+    cos = (f_p * f_g).sum(axis=1) / (norm_p * norm_g)
+    loss = float(np.abs(cos - 1.0).mean())
+    b = f_p.shape[0]
+    sign = np.sign(cos - 1.0)[:, None] / b
+    d_p = sign * (f_g / (norm_p * norm_g)[:, None] - (cos / norm_p**2)[:, None] * f_p)
+    d_g = sign * (f_p / (norm_p * norm_g)[:, None] - (cos / norm_g**2)[:, None] * f_g)
+    return loss, d_p, d_g
 
 
 def _center_labels(embeddings: np.ndarray, labels, bank: CenterBank) -> np.ndarray:

@@ -128,17 +128,6 @@ def forward_batch(model: MLP, x: np.ndarray):
     return h, acts
 
 
-def forward(model: MLP, x: np.ndarray) -> np.ndarray:
-    """Forward pass on a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError("forward expects a 1-D input vector")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("non-finite input to forward")
-    y, _ = forward_batch(model, x[None, :])
-    return y[0]
-
-
 def backward_batch(model: MLP, cache, dy: np.ndarray):
     """Backprop an upstream gradient through the net.
 
@@ -173,16 +162,3 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
     if lr < 0:
         raise DomainError("learning rate must be nonnegative")
     return params - lr * grads
-
-
-def finite_difference_grad(loss_fn, params: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar loss over a flat parameter vector."""
-    params = np.asarray(params, dtype=np.float64)
-    grad = np.zeros_like(params)
-    for i in range(params.size):
-        p_hi = params.copy()
-        p_hi[i] += step
-        p_lo = params.copy()
-        p_lo[i] -= step
-        grad[i] = (loss_fn(p_hi) - loss_fn(p_lo)) / (2.0 * step)
-    return grad

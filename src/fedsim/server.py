@@ -81,7 +81,7 @@ def run_aggregation(server: ServerState):
     if server.strategy is Strategy.PERSONALIZED:
         models = [MLP(server.fed_arch.sizes, server.fed_arch.out_act, p) for p in params]
         corr = build_correlation_matrix(models, server.probes, server.agg_cfg.clamp_epsilon)
-        weights, gamma = correlation_weights(corr.entries), server.agg_cfg.gamma
+        weights, gamma = correlation_weights(corr), server.agg_cfg.gamma
     else:
         weights, gamma = np.full((n, n), 1.0 / n), 1.0
     outs = mix(params, weights, gamma)

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, ShapeError
 
 PROTO_SCALE = 2.0
+PROBE_POOL_SIZE = 128   # rows of the server's probe source
 
 
 def _per_client(value, n_clients, name):
@@ -47,6 +48,8 @@ class SynthSpec:
             raise ConfigError("seed must be >= 0")
         if not 0.0 < self.open_set_split < 1.0:
             raise ConfigError("open_set_split must be in (0, 1)")
+        if not 1 <= self.latent_dim <= self.input_dim:
+            raise ConfigError("latent_dim must be in [1, input_dim]")
         n = self.n_clients
         object.__setattr__(self, "classes_per_client",
                            _per_client(self.classes_per_client, n, "classes_per_client"))
@@ -70,15 +73,18 @@ class SynthSpec:
             if len(seeds) != n:
                 raise ConfigError("client_seeds needs one entry per client")
         object.__setattr__(self, "client_seeds", seeds)
-        for k in self.classes_per_client:
-            if k < 2:
-                raise ConfigError("classes_per_client must be >= 2")
-            k_train = math.floor(k * self.open_set_split)
-            if k_train < 2 or k - k_train < 1:
+        for c in range(n):
+            k_train, k_test = self.class_split(c)
+            if k_train < 2 or k_test < 1:
                 raise ConfigError("split leaves too few train or test classes")
         for s in self.samples_per_class:
             if s < 2:
                 raise ConfigError("samples_per_class must be >= 2")
+
+    def class_split(self, c) -> tuple:
+        """(train, test) identity counts of client c."""
+        k_train = math.floor(self.classes_per_client[c] * self.open_set_split)
+        return k_train, self.classes_per_client[c] - k_train
 
 
 @dataclass
@@ -129,8 +135,6 @@ def generate(spec: SynthSpec):
     (train LabeledDataset, test LabeledDataset).
     """
     dim = spec.input_dim
-    if not 1 <= spec.latent_dim <= dim:
-        raise ConfigError("latent_dim must be in [1, input_dim]")
     # Shared prototype subspace: the structure federation can exploit.
     basis_rng = np.random.default_rng((spec.seed, 101))
     basis, _ = np.linalg.qr(basis_rng.standard_normal((dim, spec.latent_dim)))
@@ -149,13 +153,13 @@ def generate(spec: SynthSpec):
         transformed = raw.reshape(-1, dim) @ rot.T + offset
 
         labels = np.repeat(np.arange(k), m)
-        k_train = math.floor(k * spec.open_set_split)
+        k_train, _ = spec.class_split(c)
         train_mask = labels < k_train
         train = LabeledDataset(transformed[train_mask], labels[train_mask], "train")
         test = LabeledDataset(transformed[~train_mask], labels[~train_mask] - k_train, "test")
         clients.append((train, test))
 
     probe_rng = np.random.default_rng((spec.seed, 999))
-    probe_source = (PROTO_SCALE * probe_rng.standard_normal((128, spec.latent_dim))
-                    @ basis.T)
+    latent = probe_rng.standard_normal((PROBE_POOL_SIZE, spec.latent_dim))
+    probe_source = PROTO_SCALE * latent @ basis.T
     return clients, probe_source

@@ -12,22 +12,20 @@ import numpy as np
 import pytest
 
 import fedsim.simulation as simulation_module
-from fedsim.aggregation import (AggregationConfig, CorrelationMatrix,
-                                build_correlation_matrix, personalized_aggregate)
+from fedsim.aggregation import (AggregationConfig, build_correlation_matrix,
+                                personalized_aggregate)
 from fedsim.client import (TrainingParams, async_loss_and_grads, build_client,
                            local_loss_and_grads)
 from fedsim.convergence import make_problem, run_fedavg_convergence, verify_simplex
 from fedsim.experiment import ExperimentConfig, Toggles, run_experiment
-from fedsim.losses import (CenterBank, LossWeights, center_loss,
-                           center_loss_grad, cross_entropy_batch, fv_cos_grad,
-                           fv_cos_loss)
+from fedsim.losses import CenterBank, LossWeights, center_loss_grad, cross_entropy_batch
 from fedsim.metrics import (ScoreSet, eer, operating_points, tar_at_far,
                             write_metrics_csv)
-from fedsim.nn import (MLP, channel, finite_difference_grad, forward_batch,
-                       fusion_head, linear_head)
+from fedsim.nn import MLP, channel, forward_batch, fusion_head, linear_head
 from fedsim.server import ServerState, Strategy, handle_upload
 from fedsim.simulation import EventKind, SimConfig, run_simulation
 from fedsim.synth import LabeledDataset
+from oracles import finite_difference_grad, fv_cos_grad, fv_cos_loss
 from sim_defaults import sim_config
 
 
@@ -61,14 +59,13 @@ def test_criterion_02_aggregation_degenerate_cases():
     params = [rng.standard_normal(12) for _ in range(3)]
     entries = rng.uniform(0.5, 3.0, (3, 3))
     np.fill_diagonal(entries, np.nan)
-    corr = CorrelationMatrix(entries)
     # gamma = 0: the client's own model, bit-exact
-    own = personalized_aggregate(params, corr, AggregationConfig(0.0), 1)
+    own = personalized_aggregate(params, entries, AggregationConfig(0.0), 1)
     ok = np.array_equal(own, params[1])
     # identical uploads: the shared model back, any gamma
     shared = [params[0].copy() for _ in range(3)]
     for gamma in (0.3, 0.7, 1.0):
-        out = personalized_aggregate(shared, corr, AggregationConfig(gamma), 2)
+        out = personalized_aggregate(shared, entries, AggregationConfig(gamma), 2)
         ok = ok and np.allclose(out, params[0], atol=1e-12)
     # hand-computed scalar case: R = (3, 1), gamma = 0.5, params (0, 4, 8)
     hand_entries = np.array([[np.nan, 3.0, 1.0],
@@ -76,7 +73,7 @@ def test_criterion_02_aggregation_degenerate_cases():
                              [1.0, 1.0, np.nan]])
     out = personalized_aggregate(
         [np.array([0.0]), np.array([4.0]), np.array([8.0])],
-        CorrelationMatrix(hand_entries), AggregationConfig(0.5), 0)
+        hand_entries, AggregationConfig(0.5), 0)
     ok = ok and out[0] == 2.5
     report(2, "mixing rule degenerate and hand-computed cases", ok)
 
@@ -152,9 +149,9 @@ def test_criterion_04_loss_gradients_match_finite_differences():
         # compactness loss with respect to the embeddings
         emb = rng.standard_normal((6, 3))
         lab = rng.integers(0, 2, size=6)
-        bank = CenterBank({0: rng.standard_normal(3), 1: rng.standard_normal(3)})
+        bank = CenterBank({0: rng.standard_normal(3), 1: rng.standard_normal(3)}, lr=0.5)
         fd = finite_difference_grad(
-            lambda p: center_loss(p.reshape(6, 3), lab, bank), emb.ravel())
+            lambda p: center_loss_grad(p.reshape(6, 3), lab, bank)[0], emb.ravel())
         worst["center"] = max(worst["center"], rel_err(
             center_loss_grad(emb, lab, bank)[1], fd))
 
@@ -169,7 +166,7 @@ def test_criterion_04_loss_gradients_match_finite_differences():
         fc = channel(4, 4, 3, seed=(seed, 2))
         fu = fusion_head(6, 3, seed=(seed, 3))
         h2 = linear_head(3, 3, seed=(seed, 4))
-        bank2 = CenterBank({k: rng.standard_normal(3) for k in range(3)})
+        bank2 = CenterBank({k: rng.standard_normal(3) for k in range(3)}, lr=0.5)
         xb = rng.standard_normal((4, 4))
         yb = rng.integers(0, 3, size=4)
         w = LossWeights(0.3, 1.0, 0.2)
@@ -324,8 +321,8 @@ def test_criterion_08_freeze_and_upload_isolation(monkeypatch):
 
         orig_round = type(client).local_train_round
 
-        def recording_round(epochs=None, client=client, orig=orig_round):
-            msg = orig(client, epochs)
+        def recording_round(client=client, orig=orig_round):
+            msg = orig(client)
             uploaded[(client.client_id, msg.fed_round)] = msg.params.copy()
             return msg
         client.local_train_round = recording_round

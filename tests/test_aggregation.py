@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim.aggregation import (AggregationConfig, CorrelationMatrix,
-                                build_correlation_matrix, correlation_degree,
-                                fedavg_aggregate, personalized_aggregate)
+from fedsim.aggregation import (AggregationConfig, build_correlation_matrix,
+                                correlation_degree, fedavg_aggregate,
+                                personalized_aggregate)
 from fedsim.errors import DomainError, ShapeError
 from fedsim.nn import channel, forward_batch
 
@@ -16,7 +16,7 @@ from fedsim.nn import channel, forward_batch
 def corr_from(entries):
     entries = np.asarray(entries, dtype=np.float64)
     np.fill_diagonal(entries, np.nan)
-    return CorrelationMatrix(entries)
+    return entries
 
 
 class TestCorrelationDegree:
@@ -58,8 +58,8 @@ class TestBuildCorrelationMatrix:
         m = channel(4, 6, 3, seed=0)
         probes = np.random.default_rng(0).standard_normal((5, 4))
         corr = build_correlation_matrix([m, m.clone()], probes)
-        assert corr.entries[0, 1] == pytest.approx(5.0, abs=1e-12)
-        assert corr.entries[1, 0] == pytest.approx(5.0, abs=1e-12)
+        assert corr[0, 1] == pytest.approx(5.0, abs=1e-12)
+        assert corr[1, 0] == pytest.approx(5.0, abs=1e-12)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(4)
@@ -70,7 +70,7 @@ class TestBuildCorrelationMatrix:
         for i in range(3):
             for j in range(3):
                 if i == j:
-                    assert np.isnan(corr.entries[i, j])
+                    assert np.isnan(corr[i, j])
                     continue
                 ei = forward_batch(models[i], probes)[0]
                 ej = forward_batch(models[j], probes)[0]
@@ -79,7 +79,7 @@ class TestBuildCorrelationMatrix:
                     total += float(ei[t] @ ej[t]
                                    / (np.linalg.norm(ei[t]) * np.linalg.norm(ej[t])))
                 expected = max(total, 1e-6)
-                assert corr.entries[i, j] == pytest.approx(expected, abs=1e-9)
+                assert corr[i, j] == pytest.approx(expected, abs=1e-9)
 
     def test_negative_raw_correlation_clamped(self):
         m = channel(4, 6, 3, seed=0)
@@ -88,15 +88,15 @@ class TestBuildCorrelationMatrix:
         probes = np.random.default_rng(5).standard_normal((4, 4))
         corr = build_correlation_matrix([m, neg], probes, clamp_epsilon=1e-6)
         # anti-correlated models are pinned to the clamp floor
-        assert corr.entries[0, 1] == 1e-6
+        assert corr[0, 1] == 1e-6
 
     def test_symmetric_after_clamp(self):
         models = [channel(4, 6, 3, seed=s) for s in range(4)]
         probes = np.random.default_rng(6).standard_normal((6, 4))
         corr = build_correlation_matrix(models, probes)
         mask = ~np.eye(4, dtype=bool)
-        np.testing.assert_array_equal(corr.entries[mask],
-                                      corr.entries.T[mask])
+        np.testing.assert_array_equal(corr[mask],
+                                      corr.T[mask])
 
     def test_single_model_rejected(self):
         with pytest.raises(DomainError):

@@ -10,9 +10,9 @@ from fedsim.client import (ClientState, Phase, TrainingParams, UploadMessage,
                            build_client, async_loss_and_grads, local_loss_and_grads)
 from fedsim.errors import DivergenceError, ProtocolError, ShapeError
 from fedsim.losses import CenterBank, LossWeights
-from fedsim.nn import MLP, channel, finite_difference_grad, fusion_head, \
-    linear_head
+from fedsim.nn import MLP, channel, fusion_head, linear_head
 from fedsim.synth import LabeledDataset, SynthSpec, generate
+from oracles import finite_difference_grad
 
 
 def small_client(seed=0, lr=0.05, weights=None, n_classes=5):
@@ -79,14 +79,6 @@ class TestGradients:
 
 
 class TestLocalTrainRound:
-    def test_zero_epochs_only_changes_phase(self):
-        c = small_client()
-        before = c.fed_channel.params.copy()
-        msg = c.local_train_round(epochs=0)
-        assert c.phase is Phase.WAITING
-        np.testing.assert_array_equal(msg.params, before)
-        np.testing.assert_array_equal(c.fed_channel.params, before)
-
     def test_zero_lr_leaves_parameters_unchanged(self):
         c = small_client(lr=0.0)
         snaps = {name: getattr(c, name).params.copy()
@@ -114,7 +106,8 @@ class TestLocalTrainRound:
         improved = 0
         for seed in range(20):
             c = small_client(seed=seed)
-            c.local_train_round(epochs=3)
+            c.local_epochs = 3
+            c.local_train_round()
             first = np.mean(c.last_epoch_losses[0])
             last = np.mean(c.last_epoch_losses[-1])
             improved += last < first
@@ -199,7 +192,7 @@ class TestAdoptGlobal:
     def test_alignment_loss_decreases_with_coupling(self):
         # after adoption, a local round with the alignment term active pulls
         # the two channel representations together on most seeds
-        from fedsim.losses import fv_cos_loss
+        from oracles import fv_cos_loss
 
         def mean_alignment(c):
             from fedsim.nn import forward_batch
@@ -251,9 +244,10 @@ class TestEmbeddingsAndDeterminism:
     def test_embedding_is_fusion_of_both_channels(self):
         c = small_client(seed=11)
         x = np.random.default_rng(1).standard_normal(8)
-        from fedsim.nn import forward
-        manual = forward(c.fusion, np.concatenate([
-            forward(c.local_channel, x), forward(c.fed_channel, x)]))
+        from fedsim.nn import forward_batch
+        manual = forward_batch(c.fusion, np.concatenate([
+            forward_batch(c.local_channel, x[None])[0][0],
+            forward_batch(c.fed_channel, x[None])[0][0]])[None])[0][0]
         np.testing.assert_allclose(c.extract_embeddings(x[None])[0], manual, atol=1e-12)
 
     def test_shared_federated_initialization_across_clients(self):

