@@ -1,7 +1,9 @@
 """Batch loss kernels used on clients, with analytic gradients.
 
 Covers the classification cross-entropy, the channel-alignment cosine loss,
-the class-center loss and its center update, and the weighted total.
+the class-center loss and its center update, and the weighted total. Each
+kernel also takes a leading group axis: G independent batches (and G center
+banks) in one call, one loss per row, each row computed exactly as alone.
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,8 @@ class LossWeights:
     alpha3: float
 
     def __post_init__(self):
+        if not np.isfinite((self.alpha1, self.alpha2, self.alpha3)).all():
+            raise DomainError("loss weights must be finite")
         if self.alpha1 < 0 or self.alpha2 < 0 or self.alpha3 < 0:
             raise DomainError("loss weights must be nonnegative")
         if self.alpha1 == 0 and self.alpha2 == 0 and self.alpha3 == 0:
@@ -33,7 +37,8 @@ class CenterBank:
     """Per-class embedding centers with their own update rate.
 
     `centers` is a (K, dim) float64 array; row k is the center of class k.
-    It may be given as a mapping {k: vector} with keys exactly 0..K-1.
+    It may be given as a mapping {k: vector} with keys exactly 0..K-1. A
+    (G, K, dim) array holds the banks of G clients that share one rate.
     """
 
     centers: np.ndarray
@@ -49,8 +54,9 @@ class CenterBank:
             centers = np.array(centers, dtype=np.float64)
         except ValueError as exc:
             raise ShapeError(f"centers must share one dimension: {exc}") from exc
-        if centers.ndim != 2:
-            raise ShapeError(f"centers must be a (K, dim) array, got shape {centers.shape}")
+        if centers.ndim not in (2, 3):
+            raise ShapeError(
+                f"centers must be a ([G,] K, dim) array, got shape {centers.shape}")
         if not np.isfinite(centers).all():
             raise DomainError("non-finite class center")
         self.centers = centers
@@ -64,56 +70,66 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy over a batch; returns (loss, dlogits).
 
+    (G, B, k) logits and (G, B) labels give a (G,) loss, one per batch.
     Labels are trusted to lie in 0..k-1: datasets check them when built.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise ShapeError("expect (B, k) logits and (B,) integer labels")
-    b = logits.shape[0]
-    rows = np.arange(b)
+    if logits.ndim < 2 or labels.shape != logits.shape[:-1]:
+        raise ShapeError("expect ([G,] B, k) logits and ([G,] B) integer labels")
+    b, k = logits.shape[-2:]
+    # one row per sample, so one fancy index serves any group shape
+    rows, flat_labels = np.arange(labels.size), labels.ravel()
     lsm = log_softmax(logits)
-    loss = float(-(lsm[rows, labels].sum() / b))
+    picked = lsm.reshape(-1, k)[rows, flat_labels].reshape(labels.shape)
+    loss = -(picked.sum(axis=-1) / b)
     dlogits = np.exp(lsm)
-    dlogits[rows, labels] -= 1.0
+    dlogits.reshape(-1, k)[rows, flat_labels] -= 1.0
     return loss, dlogits / b
 
 
 def fv_cos_batch(f_p: np.ndarray, f_g: np.ndarray):
     """Mean alignment loss over a batch with per-sample gradients (already /B)."""
-    norm_p = np.linalg.norm(f_p, axis=1)
-    norm_g = np.linalg.norm(f_g, axis=1)
+    norm_p = np.linalg.norm(f_p, axis=-1)
+    norm_g = np.linalg.norm(f_g, axis=-1)
     if np.any(norm_p == 0) or np.any(norm_g == 0):
         raise DomainError("zero-norm embedding in cosine alignment loss")
-    cos = (f_p * f_g).sum(axis=1) / (norm_p * norm_g)
-    loss = float(np.abs(cos - 1.0).mean())
-    b = f_p.shape[0]
-    sign = np.sign(cos - 1.0)[:, None] / b
-    d_p = sign * (f_g / (norm_p * norm_g)[:, None] - (cos / norm_p**2)[:, None] * f_p)
-    d_g = sign * (f_p / (norm_p * norm_g)[:, None] - (cos / norm_g**2)[:, None] * f_g)
+    cos = (f_p * f_g).sum(axis=-1) / (norm_p * norm_g)
+    loss = np.abs(cos - 1.0).mean(axis=-1)
+    b = f_p.shape[-2]
+    sign = np.sign(cos - 1.0)[..., None] / b
+    d_p = sign * (f_g / (norm_p * norm_g)[..., None] - (cos / norm_p**2)[..., None] * f_p)
+    d_g = sign * (f_p / (norm_p * norm_g)[..., None] - (cos / norm_g**2)[..., None] * f_g)
     return loss, d_p, d_g
 
 
-def _center_labels(embeddings: np.ndarray, labels, bank: CenterBank) -> np.ndarray:
-    """Check a (B, dim) batch against the bank; return its labels as an array."""
-    if embeddings.ndim != 2:
-        raise ShapeError("embeddings must be a (B, dim) batch")
+def _center_rows(embeddings: np.ndarray, labels, bank: CenterBank) -> np.ndarray:
+    """Check a ([G,] B, dim) batch against the bank; return, per embedding,
+    the row of its class center in the bank's centers viewed as (G*K, dim)."""
+    if embeddings.ndim != bank.centers.ndim or \
+            embeddings.shape[:-2] != bank.centers.shape[:-2]:
+        raise ShapeError("embeddings must be a ([G,] B, dim) batch, G as in the bank")
     labels = np.asarray(labels)
-    if labels.shape != (embeddings.shape[0],):
+    if labels.shape != embeddings.shape[:-1]:
         raise ShapeError("one label per embedding required")
-    if embeddings.shape[1] != bank.centers.shape[1]:
+    k, dim = bank.centers.shape[-2:]
+    if embeddings.shape[-1] != dim:
         raise ShapeError("center dimension mismatch")
     if labels.size and (labels.dtype.kind not in "iu" or labels.min() < 0
-                        or labels.max() >= bank.centers.shape[0]):
+                        or labels.max() >= k):
         raise DomainError(f"no center for a class in {np.unique(labels)}")
+    if labels.ndim == 2:
+        labels = labels + k * np.arange(labels.shape[0])[:, None]
     return labels
 
 
 def center_loss_grad(embeddings: np.ndarray, labels, bank: CenterBank):
+    """Center loss 0.5 * sum ||e - c_y||^2 of a batch (one per group row) and
+    its gradient with respect to the embeddings."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = _center_labels(embeddings, labels, bank)
-    diffs = embeddings - bank.centers[labels]
-    loss = 0.5 * float((diffs * diffs).sum())
+    rows = _center_rows(embeddings, labels, bank)
+    diffs = embeddings - bank.centers.reshape(-1, embeddings.shape[-1])[rows]
+    loss = 0.5 * (diffs * diffs).sum(axis=(-2, -1))
     return loss, diffs
 
 
@@ -125,19 +141,23 @@ def update_centers(bank: CenterBank, embeddings: np.ndarray, labels) -> None:
     sums pairwise, so eight or more same-class rows may round differently.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = _center_labels(embeddings, labels, bank)
-    sums = np.zeros_like(bank.centers)
-    np.add.at(sums, labels, embeddings)
-    counts = np.bincount(labels, minlength=bank.centers.shape[0])
+    rows = _center_rows(embeddings, labels, bank).ravel()
+    dim = embeddings.shape[-1]
+    centers = bank.centers.reshape(-1, dim)
+    sums = np.zeros_like(centers)
+    np.add.at(sums, rows, embeddings.reshape(-1, dim))
+    counts = np.bincount(rows, minlength=centers.shape[0])
     touched = np.flatnonzero(counts)
-    c = bank.centers[touched]
+    c = centers[touched]
     batch_mean = sums[touched] / counts[touched, None]
-    bank.centers[touched] = c + bank.lr * (batch_mean - c)
+    # written through the bank's own shape: a reshape may be a copy
+    at = np.unravel_index(touched, bank.centers.shape[:-1])
+    bank.centers[at] = c + bank.lr * (batch_mean - c)
 
 
 def total_loss(fv: float, ce2: float, cen: float, w: LossWeights) -> float:
-    """Weighted sum of the three local-training terms."""
+    """Weighted sum of the three local-training terms (per group row, if any)."""
     for name, v in (("fv", fv), ("ce2", ce2), ("cen", cen)):
-        if not np.isfinite(v) or v < 0:
+        if not np.all(np.isfinite(v) & (v >= 0)):
             raise DomainError(f"loss term {name} must be finite and nonnegative")
     return w.alpha1 * fv + w.alpha2 * ce2 + w.alpha3 * cen

@@ -1,7 +1,9 @@
 """Small fully connected networks with hand-written analytic gradients.
 
 Everything operates on flat float64 parameter vectors so that model state
-can be uploaded, aggregated, and optimized as plain arrays.
+can be uploaded, aggregated, and optimized as plain arrays. A model may also
+hold a (G, L) stack of G such vectors; the kernels then take a leading group
+axis and compute each row exactly as a one-vector model would.
 """
 
 from dataclasses import dataclass, field
@@ -53,10 +55,9 @@ class MLP:
         if self.params is None:
             self.params = np.zeros(param_count(self.sizes))
         self.params = np.asarray(self.params, dtype=np.float64)
-        if self.params.shape != (param_count(self.sizes),):
-            raise ShapeError(
-                f"params length {self.params.size} != expected {param_count(self.sizes)}"
-            )
+        count = param_count(self.sizes)
+        if self.params.ndim not in (1, 2) or self.params.shape[-1] != count:
+            raise ShapeError(f"params shape {self.params.shape} != ([G,] {count})")
         offsets, off = [], 0
         for fan_in, fan_out in zip(self.sizes, self.sizes[1:]):
             b_lo = off + fan_out * fan_in
@@ -75,13 +76,15 @@ class MLP:
     def layers(self) -> tuple:
         """(W, b) views into the flat parameter vector, one pair per layer.
 
-        The views are cached and rebuilt when `params` is rebound; in-place
-        updates of `params` show through them.
+        W is (out, in) and b is (1, out); a (G, L) stack gives (G, out, in)
+        and (G, 1, out). The views are cached and rebuilt when `params` is
+        rebound; in-place updates of `params` show through them.
         """
         if self._views_of is not self.params:
             p = self.params
+            lead = p.shape[:-1]
             self._views = tuple(
-                (p[w_lo:b_lo].reshape(fan_out, fan_in), p[b_lo:b_hi])
+                (p[..., w_lo:b_lo].reshape(*lead, fan_out, fan_in), p[..., None, b_lo:b_hi])
                 for (w_lo, b_lo, b_hi), fan_in, fan_out
                 in zip(self._offsets, self.sizes, self.sizes[1:]))
             self._views_of = p
@@ -111,18 +114,21 @@ def fusion_head(in_dim, out_dim, seed) -> MLP:
 def forward_batch(model: MLP, x: np.ndarray):
     """Forward pass on a (B, in_dim) batch; returns (output, cache).
 
+    A (G, L) model takes a (G, B, in_dim) batch, row g through model row g.
     Inputs are not scanned for non-finite values: datasets are validated
     when built and parameters after every update.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.in_dim:
-        raise ShapeError(f"input shape {x.shape} incompatible with in_dim {model.in_dim}")
+    if x.ndim < 2 or x.shape[:-2] != model.params.shape[:-1] or x.shape[-1] != model.in_dim:
+        raise ShapeError(f"input shape {x.shape} incompatible with in_dim {model.in_dim}"
+                         f" and params {model.params.shape}")
     acts = [x]
     h = x
     layers = model.layers()
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = h @ w.T + b
+        z = h @ w.swapaxes(-1, -2)
+        z += b
         h = np.tanh(z, out=z) if i < last or model.out_act == "tanh" else z
         acts.append(h)
     return h, acts
@@ -132,7 +138,7 @@ def backward_batch(model: MLP, cache, dy: np.ndarray):
     """Backprop an upstream gradient through the net.
 
     Returns (dparams, dx): gradient w.r.t. the flat parameter vector and
-    w.r.t. the batch input.
+    w.r.t. the batch input, each with the model's group axis if it has one.
     """
     dy = np.asarray(dy, dtype=np.float64)
     if dy.shape != cache[-1].shape:
@@ -147,8 +153,10 @@ def backward_batch(model: MLP, cache, dy: np.ndarray):
         if i < last or model.out_act == "tanh":
             grad = grad * (1.0 - out * out)
         w_lo, b_lo, b_hi = model._offsets[i]
-        dparams[w_lo:b_lo] = (grad.T @ cache[i]).ravel()
-        dparams[b_lo:b_hi] = grad.sum(axis=0)
+        # splitting the contiguous last axis: a view, never a copy
+        np.matmul(grad.swapaxes(-1, -2), cache[i],
+                  out=dparams[..., w_lo:b_lo].reshape(w.shape))
+        grad.sum(axis=-2, out=dparams[..., b_lo:b_hi])
         grad = grad @ w
     return dparams, grad
 

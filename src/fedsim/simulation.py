@@ -3,6 +3,11 @@
 Sim-time is integer ticks. Events at equal timestamps are ordered by a fixed
 kind rank (server work first, async steps before model returns) and then by
 subject id, so the processed sequence is a pure function of the inputs.
+
+Clients train in groups (`client.ClientGroup`). The first local round or
+async step of a group to come up on a tick trains every member with the same
+event queued on that tick in one stacked call; each member's result waits
+until its own event is handled, in the order above.
 """
 
 import enum
@@ -10,8 +15,8 @@ import heapq
 import json
 from dataclasses import dataclass, field
 
-from .client import Phase
-from .errors import ConfigError
+from .client import Phase, group_clients
+from .errors import ConfigError, DivergenceError
 from .server import ServerState, handle_upload, run_aggregation
 from .synth import _per_client
 
@@ -96,7 +101,8 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
 
     Without a server a client's own upload returns on the tick its local round
     ends: no waiting, no async steps. Every round ends in the MODEL_RETURNED
-    handler, which calls on_round_complete(client, round_index, t).
+    handler, which calls on_round_complete(client, round_index, t). A client's
+    DivergenceError is raised when its own event is handled.
 
     Returns (TimelineLog, clients, server).
     """
@@ -122,6 +128,33 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
     # dispatches carry client ids, which need not equal list positions
     index_of = {client.client_id: i for i, client in enumerate(clients)}
 
+    place = group_clients(clients)   # client index -> (its group, its row)
+    stash = {}   # (kind, client index) -> result of a training event not yet handled
+
+    def async_due(c, round_index):
+        # a chain from an earlier round stops even if its client waits again
+        return clients[c].phase is Phase.WAITING and clients[c].fed_round == round_index
+
+    def train(t, kind, subject):
+        """The result of subject's training event at t, trained together with
+        every event of its group queued for the same tick and kind."""
+        if (kind, subject) not in stash:
+            group = place[subject][0]
+            due = {subject} | {
+                c for (t_, _, c, _, kind_, payload) in queue
+                if t_ == t and kind_ is kind and place[c][0] is group
+                and (kind, c) not in stash
+                and (kind is EventKind.LOCAL_ROUND_DONE or async_due(c, payload))}
+            subject_at = {place[c][1]: c for c in due}
+            step = (group.local_rounds if kind is EventKind.LOCAL_ROUND_DONE
+                    else group.async_steps)
+            for row, result in step(sorted(subject_at)).items():
+                stash[(kind, subject_at[row])] = result
+        result = stash.pop((kind, subject))
+        if isinstance(result, DivergenceError):
+            raise result
+        return result
+
     def start_round(c, t):
         client = clients[c]
         dur = cfg.local_step_duration[c] * client.local_epochs * client.n_batches()
@@ -135,7 +168,7 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
 
         if kind is EventKind.LOCAL_ROUND_DONE:
             client = clients[subject]
-            msg = client.local_train_round()
+            msg = train(t, kind, subject)
             log.append(TimelineRecord(t, kind.name, subject, client.fed_round))
             wait_start[subject] = t
             async_count[subject] = 0
@@ -163,12 +196,10 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
                      msg.params)
 
         elif kind is EventKind.ASYNC_STEP_DUE:
-            client = clients[subject]
-            # a chain from an earlier round stops even if its client waits again
-            if client.phase is Phase.WAITING and client.fed_round == payload:
-                client.async_train_step()
+            if async_due(subject, payload):
+                train(t, kind, subject)
                 async_count[subject] += 1
-                log.append(TimelineRecord(t, kind.name, subject, client.fed_round))
+                log.append(TimelineRecord(t, kind.name, subject, payload))
                 push(t + d, EventKind.ASYNC_STEP_DUE, subject, payload)
 
         elif kind is EventKind.MODEL_RETURNED:

@@ -14,8 +14,8 @@ import pytest
 import fedsim.simulation as simulation_module
 from fedsim.aggregation import (AggregationConfig, build_correlation_matrix,
                                 personalized_aggregate)
-from fedsim.client import (TrainingParams, async_loss_and_grads, build_client,
-                           local_loss_and_grads)
+from fedsim.client import (ClientGroup, TrainingParams, async_loss_and_grads,
+                           build_client, local_loss_and_grads)
 from fedsim.convergence import make_problem, run_fedavg_convergence, verify_simplex
 from fedsim.experiment import ExperimentConfig, Toggles, run_experiment
 from fedsim.losses import CenterBank, LossWeights, center_loss_grad, cross_entropy_batch
@@ -305,27 +305,30 @@ def test_criterion_08_freeze_and_upload_isolation(monkeypatch):
     server = _sim_server(3, seed=1)
     uploaded = {}
     checks = {"frozen": True, "uploads": 0}
+    # the scheduler trains clients through these group steps
+    async_steps, local_rounds = ClientGroup.async_steps, ClientGroup.local_rounds
 
-    for client in clients:
-        def guarded_step(client=client):
-            frozen = {n: hashlib.sha256(getattr(client, n).params.tobytes())
-                        .hexdigest()
-                      for n in ("fed_channel", "fusion", "head2")}
-            out = type(client).async_train_step(client)
-            for n, digest in frozen.items():
-                now = hashlib.sha256(
-                    getattr(client, n).params.tobytes()).hexdigest()
-                checks["frozen"] = checks["frozen"] and now == digest
-            return out
-        client.async_train_step = guarded_step
+    def guarded_steps(group, rows):
+        # every member, stepped or not: a stacked step must write no other row
+        frozen = {(g, n): hashlib.sha256(getattr(member, n).params.tobytes())
+                  .hexdigest()
+                  for g, member in enumerate(group.members)
+                  for n in ("fed_channel", "fusion", "head2")}
+        out = async_steps(group, rows)
+        for (g, n), digest in frozen.items():
+            now = hashlib.sha256(
+                getattr(group.members[g], n).params.tobytes()).hexdigest()
+            checks["frozen"] = checks["frozen"] and now == digest
+        return out
 
-        orig_round = type(client).local_train_round
+    def recording_rounds(group, rows):
+        out = local_rounds(group, rows)
+        for msg in out.values():
+            uploaded[(msg.client_id, msg.fed_round)] = msg.params.copy()
+        return out
 
-        def recording_round(client=client, orig=orig_round):
-            msg = orig(client)
-            uploaded[(client.client_id, msg.fed_round)] = msg.params.copy()
-            return msg
-        client.local_train_round = recording_round
+    monkeypatch.setattr(ClientGroup, "async_steps", guarded_steps)
+    monkeypatch.setattr(ClientGroup, "local_rounds", recording_rounds)
 
     def checking_upload(server_, msg):
         expect = uploaded[(msg.client_id, msg.fed_round)]

@@ -1,13 +1,17 @@
 """Tests for the client lifecycle: local rounds, wait-window training,
-adoption, and loss gradients of the combined objective."""
+adoption, loss gradients of the combined objective, and groups of clients
+trained as one stack."""
 
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedsim.client import (ClientState, Phase, TrainingParams, UploadMessage,
-                           build_client, async_loss_and_grads, local_loss_and_grads)
+from fedsim.client import (ClientGroup, ClientState, Phase, TrainingParams,
+                           UploadMessage, build_client, async_loss_and_grads,
+                           local_loss_and_grads)
 from fedsim.errors import DivergenceError, ProtocolError, ShapeError
 from fedsim.losses import CenterBank, LossWeights
 from fedsim.nn import MLP, channel, fusion_head, linear_head
@@ -309,3 +313,73 @@ class TestDivergenceStoppedAtTheClient:
         c.local_train_round()
         np.testing.assert_array_equal(dispatched, msg.params)
         assert not np.array_equal(c.fed_channel.params, msg.params)
+
+
+PARTS = ("local_channel", "fed_channel", "fusion", "head1", "head2")
+
+
+def alike_clients(lrs, weights=LossWeights(0.1, 1.0, 0.01), batch=8, seed=0):
+    """One client per learning rate, each with its own data and seeds, all of
+    one shape: 5 classes of 4 samples, so batch 8 leaves a short last batch."""
+    clients = []
+    for c, lr in enumerate(lrs):
+        rng = np.random.default_rng((seed, c))
+        protos = 2.0 * rng.standard_normal((5, 8))
+        inputs = np.repeat(protos, 4, axis=0) + 0.5 * rng.standard_normal((20, 8))
+        train = LabeledDataset(inputs, np.repeat(np.arange(5), 4), "train")
+        training = TrainingParams(lr=lr, epochs=2, batch=batch, alpha1=weights.alpha1,
+                                  alpha2=weights.alpha2, alpha3=weights.alpha3,
+                                  center_lr=0.5, local_hidden=12, fed_hidden=8,
+                                  emb_dim=6, fuse_dim=6)
+        clients.append(build_client(c, train, input_dim=8, training=training, seed=seed))
+    return clients
+
+
+class TestClientGroup:
+    @settings(max_examples=40, deadline=None)
+    @given(lrs=st.lists(st.floats(0.0, 0.3), min_size=1, max_size=6),
+           weights=st.sampled_from([LossWeights(0.1, 1.0, 0.01),
+                                    LossWeights(0.0, 1.0, 0.0)]),
+           batch=st.sampled_from([3, 6, 7, 8]), seed=st.integers(0, 2 ** 16),
+           data=st.data())
+    def test_group_step_equals_members_stepped_alone(self, lrs, weights, batch, seed,
+                                                     data):
+        grouped = alike_clients(lrs, weights, batch, seed)
+        alone = alike_clients(lrs, weights, batch, seed)
+        group = ClientGroup(grouped)
+        rows = list(range(len(lrs)))
+        msgs = group.local_rounds(rows)
+        for g, c in enumerate(alone):
+            assert np.array_equal(msgs[g].params, c.local_train_round().params)
+        steps = data.draw(st.lists(st.sets(st.sampled_from(rows), min_size=1),
+                                   max_size=4))
+        for stepped in steps:   # any subset of the members, as the scheduler asks
+            losses = group.async_steps(sorted(stepped))
+            for g in stepped:
+                assert losses[g] == alone[g].async_train_step()
+        for a, b in zip(grouped, alone):
+            for part in PARTS:
+                assert np.array_equal(getattr(a, part).params, getattr(b, part).params)
+            assert np.array_equal(a.center_bank.centers, b.center_bank.centers)
+            assert a.last_epoch_losses == b.last_epoch_losses
+
+    def test_members_read_the_stacks(self):
+        clients = alike_clients([0.05, 0.1])
+        group = ClientGroup(clients)
+        group.local_rounds([0, 1])
+        for g, c in enumerate(clients):
+            for part in PARTS:
+                assert np.shares_memory(getattr(c, part).params,
+                                        group.models[part].params)
+            assert np.shares_memory(c.center_bank.centers, group.bank.centers)
+            assert np.shares_memory(c.dataset.inputs, group.inputs)
+        # adoption writes the member's row, so the group trains what it adopted
+        dispatched = np.zeros_like(clients[1].fed_channel.params)
+        clients[1].adopt_global(dispatched)
+        assert np.array_equal(group.models["fed_channel"].params[1], dispatched)
+
+    def test_unlike_clients_rejected(self):
+        a, = alike_clients([0.05])
+        b, = alike_clients([0.05], batch=7)
+        with pytest.raises(ShapeError):
+            ClientGroup([a, b])

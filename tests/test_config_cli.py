@@ -286,7 +286,9 @@ class TestRunVerb:
                     "aggregation.probe_size=500", "data.latent_dim=0",
                     "data.latent_dim=64", "aggregation.clamp_epsilon=nan",
                     "aggregation.clamp_epsilon=inf", "data.classes_per_client=3",
-                    "data.open_set_split=0.95"):
+                    "data.open_set_split=0.95", "training.alpha1=nan",
+                    "training.alpha2=nan", "training.alpha3=inf",
+                    "training.center_lr=inf", "training.lr=inf"):
             assert main(["run", "--config", small_config, "--out",
                          str(tmp_path / "out"), "--set", bad]) == EXIT_CONFIG, bad
             assert "config error" in capsys.readouterr().err

@@ -1,0 +1,140 @@
+"""One diverging client stops the run at that client's own step, with an error
+that names it, and leaves every other client's parameters finite.
+
+Each run case poisons client k of a 4-client default run from outside the
+library: it sets the client's learning rate, or tampers with a message on its
+way through the scheduler's bindings of `handle_upload` and
+`run_aggregation`. The group cases poison one member of a `ClientGroup` and
+check that the stacked step fails that member alone.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import fedsim.experiment
+import fedsim.simulation
+from fedsim.client import ClientGroup
+from fedsim.errors import DivergenceError
+from fedsim.experiment import ExperimentConfig, run_experiment
+from test_client import PARTS, alike_clients
+
+POISON_ROUND = 1
+
+
+def run_poisoned(monkeypatch, k, case):
+    """Run the default experiment with client k poisoned by `case`.
+
+    Returns (the DivergenceError raised, the run's clients).
+    """
+    seen = {}
+    run_simulation = fedsim.experiment.run_simulation
+    handle_upload = fedsim.simulation.handle_upload
+    run_aggregation = fedsim.simulation.run_aggregation
+
+    def spy_simulation(cfg, clients, server, on_round_complete):
+        seen["clients"] = clients
+        if case == "lr_before_run":
+            clients[k].lr = np.inf
+
+        def round_complete(client, round_index, t):
+            if case == "lr_after_round" and round_index == POISON_ROUND:
+                clients[k].lr = np.inf
+            on_round_complete(client, round_index, t)
+        return run_simulation(cfg, clients, server, round_complete)
+
+    def spy_upload(server, msg):
+        if msg.client_id == k and msg.fed_round == POISON_ROUND:
+            if case == "lr_at_upload":
+                seen["clients"][k].lr = np.inf
+            elif case == "nan_upload":
+                params = msg.params.copy()
+                params[3] = np.nan
+                msg = dataclasses.replace(msg, params=params)
+        return handle_upload(server, msg)
+
+    def spy_aggregation(server):
+        dispatches = run_aggregation(server)
+        if case == "nan_dispatch" and server.round - 1 == POISON_ROUND:
+            params = dispatches[k].params.copy()
+            params[7] = np.nan
+            dispatches[k] = dataclasses.replace(dispatches[k], params=params)
+        return dispatches
+
+    monkeypatch.setattr(fedsim.experiment, "run_simulation", spy_simulation)
+    monkeypatch.setattr(fedsim.simulation, "handle_upload", spy_upload)
+    monkeypatch.setattr(fedsim.simulation, "run_aggregation", spy_aggregation)
+    with pytest.raises(DivergenceError) as info:
+        run_experiment(ExperimentConfig())
+    return info.value, seen["clients"]
+
+
+# case -> (message, round, phase, batch index)
+EXPECTED = {
+    "lr_before_run": ("non-finite local training parameters", 0, "local", 0),
+    "lr_after_round": ("non-finite local training parameters", POISON_ROUND + 1,
+                       "local", 0),
+    "lr_at_upload": ("non-finite async training parameters", POISON_ROUND, "async",
+                     None),
+    "nan_upload": ("non-finite upload", POISON_ROUND, "upload", None),
+    "nan_dispatch": ("non-finite dispatched parameters", POISON_ROUND, "adopt", None),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * gradient
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("case", sorted(EXPECTED))
+def test_divergence_names_the_poisoned_client_alone(monkeypatch, case, k):
+    err, clients = run_poisoned(monkeypatch, k, case)
+    assert (str(err), err.client_id, err.round_index, err.phase,
+            err.batch_index) == (EXPECTED[case][0], k, *EXPECTED[case][1:])
+    for client in clients:
+        if client.client_id != k:
+            for part in PARTS:
+                assert np.isfinite(getattr(client, part).params).all(), part
+            assert np.isfinite(client.center_bank.centers).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * gradient
+@pytest.mark.parametrize("k", range(4))
+def test_group_async_step_fails_the_poisoned_member_alone(k):
+    clients = alike_clients([0.05, 0.1, 0.02, 0.07])
+    reference = alike_clients([0.05, 0.1, 0.02, 0.07])
+    group, unpoisoned = ClientGroup(clients), ClientGroup(reference)
+    group.local_rounds([0, 1, 2, 3])
+    unpoisoned.local_rounds([0, 1, 2, 3])
+    clients[k].lr = np.inf
+    out = group.async_steps([0, 1, 2, 3])
+    expected = unpoisoned.async_steps([0, 1, 2, 3])
+    err = out.pop(k)
+    assert isinstance(err, DivergenceError)
+    assert (str(err), err.client_id, err.round_index, err.phase, err.batch_index) \
+        == ("non-finite async training parameters", k, 0, "async", None)
+    assert out == {g: loss for g, loss in expected.items() if g != k}
+    for g, (a, b) in enumerate(zip(clients, reference)):
+        if g != k:
+            for part in PARTS:
+                assert np.array_equal(getattr(a, part).params, getattr(b, part).params)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the loss
+@pytest.mark.parametrize("k", range(4))
+def test_group_local_round_isolates_an_exploding_member(k):
+    # lr 1e200 keeps the parameters finite but makes a later loss NaN, which
+    # the loss kernels reject for the whole stack; the member alone must be named
+    lrs = [0.05, 0.1, 0.02, 0.07]
+    alone = alike_clients([1e200 if g == k else lr for g, lr in enumerate(lrs)])[k]
+    with pytest.raises(DivergenceError) as info:
+        alone.local_train_round()
+    clients = alike_clients([1e200 if g == k else lr for g, lr in enumerate(lrs)])
+    reference = alike_clients(lrs)
+    out = ClientGroup(clients).local_rounds([0, 1, 2, 3])
+    expected = ClientGroup(reference).local_rounds([0, 1, 2, 3])
+    err = out.pop(k)
+    assert (str(err), err.client_id, err.round_index, err.phase, err.batch_index) == (
+        str(info.value), k, 0, "local", info.value.batch_index)
+    assert info.value.batch_index > 0
+    for g, msg in out.items():
+        assert np.array_equal(msg.params, expected[g].params)
+        assert clients[g].last_epoch_losses == reference[g].last_epoch_losses
