@@ -6,11 +6,12 @@ Clients train in groups: a `ClientGroup` stacks the trained parts, center
 banks and training sets of clients that share every shape and training
 setting, and each member's own arrays are row views of those stacks. One
 kernel call with a leading group axis then steps every member at once, and
-row g equals member g stepped alone, bit for bit.
+row g equals member g stepped alone through its own arrays, bit for bit.
 """
 
 import enum
 from dataclasses import dataclass, field
+from operator import is_not
 
 import numpy as np
 
@@ -153,8 +154,7 @@ class ClientState:
         return _raise_diverged(ClientGroup([self]).local_rounds([0])[0])
 
     def async_train_step(self) -> float:
-        """One local-channel step on the waiting-time classification loss,
-        trained as a group of one."""
+        """One waiting-time step of the local channel, as a group of one."""
         return _raise_diverged(ClientGroup([self]).async_steps([0])[0])
 
     def _diverged(self, message: str, phase: str, batch_index=None) -> DivergenceError:
@@ -203,26 +203,23 @@ def _group_key(client: ClientState) -> tuple:
             client.loss_weights)
 
 
-def _runs(rows) -> list:
-    """Sorted rows as maximal (lo, hi) runs of consecutive indices."""
-    runs = []
-    for g in rows:
-        if runs and runs[-1][1] == g:
-            runs[-1] = (runs[-1][0], g + 1)
-        else:
-            runs.append((g, g + 1))
-    return runs
+def _own_arrays(c: ClientState) -> tuple:
+    """The arrays of a client that its group stacks, in a fixed order."""
+    return (c.local_channel.params, c.fed_channel.params, c.fusion.params, c.head1.params,
+            c.head2.params, c.center_bank.centers, c.dataset.inputs, c.dataset.labels)
 
 
 class ClientGroup:
-    """Clients of one `_group_key`, stacked so that one kernel call steps them all.
+    """Clients of one `_group_key`, trained in one of two step shapes.
 
-    Each trained part is one (G, L) model, the center banks one (G, K, d)
-    bank and the training sets (G, n, ·) arrays. Building the group makes
-    every member's `MLP.params`, `CenterBank.centers` and dataset arrays row
-    views of these stacks, so evaluation and uploads read what training
-    wrote. Members keep their own learning rate and RNG streams.
-    """
+    Two members or more are stacked: one (G, L) model per trained part, one
+    (G, K, d) center bank and (G, n, ·) training sets, of which each member's
+    `MLP.params`, `CenterBank.centers` and dataset arrays become row views. A
+    step of every member is one kernel call on the stacks; any other step
+    takes each stepped member alone through its own arrays, bit for bit its
+    row of the stacked call. A group of one stacks nothing. A stacked member
+    that rebinds one of its arrays is refused at its next step. Members keep
+    their own learning rate and RNG streams."""
 
     def __init__(self, members):
         self.members = list(members)
@@ -232,11 +229,13 @@ class ClientGroup:
         self.local_epochs = first.local_epochs
         self.batch_size = first.batch_size
         self.loss_weights = first.loss_weights
-        self.models = {}
-        for attr in _PART_MODELS.values():
-            model = getattr(first, attr)
-            stack = np.stack([getattr(c, attr).params for c in self.members])
-            self.models[attr] = MLP(model.sizes, model.out_act, stack)
+        self.n_samples = first.dataset.labels.size
+        self.models = None   # the stacks, with two members or more
+        if len(self.members) == 1:
+            return
+        self.models = {attr: MLP(getattr(first, attr).sizes, getattr(first, attr).out_act,
+                                 np.stack([getattr(c, attr).params for c in self.members]))
+                       for attr in _PART_MODELS.values()}
         self.bank = CenterBank(np.stack([c.center_bank.centers for c in self.members]),
                                first.center_bank.lr)
         self.inputs = np.stack([c.dataset.inputs for c in self.members])
@@ -246,23 +245,16 @@ class ClientGroup:
                 getattr(c, attr).params = model.params[g]
             c.center_bank.centers = self.bank.centers[g]
             c.dataset.inputs, c.dataset.labels = self.inputs[g], self.labels[g]
+        self._rows = [_own_arrays(c) for c in self.members]
         self._row_index = np.arange(len(self.members))[:, None]
-        self._slices = {(0, len(self.members)): (self.models, self.bank)}
 
-    def _slice(self, lo, hi):
-        """The models and bank of members lo..hi-1, as views of the stacks."""
-        if (lo, hi) not in self._slices:
-            models = {attr: MLP(m.sizes, m.out_act, m.params[lo:hi])
-                      for attr, m in self.models.items()}
-            bank = CenterBank(self.bank.centers[lo:hi], self.bank.lr)
-            bank.centers = self.bank.centers[lo:hi]  # the rows themselves, not a copy
-            self._slices[(lo, hi)] = models, bank
-        return self._slices[(lo, hi)]
-
-    def _check_phase(self, rows, phase, step):
+    def _check(self, rows, phase, step):
         for g in rows:
-            if self.members[g].phase is not phase:
-                raise ProtocolError(f"{step} in phase {self.members[g].phase}")
+            c = self.members[g]
+            if c.phase is not phase:
+                raise ProtocolError(f"{step} in phase {c.phase}")
+            if self.models is not None and any(map(is_not, _own_arrays(c), self._rows[g])):
+                raise ProtocolError(f"client {c.client_id} rebound an array of its group")
 
     def local_rounds(self, rows) -> dict:
         """One local round of each member in `rows` (sorted row indices).
@@ -270,8 +262,8 @@ class ClientGroup:
         Returns {row: the member's UploadMessage, or the DivergenceError that
         stopped its round}; the other members' rounds run to the end.
         """
-        self._check_phase(rows, Phase.LOCAL_TRAINING, "local_train_round")
-        n, size = self.inputs.shape[1], self.batch_size
+        self._check(rows, Phase.LOCAL_TRAINING, "local_train_round")
+        n, size = self.n_samples, self.batch_size
         order = np.empty((len(self.members), n), dtype=np.int64)
         dead = {}
         for g in rows:
@@ -282,20 +274,17 @@ class ClientGroup:
                 order[g] = self.members[g]._batch_rng.permutation(n)
             losses = {g: [] for g in live}
             for b_idx, start in enumerate(range(0, n, size)):
-                for lo, hi in _runs([g for g in live if g not in dead]):
-                    self._step(lo, hi, "local", b_idx, order[lo:hi, start:start + size],
-                               losses, dead)
+                self._steps([g for g in live if g not in dead], "local", b_idx,
+                            order[:, start:start + size], losses, dead)
             for g in live:
                 self.members[g].last_epoch_losses.append(losses[g])
         results = {}
         for g in rows:
             c = self.members[g]
-            if g in dead:
-                results[g] = dead[g]
-                continue
-            c.phase = Phase.WAITING
-            results[g] = UploadMessage(c.client_id, c.fed_round,
-                                       c.fed_channel.params.copy())
+            if g not in dead:
+                c.phase = Phase.WAITING
+            results[g] = dead[g] if g in dead else UploadMessage(
+                c.client_id, c.fed_round, c.fed_channel.params.copy())
         return results
 
     def async_steps(self, rows) -> dict:
@@ -303,27 +292,43 @@ class ClientGroup:
 
         Returns {row: the member's loss, or the DivergenceError of its step}.
         """
-        self._check_phase(rows, Phase.WAITING, "async_train_step")
-        n = self.inputs.shape[1]
-        size = min(self.batch_size, n)
+        self._check(rows, Phase.WAITING, "async_train_step")
+        n, size = self.n_samples, min(self.batch_size, self.n_samples)
         idx = np.empty((len(self.members), size), dtype=np.int64)
         for g in rows:
             idx[g] = self.members[g]._async_rng.choice(n, size=size, replace=False)
         losses, dead = {g: [] for g in rows}, {}
-        for lo, hi in _runs(rows):
-            self._step(lo, hi, "async", None, idx[lo:hi], losses, dead)
+        self._steps(rows, "async", None, idx, losses, dead)
         return {g: dead[g] if g in dead else losses[g][0] for g in rows}
 
-    def _step(self, lo, hi, phase, batch_index, idx, losses, dead):
-        """One SGD step of members lo..hi-1 on their training rows `idx`.
+    def _steps(self, rows, phase, batch_index, idx, losses, dead):
+        """Step the members in `rows` all at once through the stacks, or each alone."""
+        if self.models is not None and len(rows) == len(self.members):
+            try:
+                return self._step(None, phase, batch_index, idx, losses, dead)
+            except DomainError:
+                pass   # non-finite activations from exploded parameters: find whose
+        for g in rows:
+            self._step(g, phase, batch_index, idx[g], losses, dead)
+
+    def _step(self, g, phase, batch_index, idx, losses, dead):
+        """One SGD step on training rows `idx`: of member g through its own
+        arrays, or of every member through the stacks when g is None.
 
         Appends each member's loss to losses[row]. A member whose loss or an
         updated part is non-finite gets its first error in dead[row], with
-        the message, round, phase and batch a step of it alone would raise.
-        """
-        models, bank = self._slice(lo, hi)
-        at = self._row_index[lo:hi]
-        xb, yb = self.inputs[at, idx], self.labels[at, idx]
+        the message, round, phase and batch a step of it alone would raise. A
+        stacked step lets a `DomainError` through, raised before any update."""
+        if g is None:
+            rows, models, bank = range(len(self.members)), self.models, self.bank
+            at = self._row_index
+            xb, yb = self.inputs[at, idx], self.labels[at, idx]
+            lr = np.array([c.lr for c in self.members], dtype=np.float64)[:, None]
+        else:
+            c = self.members[g]
+            rows, bank, lr = (g,), c.center_bank, c.lr
+            models = {attr: getattr(c, attr) for attr in _PART_MODELS.values()}
+            xb, yb = c.dataset.inputs[idx], c.dataset.labels[idx]
         try:
             if phase == "local":
                 out = local_loss_and_grads(
@@ -332,27 +337,21 @@ class ClientGroup:
             else:
                 out = async_loss_and_grads(models["local_channel"], models["head1"], xb, yb)
         except DomainError as exc:
-            # non-finite activations from exploded parameters: find whose
-            if hi - lo > 1:
-                for g in range(lo, hi):
-                    self._step(g, g + 1, phase, batch_index, idx[g - lo:g - lo + 1],
-                               losses, dead)
-                return
-            err = self.members[lo]._diverged(f"{phase} training diverged: {exc}",
-                                             phase, batch_index)
+            if g is None:
+                raise
+            err = c._diverged(f"{phase} training diverged: {exc}", phase, batch_index)
             err.__cause__ = exc
-            dead[lo] = err
+            dead[g] = err
             return
 
         def check(finite, what):
             if not finite.all():
-                for g in lo + np.flatnonzero(~finite):
-                    dead.setdefault(int(g), self.members[g]._diverged(
+                for i in np.flatnonzero(~finite):
+                    dead.setdefault(rows[i], self.members[rows[i]]._diverged(
                         f"non-finite {phase} training {what}", phase, batch_index))
 
         loss, grads = out[0], out[1]
         check(np.isfinite(loss), "loss")
-        lr = np.array([c.lr for c in self.members[lo:hi]], dtype=np.float64)[:, None]
         for part, grad in grads.items():
             params = models[_PART_MODELS[part]].params
             grad *= lr
@@ -360,8 +359,8 @@ class ClientGroup:
             check(np.isfinite(params).all(axis=-1), "parameters")
         if phase == "local" and self.loss_weights.alpha3 > 0:
             update_centers(bank, out[2], yb)
-        for g, value in zip(range(lo, hi), loss.tolist()):
-            losses[g].append(value)
+        for row, value in zip(rows, np.atleast_1d(loss).tolist()):
+            losses[row].append(value)
 
 
 # Widest group. With 64 alike clients (the `many_clients_agg` workload), groups

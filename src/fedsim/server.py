@@ -42,8 +42,8 @@ class ServerState:
             self.client_ids = tuple(range(self.expected_clients))
         else:
             self.client_ids = tuple(sorted(self.client_ids))
-        if len(self.client_ids) != self.expected_clients:
-            raise ConfigError("client_ids must list one id per expected client")
+        if not len(set(self.client_ids)) == len(self.client_ids) == self.expected_clients:
+            raise ConfigError("client_ids must list one distinct id per expected client")
 
     @property
     def ready(self) -> bool:

@@ -4,10 +4,11 @@ Sim-time is integer ticks. Events at equal timestamps are ordered by a fixed
 kind rank (server work first, async steps before model returns) and then by
 subject id, so the processed sequence is a pure function of the inputs.
 
-Clients train in groups (`client.ClientGroup`). The first local round or
-async step of a group to come up on a tick trains every member with the same
-event queued on that tick in one stacked call; each member's result waits
-until its own event is handled, in the order above.
+Clients train in groups (`client.ClientGroup`, never stacked for one). The
+first local round or async step of a group to come up on a tick trains every
+member with that event queued on that tick, all in one stacked call or each
+alone; each member's result waits until its own event is handled, in the
+order above. Rebinding a stacked member's arrays raises `ProtocolError`.
 """
 
 import enum
@@ -109,8 +110,8 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
     clients = list(clients)
     if len(clients) != cfg.n_clients:
         raise ConfigError("client count does not match SimConfig")
-    if server is not None and server.expected_clients != cfg.n_clients:
-        raise ConfigError("server expects a different client count")
+    if server is not None and server.client_ids != tuple(sorted(c.client_id for c in clients)):
+        raise ConfigError(f"server client ids {server.client_ids} are not the clients' ids")
 
     log = TimelineLog()
     queue = []

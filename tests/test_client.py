@@ -378,6 +378,34 @@ class TestClientGroup:
         clients[1].adopt_global(dispatched)
         assert np.array_equal(group.models["fed_channel"].params[1], dispatched)
 
+    def test_group_of_one_steps_the_clients_own_arrays(self):
+        c, = alike_clients([0.05])
+        before = (c.local_channel.params, c.fed_channel.params, c.head1.params,
+                  c.center_bank.centers, c.dataset.inputs)
+        assert ClientGroup([c]).models is None
+        c.local_train_round()
+        c.async_train_step()
+        after = (c.local_channel.params, c.fed_channel.params, c.head1.params,
+                 c.center_bank.centers, c.dataset.inputs)
+        assert all(a is b for a, b in zip(before, after))
+
+    @pytest.mark.parametrize("rebind", [
+        lambda c: setattr(c.fusion, "params", c.fusion.params.copy()),
+        lambda c: setattr(c.center_bank, "centers", c.center_bank.centers.copy()),
+        lambda c: setattr(c.dataset, "labels", c.dataset.labels.copy())],
+        ids=["params", "centers", "labels"])
+    def test_rebound_member_refused_before_any_row_steps(self, rebind):
+        clients = alike_clients([0.05, 0.1, 0.02])
+        group = ClientGroup(clients)
+        rebind(clients[2])
+        before = [c.local_channel.params.copy() for c in clients]
+        with pytest.raises(ProtocolError, match="client 2 rebound"):
+            group.local_rounds([0, 1, 2])
+        for c, params in zip(clients, before):
+            assert np.array_equal(c.local_channel.params, params)
+            assert c.phase is Phase.LOCAL_TRAINING
+        assert group.local_rounds([0, 1]).keys() == {0, 1}   # the others still train
+
     def test_unlike_clients_rejected(self):
         a, = alike_clients([0.05])
         b, = alike_clients([0.05], batch=7)

@@ -1,30 +1,35 @@
 """One diverging client stops the run at that client's own step, with an error
 that names it, and leaves every other client's parameters finite.
 
-Each run case poisons client k of a 4-client default run from outside the
-library: it sets the client's learning rate, or tampers with a message on its
-way through the scheduler's bindings of `handle_upload` and
-`run_aggregation`. The group cases poison one member of a `ClientGroup` and
-check that the stacked step fails that member alone.
+Each run case poisons client k from outside the library: it sets the client's
+learning rate, or tampers with a message on its way through the scheduler's
+bindings of `handle_upload` and `run_aggregation`. The fixed cases poison each
+client of a 4-client default run; the drawn cases poison a drawn client of a
+drawn schedule, whose unequal step durations step members both alone and
+together with their group. The group cases poison one member of a
+`ClientGroup` and check that the stacked step fails that member alone.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fedsim.experiment
 import fedsim.simulation
 from fedsim.client import ClientGroup
 from fedsim.errors import DivergenceError
 from fedsim.experiment import ExperimentConfig, run_experiment
+from fedsim.synth import SynthSpec
 from test_client import PARTS, alike_clients
 
 POISON_ROUND = 1
 
 
-def run_poisoned(monkeypatch, k, case):
-    """Run the default experiment with client k poisoned by `case`.
+def run_poisoned(cfg, k, case, poison_round=POISON_ROUND):
+    """Run experiment `cfg` with client k poisoned by `case` at `poison_round`.
 
     Returns (the DivergenceError raised, the run's clients).
     """
@@ -39,13 +44,13 @@ def run_poisoned(monkeypatch, k, case):
             clients[k].lr = np.inf
 
         def round_complete(client, round_index, t):
-            if case == "lr_after_round" and round_index == POISON_ROUND:
+            if case == "lr_after_round" and round_index == poison_round:
                 clients[k].lr = np.inf
             on_round_complete(client, round_index, t)
         return run_simulation(cfg, clients, server, round_complete)
 
     def spy_upload(server, msg):
-        if msg.client_id == k and msg.fed_round == POISON_ROUND:
+        if msg.client_id == k and msg.fed_round == poison_round:
             if case == "lr_at_upload":
                 seen["clients"][k].lr = np.inf
             elif case == "nan_upload":
@@ -56,44 +61,85 @@ def run_poisoned(monkeypatch, k, case):
 
     def spy_aggregation(server):
         dispatches = run_aggregation(server)
-        if case == "nan_dispatch" and server.round - 1 == POISON_ROUND:
+        if case == "nan_dispatch" and server.round - 1 == poison_round:
             params = dispatches[k].params.copy()
             params[7] = np.nan
             dispatches[k] = dataclasses.replace(dispatches[k], params=params)
         return dispatches
 
-    monkeypatch.setattr(fedsim.experiment, "run_simulation", spy_simulation)
-    monkeypatch.setattr(fedsim.simulation, "handle_upload", spy_upload)
-    monkeypatch.setattr(fedsim.simulation, "run_aggregation", spy_aggregation)
-    with pytest.raises(DivergenceError) as info:
-        run_experiment(ExperimentConfig())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fedsim.experiment, "run_simulation", spy_simulation)
+        patch.setattr(fedsim.simulation, "handle_upload", spy_upload)
+        patch.setattr(fedsim.simulation, "run_aggregation", spy_aggregation)
+        with pytest.raises(DivergenceError) as info:
+            run_experiment(cfg)
     return info.value, seen["clients"]
 
 
-# case -> (message, round, phase, batch index)
+# case -> (message, phase, batch index)
 EXPECTED = {
-    "lr_before_run": ("non-finite local training parameters", 0, "local", 0),
-    "lr_after_round": ("non-finite local training parameters", POISON_ROUND + 1,
-                       "local", 0),
-    "lr_at_upload": ("non-finite async training parameters", POISON_ROUND, "async",
-                     None),
-    "nan_upload": ("non-finite upload", POISON_ROUND, "upload", None),
-    "nan_dispatch": ("non-finite dispatched parameters", POISON_ROUND, "adopt", None),
+    "lr_before_run": ("non-finite local training parameters", "local", 0),
+    "lr_after_round": ("non-finite local training parameters", "local", 0),
+    "lr_at_upload": ("non-finite async training parameters", "async", None),
+    "nan_upload": ("non-finite upload", "upload", None),
+    "nan_dispatch": ("non-finite dispatched parameters", "adopt", None),
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * gradient
-@pytest.mark.parametrize("k", range(4))
-@pytest.mark.parametrize("case", sorted(EXPECTED))
-def test_divergence_names_the_poisoned_client_alone(monkeypatch, case, k):
-    err, clients = run_poisoned(monkeypatch, k, case)
-    assert (str(err), err.client_id, err.round_index, err.phase,
-            err.batch_index) == (EXPECTED[case][0], k, *EXPECTED[case][1:])
+def assert_named_alone(err, clients, k, case, poison_round):
+    """err names client k, the round `case` fails in and its phase, and every
+    other client's parts and centers are finite."""
+    round_index = {"lr_before_run": 0, "lr_after_round": poison_round + 1}.get(
+        case, poison_round)
+    message, phase, batch_index = EXPECTED[case]
+    assert (str(err), err.client_id, err.round_index, err.phase, err.batch_index) \
+        == (message, k, round_index, phase, batch_index)
     for client in clients:
         if client.client_id != k:
             for part in PARTS:
                 assert np.isfinite(getattr(client, part).params).all(), part
             assert np.isfinite(client.center_bank.centers).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * gradient
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("case", sorted(EXPECTED))
+def test_divergence_names_the_poisoned_client_alone(case, k):
+    err, clients = run_poisoned(ExperimentConfig(), k, case)
+    assert_named_alone(err, clients, k, case, POISON_ROUND)
+
+
+@st.composite
+def poisoned_schedules(draw):
+    """(config, client, site, round) of a drawn schedule that reaches the site."""
+    n = draw(st.integers(2, 4))
+    ticks = lambda hi: draw(st.lists(st.integers(0, hi), min_size=n, max_size=n))
+    cfg = ExperimentConfig(
+        rounds=draw(st.integers(1, 2)),
+        synth=SynthSpec(n_clients=n, classes_per_client=10, samples_per_class=3),
+        local_step_duration=ticks(2), upload_latency=ticks(4), download_latency=ticks(4),
+        server_compute_time=draw(st.integers(0, 4)),
+        async_step_duration=draw(st.integers(1, 3)))
+    k = draw(st.integers(0, n - 1))
+    case = draw(st.sampled_from(["lr_before_run", "lr_at_upload", "nan_upload",
+                                 "nan_dispatch"]))
+    if case == "lr_at_upload":
+        # some async step of k falls between its upload's arrival and the
+        # earliest return of its model
+        sched, d = cfg.schedule(), cfg.async_step_duration
+        up = sched.upload_latency[k]
+        assume(max(1, -(-up // d)) * d
+               <= up + sched.server_compute_time + sched.download_latency[k])
+    return cfg, k, case, draw(st.integers(0, cfg.rounds - 1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * gradient
+@settings(max_examples=40, deadline=None)
+@given(poisoned=poisoned_schedules())
+def test_drawn_schedule_divergence_names_the_poisoned_client_alone(poisoned):
+    cfg, k, case, poison_round = poisoned
+    err, clients = run_poisoned(cfg, k, case, poison_round)
+    assert_named_alone(err, clients, k, case, poison_round)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * gradient

@@ -63,6 +63,12 @@ class TestHandleUpload:
         with pytest.raises(ProtocolError):
             upload(s, 5, seed=0)
 
+    @pytest.mark.parametrize("client_ids", [(0, 0), (0, 1, 2)])
+    def test_client_ids_one_distinct_id_per_client(self, client_ids):
+        with pytest.raises(ConfigError):
+            ServerState(expected_clients=2, probes=np.zeros((1, 4)),
+                        fed_arch=channel(4, 5, 3, seed=0), client_ids=client_ids)
+
     def test_wrong_shape_rejected(self):
         s = make_server()
         with pytest.raises(ShapeError):

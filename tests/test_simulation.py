@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedsim.client
 from fedsim.aggregation import AggregationConfig
-from fedsim.client import TrainingParams, build_client
-from fedsim.errors import ConfigError
+from fedsim.client import Phase, TrainingParams, build_client
+from fedsim.errors import ConfigError, ProtocolError
+from fedsim.experiment import ExperimentConfig, run_experiment
 from fedsim.nn import channel
 from fedsim.server import ServerState, Strategy
 from fedsim.simulation import (EventKind, SimConfig, TimelineLog,
                                TimelineRecord, run_simulation)
-from fedsim.synth import LabeledDataset
+from fedsim.synth import LabeledDataset, SynthSpec
 from sim_defaults import sim_config
+from test_golden import artifact_digest
 
 
 def make_clients(n, seed=0, epochs=1, batch_size=8, n_classes=4, per_class=4):
@@ -163,6 +166,33 @@ class TestScheduleProperties:
         assert [r.as_json() for r in run().records] == [r.as_json() for r in log.records]
 
 
+@st.composite
+def small_experiments(draw):
+    """A drawn schedule over 2-5 small clients; clients of one training-set
+    size group together, and unequal step durations split a group's steps."""
+    n = draw(st.integers(2, 5))
+    per_client = lambda lo, hi: draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+    return ExperimentConfig(
+        mode=draw(st.sampled_from(["full", "fedavg", "solo"])),
+        rounds=draw(st.integers(1, 2)),
+        synth=SynthSpec(n_clients=n, classes_per_client=10,
+                        samples_per_class=per_client(2, 3)),
+        local_step_duration=per_client(0, 2), upload_latency=per_client(0, 4),
+        download_latency=per_client(0, 4),
+        async_step_duration=draw(st.integers(1, 3)))
+
+
+class TestGroupedRunEquivalence:
+    @settings(max_examples=50, deadline=None)
+    @given(cfg=small_experiments())
+    def test_grouped_run_equals_every_client_alone(self, cfg, tmp_path_factory):
+        grouped = artifact_digest(run_experiment(cfg), tmp_path_factory.mktemp("g"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fedsim.client, "GROUP_ROWS", 1)
+            alone = artifact_digest(run_experiment(cfg), tmp_path_factory.mktemp("a"))
+        assert grouped == alone
+
+
 class TestConservation:
     def test_sim_time_conservation_every_round(self):
         cfg = SimConfig(n_clients=3, rounds=4, local_step_duration=(1, 2, 1),
@@ -295,6 +325,30 @@ class TestValidation:
         cfg = sim_config(n_clients=3, rounds=1)
         with pytest.raises(ConfigError):
             run_simulation(cfg, make_clients(2), make_server(3))
+
+    @pytest.mark.parametrize("server_ids, own_ids", [((0, 5), (0, 1)), ((0, 1), (0, 0))])
+    def test_server_client_ids_must_match_the_clients(self, server_ids, own_ids):
+        # same count, other or repeated ids: refused before any client trains
+        clients = make_clients(2)
+        for c, client_id in zip(clients, own_ids):
+            c.client_id = client_id
+        before = [c.local_channel.params.copy() for c in clients]
+        server = replace(make_server(2), client_ids=server_ids)
+        with pytest.raises(ConfigError, match="client ids"):
+            run_simulation(sim_config(n_clients=2, rounds=1), clients, server)
+        for c, params in zip(clients, before):
+            assert (c.phase, c.fed_round) == (Phase.LOCAL_TRAINING, 0)
+            assert np.array_equal(c.local_channel.params, params)
+
+    def test_rebinding_a_stacked_member_is_refused(self):
+        # the hook detaches client 0 from its group's row after round 0
+        def rebind(client, round_index, t):
+            if client.client_id == 0 and round_index == 0:
+                client.head1.params = client.head1.params.copy()
+
+        with pytest.raises(ProtocolError, match="client 0 rebound"):
+            run_simulation(sim_config(n_clients=2, rounds=3), make_clients(2),
+                           make_server(2), rebind)
 
     def test_timeline_rejects_time_travel(self):
         log = TimelineLog()
