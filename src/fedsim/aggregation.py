@@ -25,12 +25,18 @@ class AggregationConfig:
 
 def correlation_rows(embs: np.ndarray) -> np.ndarray:
     """R[i, j] = sum_t cos(embs[i, t], embs[j, t]) for (N, T, dim) embeddings, built
-    by rows: the (N, N, T, dim) product would dominate peak memory at large N."""
+    by rows: the (N, N, T, dim) product would dominate peak memory at large N. Each
+    unordered pair is computed once, row i against clients i..N-1, and mirrored into
+    column i; the products commute and both sums read the same layout, so R[j, i]
+    computed on its own would be the same number bit for bit."""
     norms = np.linalg.norm(embs, axis=-1)
     if np.any(norms == 0):
         raise DomainError("zero-norm probe embedding")
-    return np.stack([((e * embs).sum(-1) / (n * norms)).sum(-1)
-                     for e, n in zip(embs, norms)])
+    entries = np.empty((len(embs), len(embs)))
+    for i, (e, n) in enumerate(zip(embs, norms)):
+        row = ((e * embs[i:]).sum(-1) / (n * norms[i:])).sum(-1)
+        entries[i, i:] = entries[i:, i] = row
+    return entries
 
 
 def correlation_degree(emb_n, emb_u) -> float:

@@ -31,12 +31,20 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 
 
+def _describe(exc: BaseException) -> str:
+    """Failure text for stderr and the manifest; a divergence names where it happened."""
+    if not isinstance(exc, DivergenceError):
+        return str(exc)
+    batch = "" if exc.batch_index is None else f", batch {exc.batch_index}"
+    return (f"{exc} (client {exc.client_id}, round {exc.round_index}, "
+            f"phase {exc.phase}{batch})")
+
+
 def _execute_run(values, canonical, out_root):
     cfg = build_experiment_config(values)
     rid = run_id(values, canonical)
     run_dir = os.path.join(out_root, rid)
     os.makedirs(run_dir, exist_ok=True)
-    os.makedirs(os.path.join(run_dir, "traces"), exist_ok=True)
 
     manifest = {
         "run_id": rid,
@@ -56,6 +64,7 @@ def _execute_run(values, canonical, out_root):
         result.timeline.export(timeline_path)
         manifest["files"] = {"metrics": metrics_path, "timeline": timeline_path,
                              "traces": []}
+        os.makedirs(os.path.join(run_dir, "traces"), exist_ok=True)
         for client_id in sorted(result.final_scores):
             roc_path = os.path.join(run_dir, "traces", f"roc_client{client_id}.csv")
             write_roc_csv(roc_path, result.final_scores[client_id])
@@ -65,7 +74,7 @@ def _execute_run(values, canonical, out_root):
         write_manifest_atomic(manifest_path, manifest)
         return result, run_dir
     except BaseException as exc:
-        manifest["status"] = f"failed: {exc}"
+        manifest["status"] = f"failed: {_describe(exc)}"
         write_manifest_atomic(manifest_path, manifest)
         raise
 
@@ -201,10 +210,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
-        context = f"client {exc.client_id}, round {exc.round_index}, phase {exc.phase}"
-        if exc.batch_index is not None:
-            context += f", batch {exc.batch_index}"
-        print(f"divergence: {exc} ({context})", file=sys.stderr)
+        print(f"divergence: {_describe(exc)}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except FedSimError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
-"""Single-vector reference implementations that tests check the batch kernels
-against. The package itself only runs the batch kernels in `fedsim.losses`
-and `fedsim.nn`; these are written one vector at a time so a test can compare
-the two.
+"""Reference implementations that tests check the package's kernels against.
+The package itself only runs the batch kernels in `fedsim.losses`, `fedsim.nn`
+and `fedsim.aggregation`; these are written one vector (or one full row) at a
+time so a test can compare the two.
 """
 
 import numpy as np
@@ -58,3 +58,13 @@ def finite_difference_grad(loss_fn, params: np.ndarray, step: float = 1e-5) -> n
         p_lo[i] -= step
         grad[i] = (loss_fn(p_hi) - loss_fn(p_lo)) / (2.0 * step)
     return grad
+
+
+def correlation_rows(embs: np.ndarray) -> np.ndarray:
+    """R[i, j] = sum_t cos(embs[i, t], embs[j, t]) for (N, T, dim) embeddings, every
+    ordered pair computed on its own: row i against all N clients."""
+    norms = np.linalg.norm(embs, axis=-1)
+    if np.any(norms == 0):
+        raise DomainError("zero-norm probe embedding")
+    return np.stack([((e * embs).sum(-1) / (n * norms)).sum(-1)
+                     for e, n in zip(embs, norms)])

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim.aggregation import (AggregationConfig, build_correlation_matrix,
-                                correlation_degree, fedavg_aggregate,
-                                personalized_aggregate)
+                                correlation_degree, correlation_rows,
+                                fedavg_aggregate, personalized_aggregate)
 from fedsim.errors import DomainError, ShapeError
 from fedsim.nn import channel, forward_batch
+
+import oracles
 
 
 def corr_from(entries):
@@ -51,6 +53,39 @@ class TestCorrelationDegree:
         b = np.ones((2, 3))
         with pytest.raises(DomainError):
             correlation_degree(a, b)
+
+
+class TestCorrelationRows:
+    """Each unordered pair is computed once and mirrored; every entry must equal
+    the all-ordered-pairs oracle bit for bit, so R is exactly symmetric."""
+
+    @staticmethod
+    def assert_matches_oracle(embs):
+        got = correlation_rows(embs)
+        assert np.array_equal(got, oracles.correlation_rows(embs))
+        assert np.array_equal(got, got.T)
+
+    # dim and T straddle numpy's 8-wide pairwise-summation block
+    @given(st.integers(1, 20), st.integers(1, 40), st.integers(1, 20),
+           st.integers(0, 2 ** 32 - 1), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_bit_exact(self, n, t, dim, seed, data):
+        exponents = data.draw(st.lists(st.floats(-100, 100), min_size=n, max_size=n))
+        scales = 10.0 ** np.array(exponents)
+        rng = np.random.default_rng(seed)
+        self.assert_matches_oracle(rng.standard_normal((n, t, dim))
+                                   * scales[:, None, None])
+
+    def test_many_clients_shape_bit_exact(self):
+        embs = np.random.default_rng(13).standard_normal((64, 128, 16))
+        self.assert_matches_oracle(embs)
+
+    @pytest.mark.parametrize("client", [0, 2])
+    def test_zero_norm_embedding_raises(self, client):
+        embs = np.random.default_rng(14).standard_normal((3, 4, 5))
+        embs[client, 1] = 0.0
+        with pytest.raises(DomainError, match="zero-norm"):
+            correlation_rows(embs)
 
 
 class TestBuildCorrelationMatrix:

@@ -304,8 +304,19 @@ class TestRunVerb:
         err = capsys.readouterr().err
         assert "divergence" in err
         assert "(client 0, round 0, phase local" in err
-        manifest = read_manifest(only_run_dir(out))
-        assert manifest["status"].startswith("failed")
+        run_dir = only_run_dir(out)
+        manifest = read_manifest(run_dir)
+        status = manifest["status"]
+        assert status.startswith("failed: ")
+        assert "(client 0, round 0, phase local" in status
+        # stderr and the manifest name the failure in the same words
+        assert err.strip() == "divergence: " + status[len("failed: "):]
+        assert manifest["files"] == {}
+        # no partial artifacts: no metrics row, no timeline, no ROC trace
+        assert not os.path.exists(os.path.join(run_dir, "metrics.csv"))
+        assert not os.path.exists(os.path.join(run_dir, "timeline.log"))
+        assert not os.path.exists(os.path.join(run_dir, "traces"))
+        assert os.listdir(run_dir) == ["manifest.json"]
 
 
 class TestSweepVerb:
