@@ -311,6 +311,9 @@ class ClientGroup:
         for g in rows:
             self._step(g, phase, batch_index, idx[g], losses, dead)
 
+    # the finite checks below report an overflow once, as a DivergenceError;
+    # numpy's RuntimeWarnings for it would only add lines ahead of that one
+    @np.errstate(over="ignore", invalid="ignore")
     def _step(self, g, phase, batch_index, idx, losses, dead):
         """One SGD step on training rows `idx`: of member g through its own
         arrays, or of every member through the stacks when g is None.

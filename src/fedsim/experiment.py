@@ -3,10 +3,13 @@ schedule, and per-round verification metrics."""
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .aggregation import AggregationConfig
 from .client import TrainingParams, build_client
 from .errors import ConfigError
-from .metrics import MetricsRecord, ScoreSet, eer, operating_points, score_pairs, tar_at_far
+from .metrics import (MetricsRecord, ScoreSet, eer, operating_points, pair_positions,
+                      score_pairs, tar_at_far)
 from .server import ServerState, Strategy, load_probe_set
 from .simulation import SimConfig, run_simulation
 from .synth import PROBE_POOL_SIZE, SynthSpec, generate
@@ -130,19 +133,24 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     metrics = []
     final_scores = {}
+    positions = {}   # client id -> pair_positions of its test split
 
     def on_round_complete(client, round_index, t):
-        record, final_scores[client.client_id] = evaluate_client(
-            client, test_of[client.client_id], round_index, cfg.seed)
+        c = client.client_id
+        if c not in positions:   # at the first evaluation: setup stays short
+            positions[c] = pair_positions(test_of[c].labels, seed=cfg.seed * 1000 + c)
+        record, final_scores[c] = evaluate_client(client, test_of[c], round_index,
+                                                  positions[c])
         metrics.append(record)
 
     timeline, _, _ = run_simulation(sim_cfg, clients, server, on_round_complete)
     return RunResult(cfg, metrics, timeline, final_scores)
 
 
-def evaluate_client(client, test, round_index, seed):
-    """Score and sweep one test split once; returns (MetricsRecord, ScoreSet)."""
-    scores = client_score_set(client, test, seed)
+def evaluate_client(client, test, round_index, positions):
+    """Score the split's `pair_positions` and sweep them once; returns
+    (MetricsRecord, ScoreSet)."""
+    scores = client_score_set(client, test, positions)
     points = operating_points(scores)
     record = MetricsRecord(client.client_id, round_index, eer(points),
                            tar_at_far(points, 0.01),
@@ -150,9 +158,9 @@ def evaluate_client(client, test, round_index, seed):
     return record, scores
 
 
-def client_score_set(client, test, seed) -> ScoreSet:
+def client_score_set(client, test, positions) -> ScoreSet:
     emb = client.extract_embeddings(test.inputs)
-    return score_pairs(emb, test.labels, seed=seed * 1000 + client.client_id)
+    return score_pairs(emb, test.labels, positions=positions)
 
 
 def write_roc_csv(path, scores: ScoreSet) -> None:
@@ -165,5 +173,14 @@ def write_roc_csv(path, scores: ScoreSet) -> None:
         fh.write("threshold,far,frr\r\n")
         for i in range(0, thresholds.size, 4096):  # chunks: no whole-file string
             rows = slice(i, i + 4096)
-            fh.write("".join(f"{t!r},{fa!r},{fr!r}\r\n" for t, fa, fr in zip(
-                thresholds[rows].tolist(), far[rows].tolist(), frr[rows].tolist())))
+            fh.write("\r\n".join(map(",".join, zip(
+                map(repr, thresholds[rows].tolist()),
+                _run_reprs(far[rows]), _run_reprs(frr[rows])))) + "\r\n")
+
+
+def _run_reprs(values):
+    """repr of each value, found once per run of equal values (the rates are
+    never -0.0, the one value whose repr differs from an equal one's)."""
+    starts = np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
+    reprs = np.array(list(map(repr, values[starts].tolist())), dtype=object)
+    return np.repeat(reprs, np.diff(starts, append=values.size)).tolist()

@@ -46,27 +46,23 @@ class MetricsRecord:
                 self.n_genuine, self.n_impostor]
 
 
-def score_pairs(embeddings: np.ndarray, labels, cap: int = IMPOSTOR_PAIR_CAP,
-                seed: int = 0) -> ScoreSet:
-    """Cosine similarities of all same-label and cross-label embedding pairs.
+def pair_positions(labels, cap: int = IMPOSTOR_PAIR_CAP, seed: int = 0):
+    """Flat positions in the (n, n) similarity matrix of the genuine and the
+    impostor pairs `score_pairs` scores, in row-major (i < j) order, with
+    impostors beyond `cap` subsampled by `seed`; int32 when n² < 2³¹.
 
-    Impostor pairs beyond `cap` are subsampled with the given seed.
+    A fixed test split finds them once and scores every round from them.
     """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
-    if embeddings.ndim != 2 or labels.shape != (embeddings.shape[0],):
-        raise ShapeError("expect (n, dim) embeddings and (n,) labels")
-    norms = np.linalg.norm(embeddings, axis=1)
-    if np.any(norms == 0):
-        raise DomainError("zero-norm embedding cannot be scored")
-    unit = embeddings / norms[:, None]
-    sims = unit @ unit.T
-    n = embeddings.shape[0]
+    if labels.ndim != 1:
+        raise ShapeError("expect (n,) labels")
+    n = labels.size
     # boolean masks read the upper triangle in row-major (i < j) order
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     same = labels[:, None] == labels[None, :]
-    genuine = sims[same & upper]
-    impostor = sims[~same & upper]
+    dtype = np.int32 if n * n < 2 ** 31 else np.int64
+    genuine = np.flatnonzero(same & upper).astype(dtype)
+    impostor = np.flatnonzero(~same & upper).astype(dtype)
     if genuine.size == 0:
         raise DomainError("no genuine pairs: need an identity with >= 2 samples")
     if impostor.size == 0:
@@ -75,7 +71,29 @@ def score_pairs(embeddings: np.ndarray, labels, cap: int = IMPOSTOR_PAIR_CAP,
         rng = np.random.default_rng(seed)
         idx = rng.choice(impostor.size, size=cap, replace=False)
         impostor = impostor[np.sort(idx)]
-    return ScoreSet(genuine, impostor)
+    return genuine, impostor
+
+
+def score_pairs(embeddings: np.ndarray, labels, cap: int = IMPOSTOR_PAIR_CAP,
+                seed: int = 0, positions=None) -> ScoreSet:
+    """Cosine similarities of all same-label and cross-label embedding pairs.
+
+    Impostor pairs beyond `cap` are subsampled with the given seed.
+    `positions` is `pair_positions(labels, cap, seed)`, found here when None.
+    """
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    labels = np.asarray(labels)
+    if embeddings.ndim != 2 or labels.shape != (embeddings.shape[0],):
+        raise ShapeError("expect (n, dim) embeddings and (n,) labels")
+    norms = np.linalg.norm(embeddings, axis=1)
+    if np.any(norms == 0):
+        raise DomainError("zero-norm embedding cannot be scored")
+    if positions is None:
+        positions = pair_positions(labels, cap, seed)
+    unit = embeddings / norms[:, None]
+    sims = (unit @ unit.T).ravel()
+    genuine, impostor = positions
+    return ScoreSet(sims[genuine], sims[impostor])
 
 
 def operating_points(scores: ScoreSet):
@@ -86,13 +104,21 @@ def operating_points(scores: ScoreSet):
     """
     if scores.genuine.size == 0 or scores.impostor.size == 0:
         raise DomainError("both genuine and impostor scores are required")
+    # np.unique, not the merge below, picks which of -0.0 and +0.0 stands
+    # for their tie; the merge can pick the other one
     thresholds = np.unique(np.concatenate([scores.genuine, scores.impostor]))
-    gen = np.sort(scores.genuine)
-    imp = np.sort(scores.impostor)
-    n_g, n_i = gen.size, imp.size
+    n_g, n_i = scores.genuine.size, scores.impostor.size
+    # one stable sort of the two sorted runs merges them
+    merged = np.concatenate([np.sort(scores.genuine), np.sort(scores.impostor)])
+    order = np.argsort(merged, kind="stable")
+    values = merged[order]
+    first = np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
+    # impostors ahead of each threshold's first position score below it
+    is_imp = order >= n_g
+    imp_below = np.cumsum(is_imp)[first] - is_imp[first]
     # integer counts first: 1.0 - m/n would round at exact-boundary FARs
-    far = (n_i - np.searchsorted(imp, thresholds, side="left")) / n_i
-    frr = np.searchsorted(gen, thresholds, side="left") / n_g
+    far = (n_i - imp_below) / n_i
+    frr = (first - imp_below) / n_g
     far = np.append(far, 0.0)   # threshold above every score
     frr = np.append(frr, 1.0)
     thresholds = np.append(thresholds, np.inf)

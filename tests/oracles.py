@@ -1,13 +1,16 @@
 """Reference implementations that tests check the package's kernels against.
 The package itself only runs the batch kernels in `fedsim.losses`, `fedsim.nn`
 and `fedsim.aggregation`; these are written one vector (or one full row) at a
-time so a test can compare the two.
+time so a test can compare the two. The open-set scoring references recompute
+every pair mask, the impostor subsample and the threshold search on each call,
+and repr every row of a ROC trace.
 """
 
 import numpy as np
 
 from fedsim.errors import DomainError, ShapeError
 from fedsim.losses import log_softmax
+from fedsim.metrics import IMPOSTOR_PAIR_CAP, ScoreSet
 
 
 def cross_entropy(logits: np.ndarray, label_onehot: np.ndarray) -> float:
@@ -68,3 +71,60 @@ def correlation_rows(embs: np.ndarray) -> np.ndarray:
         raise DomainError("zero-norm probe embedding")
     return np.stack([((e * embs).sum(-1) / (n * norms)).sum(-1)
                      for e, n in zip(embs, norms)])
+
+
+def score_pairs(embeddings: np.ndarray, labels, cap: int = IMPOSTOR_PAIR_CAP,
+                seed: int = 0) -> ScoreSet:
+    """Cosine similarities of all same-label and cross-label embedding pairs,
+    with the pair masks and impostor subsample found anew."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    labels = np.asarray(labels)
+    if embeddings.ndim != 2 or labels.shape != (embeddings.shape[0],):
+        raise ShapeError("expect (n, dim) embeddings and (n,) labels")
+    norms = np.linalg.norm(embeddings, axis=1)
+    if np.any(norms == 0):
+        raise DomainError("zero-norm embedding cannot be scored")
+    unit = embeddings / norms[:, None]
+    sims = unit @ unit.T
+    n = embeddings.shape[0]
+    # boolean masks read the upper triangle in row-major (i < j) order
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    same = labels[:, None] == labels[None, :]
+    genuine = sims[same & upper]
+    impostor = sims[~same & upper]
+    if genuine.size == 0:
+        raise DomainError("no genuine pairs: need an identity with >= 2 samples")
+    if impostor.size == 0:
+        raise DomainError("no impostor pairs: need >= 2 identities")
+    if impostor.size > cap:
+        rng = np.random.default_rng(seed)
+        idx = rng.choice(impostor.size, size=cap, replace=False)
+        impostor = impostor[np.sort(idx)]
+    return ScoreSet(genuine, impostor)
+
+
+def operating_points(scores: ScoreSet):
+    """FAR and FRR at every observed threshold (ascending) plus a +inf
+    sentinel, each count found by a binary search of the sorted scores."""
+    if scores.genuine.size == 0 or scores.impostor.size == 0:
+        raise DomainError("both genuine and impostor scores are required")
+    thresholds = np.unique(np.concatenate([scores.genuine, scores.impostor]))
+    gen = np.sort(scores.genuine)
+    imp = np.sort(scores.impostor)
+    n_g, n_i = gen.size, imp.size
+    far = (n_i - np.searchsorted(imp, thresholds, side="left")) / n_i
+    frr = np.searchsorted(gen, thresholds, side="left") / n_g
+    far = np.append(far, 0.0)
+    frr = np.append(frr, 1.0)
+    thresholds = np.append(thresholds, np.inf)
+    return thresholds, far, frr
+
+
+def write_roc_csv(path, scores: ScoreSet) -> None:
+    """(threshold, FAR, FRR) rows of `operating_points`, every float repr'd
+    on its own, with `csv.writer`'s CRLF line ends."""
+    thresholds, far, frr = operating_points(scores)
+    with open(path, "w", newline="") as fh:
+        fh.write("threshold,far,frr\r\n")
+        for t, fa, fr in zip(thresholds.tolist(), far.tolist(), frr.tolist()):
+            fh.write(f"{t!r},{fa!r},{fr!r}\r\n")

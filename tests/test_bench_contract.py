@@ -12,6 +12,7 @@ Nothing under bench/ is edited here.
 import importlib
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ import pytest
 import fedsim.cli
 import fedsim.experiment
 import fedsim.simulation
+from fedsim.metrics import IMPOSTOR_PAIR_CAP
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -73,3 +75,29 @@ def test_workload_golden_seed_matches_reference(name, tmp_path):
     outputs = workloads.collect_outputs(wl, run, str(tmp_path))
     assert {k: outputs[k] for k in ("digest", "final_eer", "final_tar01")} == {
         k: golden[k] for k in ("digest", "final_eer", "final_tar01")}
+
+
+def test_tracer_counts_the_run_path_scoring(tmp_path):
+    # a 2-client, 2-round open-set CLI run past the impostor cap: each
+    # evaluation is one traced score_pairs call, and nothing scores again
+    n, r = 2, 2
+    wl = replace(workloads.WORKLOADS["open_set_cli"], n_clients=n)
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(wl.config_text(0))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        code = fedsim.cli.main(["run", "--config", str(cfg_path), "--out",
+                                str(tmp_path / "out"), "--set", f"experiment.rounds={r}"])
+    finally:
+        t.uninstall()
+    assert code == fedsim.cli.EXIT_OK
+    k_test = wl.classes_per_client - int(wl.classes_per_client * wl.open_set_split)
+    m = k_test * wl.samples_per_class
+    genuine = k_test * wl.samples_per_class * (wl.samples_per_class - 1) // 2
+    impostor = m * (m - 1) // 2 - genuine
+    assert impostor > IMPOSTOR_PAIR_CAP
+    assert t.summary()["metrics.score_pairs"][0] == n * r
+    assert t.counters["metrics.pairs_scored"] == n * r * (
+        genuine + min(impostor, IMPOSTOR_PAIR_CAP))
+    assert t.counters["metrics.impostor_subsampled"] == n * r

@@ -1,8 +1,11 @@
 """Tests for config parsing, experiment wiring, and the command-line driver
 (run / sweep / verify), including artifact layout and exit codes."""
 
+import csv
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -318,6 +321,20 @@ class TestRunVerb:
         assert not os.path.exists(os.path.join(run_dir, "traces"))
         assert os.listdir(run_dir) == ["manifest.json"]
 
+    def test_divergence_prints_one_stderr_line(self, small_config, tmp_path):
+        # as a program, numpy's RuntimeWarnings would reach stderr
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "fedsim.cli", "run",
+             "--config", small_config, "--out", str(tmp_path / "out"),
+             "--set", "training.lr=1e200"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_DIVERGENCE
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("divergence: "), proc.stderr
+
 
 class TestSweepVerb:
     def test_grid_sweep_rows_and_manifests(self, small_config, tmp_path):
@@ -328,13 +345,34 @@ class TestSweepVerb:
         with open(os.path.join(out, "summary.csv")) as fh:
             lines = fh.read().strip().splitlines()
         assert lines[0] == ("toggles.async,toggles.personalized,"
-                            "run_id,client_id,eer,tar_at_far01")
+                            "run_id,client_id,eer,tar_at_far01,status")
+        assert all(line.endswith(",ok") for line in lines[1:])
         assert len(lines) == 1 + 4 * 3  # 4 combos x 3 clients
         run_dirs = [d for d in os.listdir(out)
                     if os.path.isdir(os.path.join(out, d))]
         assert len(run_dirs) == 4
         for d in run_dirs:
             assert read_manifest(os.path.join(out, d))["status"] == "ok"
+
+    def test_diverged_point_gets_a_failed_row_and_the_rest_run(
+            self, small_config, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--config", small_config, "--out", out,
+                     "--grid", "training.lr=0.05|1e200|0.01"]) == EXIT_DIVERGENCE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("divergence: ")
+        with open(os.path.join(out, "summary.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(r[0], r[-1] == "ok") for r in rows] == (
+            [("0.05", True)] * 3 + [("1e200", False)] + [("0.01", True)] * 3)
+        lr, rid, client, eer, tar, status = rows[3]
+        assert (client, eer, tar) == ("", "", "")
+        # the row, stderr and the run's manifest name the failure in the same words
+        assert status == read_manifest(os.path.join(out, rid))["status"]
+        assert status == "failed: " + err[0][len("divergence: "):]
+        assert "(client 0, round 0, phase local" in status
+        run_dirs = {d for d in os.listdir(out) if os.path.isdir(os.path.join(out, d))}
+        assert {r[1] for r in rows} == run_dirs and len(run_dirs) == 3
 
     def test_client_subset_axis_row_counts(self, small_config, tmp_path):
         out = str(tmp_path / "out")
@@ -349,7 +387,7 @@ class TestSweepVerb:
         assert main(["sweep", "--config", small_config, "--out", out]) == EXIT_OK
         with open(os.path.join(out, "summary.csv")) as fh:
             lines = fh.read().strip().splitlines()
-        assert lines == ["run_id,client_id,eer,tar_at_far01"]
+        assert lines == ["run_id,client_id,eer,tar_at_far01,status"]
 
     def test_bad_grid_axis_rejected(self, small_config, tmp_path, capsys):
         assert main(["sweep", "--config", small_config,

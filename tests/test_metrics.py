@@ -1,13 +1,19 @@
 """Tests for open-set verification scoring and the EER / TAR@FAR metrics."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fedsim.errors import DomainError
+from fedsim.experiment import write_roc_csv
 from fedsim.metrics import (MetricsRecord, ScoreSet, eer, operating_points,
-                            score_pairs, tar_at_far, write_metrics_csv)
+                            pair_positions, score_pairs, tar_at_far, write_metrics_csv)
 
 
 def brute_force_rates(scores, threshold):
@@ -85,15 +91,23 @@ class TestScorePairs:
         assert s.genuine.size == 5 * 3  # 5 * C(3,2)
         assert s.impostor.size == 15 * 14 // 2 - 15
 
+    @staticmethod
+    def assert_every_scorer_refuses(emb, labels, message):
+        for score in (lambda: score_pairs(emb, labels), lambda: pair_positions(labels),
+                      lambda: oracles.score_pairs(emb, labels)):
+            with pytest.raises(DomainError) as info:
+                score()
+            assert str(info.value) == message
+
     def test_no_genuine_pairs_raises(self):
         emb = np.random.default_rng(1).standard_normal((3, 2))
-        with pytest.raises(DomainError):
-            score_pairs(emb, [0, 1, 2])
+        self.assert_every_scorer_refuses(
+            emb, [0, 1, 2], "no genuine pairs: need an identity with >= 2 samples")
 
     def test_single_identity_raises(self):
         emb = np.random.default_rng(2).standard_normal((3, 2))
-        with pytest.raises(DomainError):
-            score_pairs(emb, [0, 0, 0])
+        self.assert_every_scorer_refuses(
+            emb, [0, 0, 0], "no impostor pairs: need >= 2 identities")
 
     def test_impostor_cap_subsampling_deterministic(self):
         rng = np.random.default_rng(3)
@@ -126,6 +140,123 @@ class TestScorePairs:
         s = score_pairs(emb, labels)
         # genuine: (0,2) and (1,3); cos((2,0),(1,1)) = 1/sqrt(2)
         assert np.any(np.isclose(s.genuine, 1.0 / np.sqrt(2.0)))
+
+
+def score_outcome(score):
+    """The bytes of both score arrays, or the DomainError message."""
+    try:
+        s = score()
+    except DomainError as exc:
+        return str(exc)
+    return s.genuine.tobytes(), s.impostor.tobytes()
+
+
+class TestScorePairsOracle:
+    """`score_pairs` against the reference that finds every mask anew."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.integers(1, 6),
+           st.integers(1, 4), st.integers(-3, 3), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_match_oracle(self, seed, n, n_ids, dim, cap_offset, precomputed):
+        rng = np.random.default_rng(seed)
+        emb = rng.standard_normal((n, dim))
+        labels = rng.integers(0, n_ids, n)
+        counts = np.bincount(labels)
+        impostors = n * (n - 1) // 2 - int((counts * (counts - 1) // 2).sum())
+        cap = max(1, impostors + cap_offset)   # both sides of the cap
+        expected = score_outcome(lambda: oracles.score_pairs(emb, labels, cap, seed))
+        if precomputed:
+            try:
+                positions = pair_positions(labels, cap, seed)
+            except DomainError as exc:
+                assert str(exc) == expected
+                return
+            assert positions[0].dtype == positions[1].dtype == np.int32
+            got = score_outcome(lambda: score_pairs(emb, labels, cap, seed,
+                                                    positions=positions))
+        else:
+            got = score_outcome(lambda: score_pairs(emb, labels, cap, seed))
+        assert got == expected
+
+    def test_zero_norm_message_comes_first(self):
+        emb = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]])
+        for labels in ([0, 0, 1], [0, 1, 2]):   # with and without genuine pairs
+            for score in (score_pairs, oracles.score_pairs):
+                with pytest.raises(DomainError) as info:
+                    score(emb, labels)
+                assert str(info.value) == "zero-norm embedding cannot be scored"
+
+
+# Scores of a (257, 16) input, a shape where OpenBLAS sums `unit @ unit.T`
+# in another order with two threads than with one.
+THREADED_SCORES = """
+import hashlib
+import numpy as np
+from fedsim.metrics import score_pairs
+rng = np.random.default_rng(0)
+s = score_pairs(rng.standard_normal((257, 16)), np.arange(257) % 8)
+print(hashlib.sha256(s.genuine.tobytes() + s.impostor.tobytes()).hexdigest())
+"""
+
+
+def usable_cpus():
+    """CPUs this process may run on; they bound the BLAS thread count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(usable_cpus() < 2,
+                    reason="one core: the BLAS runs one thread either way")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 4: the similarity matrix goes through a threaded BLAS "
+    "whose summation order depends on the thread count"))
+def test_scores_do_not_depend_on_blas_threads():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    one_thread, default = (subprocess.run(
+        [sys.executable, "-c", THREADED_SCORES], env=child_env, capture_output=True,
+        text=True, timeout=120, check=True).stdout
+        for child_env in (dict(env, OPENBLAS_NUM_THREADS="1"), env))
+    assert one_thread == default
+
+
+# tied, signed-zero and distinct values, so sweeps see runs and -0.0/+0.0 ties
+SCORE = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]),
+                  st.floats(-1.0, 1.0, allow_nan=False))
+SCORES = st.lists(SCORE, min_size=1, max_size=40)
+
+
+class TestSweepOracle:
+    """`operating_points` and the ROC writer against the binary-search and
+    one-repr-per-row references."""
+
+    @given(SCORES, SCORES)
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_bytes_match_oracle(self, genuine, impostor):
+        s = ScoreSet(genuine, impostor)
+        got, expected = operating_points(s), oracles.operating_points(s)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+    @given(SCORES, SCORES)
+    @settings(max_examples=60, deadline=None)
+    def test_trace_bytes_match_oracle(self, tmp_path_factory, genuine, impostor):
+        s = ScoreSet(genuine, impostor)
+        d = tmp_path_factory.mktemp("roc")
+        write_roc_csv(d / "got.csv", s)
+        oracles.write_roc_csv(d / "expected.csv", s)
+        assert (d / "got.csv").read_bytes() == (d / "expected.csv").read_bytes()
+
+    def test_trace_bytes_match_oracle_across_chunks(self, tmp_path):
+        # ~10,100 thresholds span three 4,096-row chunks; rounding to 3 decimals
+        # makes runs of equal FAR and FRR that cross the chunk boundaries
+        rng = np.random.default_rng(11)
+        s = ScoreSet(np.round(rng.normal(0.4, 0.3, 3000), 3), rng.normal(0.0, 0.3, 9000))
+        write_roc_csv(tmp_path / "got.csv", s)
+        oracles.write_roc_csv(tmp_path / "expected.csv", s)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 class TestEer:
