@@ -101,12 +101,21 @@ def _parse_grid(items):
 
 
 def cmd_sweep(args) -> int:
-    """Run every grid point; a diverged point gets one `failed: ` row and
-    the sweep goes on to the next, then exits 3."""
+    """Check every grid point's config, then run each; a diverged point gets
+    one `failed: ` row and the sweep goes on to the next, then exits 3."""
     base_values, _ = load_config(args.config, args.set)
     out_root = args.out or base_values[("experiment", "out")]
-    os.makedirs(out_root, exist_ok=True)
     axes = _parse_grid(args.grid)
+    points = []
+    for combo in itertools.product(*(choices for _, choices in axes)) if axes else ():
+        overrides = [f"{p}={v}" for (p, _), v in zip(axes, combo)]
+        try:
+            values, canonical = load_config(args.config, (args.set or []) + overrides)
+            build_experiment_config(values)
+        except ConfigError as exc:
+            raise ConfigError(f"grid point {' '.join(overrides)}: {exc}") from exc
+        points.append((combo, values, canonical))
+    os.makedirs(out_root, exist_ok=True)
     summary_path = os.path.join(out_root, "summary.csv")
     axis_names = [path for path, _ in axes]
     failed = 0
@@ -114,23 +123,19 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(axis_names + ["run_id", "client_id", "eer", "tar_at_far01",
                                       "status"])
-        if axes:
-            for combo in itertools.product(*(choices for _, choices in axes)):
-                overrides = [f"{p}={v}" for (p, _), v in zip(axes, combo)]
-                values, canonical = load_config(args.config,
-                                                (args.set or []) + overrides)
-                rid = run_id(values, canonical)
-                try:
-                    result, _ = _execute_run(values, canonical, out_root)
-                except DivergenceError as exc:
-                    failed += 1
-                    print(f"divergence: {_describe(exc)}", file=sys.stderr)
-                    writer.writerow(list(combo) + [rid, "", "", "",
-                                                   f"failed: {_describe(exc)}"])
-                    continue
-                for rec in result.final_metrics():
-                    writer.writerow(list(combo) + [rid, rec.client_id, repr(rec.eer),
-                                                   repr(rec.tar_at_far01), "ok"])
+        for combo, values, canonical in points:
+            rid = run_id(values, canonical)
+            try:
+                result, _ = _execute_run(values, canonical, out_root)
+            except DivergenceError as exc:
+                failed += 1
+                print(f"divergence: {_describe(exc)}", file=sys.stderr)
+                writer.writerow(list(combo) + [rid, "", "", "",
+                                               f"failed: {_describe(exc)}"])
+                continue
+            for rec in result.final_metrics():
+                writer.writerow(list(combo) + [rid, rec.client_id, repr(rec.eer),
+                                               repr(rec.tar_at_far01), "ok"])
     print(f"summary: {summary_path}")
     return EXIT_DIVERGENCE if failed else EXIT_OK
 

@@ -94,8 +94,8 @@ def local_loss_and_grads(local_channel, fed_channel, fusion, head2, bank,
     emb_l = local_channel.out_dim
     dfp = dfused[..., :emb_l] + weights.alpha1 * dfp_fv
     dfg = dfused[..., emb_l:] + weights.alpha1 * dfg_fv
-    dp_local, _ = backward_batch(local_channel, cache_p, dfp)
-    dp_fed, _ = backward_batch(fed_channel, cache_g, dfg)
+    dp_local, _ = backward_batch(local_channel, cache_p, dfp, input_grad=False)
+    dp_fed, _ = backward_batch(fed_channel, cache_g, dfg, input_grad=False)
     grads = {"local": dp_local, "fed": dp_fed, "fusion": dp_fusion, "head2": dp_head2}
     return loss, grads, z
 
@@ -106,7 +106,7 @@ def async_loss_and_grads(local_channel, head1, x_batch, y_batch):
     logits, cache_h = forward_batch(head1, f_p)
     loss, dlogits = cross_entropy_batch(logits, y_batch)
     dp_head1, dfp = backward_batch(head1, cache_h, dlogits)
-    dp_local, _ = backward_batch(local_channel, cache_p, dfp)
+    dp_local, _ = backward_batch(local_channel, cache_p, dfp, input_grad=False)
     return loss, {"local": dp_local, "head1": dp_head1}
 
 
@@ -246,7 +246,10 @@ class ClientGroup:
             c.center_bank.centers = self.bank.centers[g]
             c.dataset.inputs, c.dataset.labels = self.inputs[g], self.labels[g]
         self._rows = [_own_arrays(c) for c in self.members]
-        self._row_index = np.arange(len(self.members))[:, None]
+        # views of the (G, n, ·) sets as (G*n, ·) rows: sample i of member g is row g*n + i
+        self._flat_inputs = self.inputs.reshape(-1, self.inputs.shape[-1])
+        self._flat_labels = self.labels.reshape(-1)
+        self._row_offset = np.arange(0, self.labels.size, self.n_samples)[:, None]
 
     def _check(self, rows, phase, step):
         for g in rows:
@@ -324,8 +327,8 @@ class ClientGroup:
         stacked step lets a `DomainError` through, raised before any update."""
         if g is None:
             rows, models, bank = range(len(self.members)), self.models, self.bank
-            at = self._row_index
-            xb, yb = self.inputs[at, idx], self.labels[at, idx]
+            at = idx + self._row_offset
+            xb, yb = self._flat_inputs.take(at, axis=0), self._flat_labels.take(at)
             lr = np.array([c.lr for c in self.members], dtype=np.float64)[:, None]
         else:
             c = self.members[g]
@@ -347,19 +350,21 @@ class ClientGroup:
             dead[g] = err
             return
 
-        def check(finite, what):
-            if not finite.all():
-                for i in np.flatnonzero(~finite):
-                    dead.setdefault(rows[i], self.members[rows[i]]._diverged(
-                        f"non-finite {phase} training {what}", phase, batch_index))
-
         loss, grads = out[0], out[1]
-        check(np.isfinite(loss), "loss")
+        finite = np.isfinite(loss).all()
         for part, grad in grads.items():
             params = models[_PART_MODELS[part]].params
             grad *= lr
             params -= grad
-            check(np.isfinite(params).all(axis=-1), "parameters")
+            finite &= np.isfinite(params).all()
+        if not finite:
+            # name the members: the loss first, then each part in update order
+            for what, bad in [("loss", ~np.isfinite(loss))] + [
+                    ("parameters", ~np.isfinite(models[_PART_MODELS[part]].params).all(axis=-1))
+                    for part in grads]:
+                for i in np.flatnonzero(bad):
+                    dead.setdefault(rows[i], self.members[rows[i]]._diverged(
+                        f"non-finite {phase} training {what}", phase, batch_index))
         if phase == "local" and self.loss_weights.alpha3 > 0:
             update_centers(bank, out[2], yb)
         for row, value in zip(rows, np.atleast_1d(loss).tolist()):

@@ -63,8 +63,8 @@ class CenterBank:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
@@ -78,28 +78,30 @@ def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
     if logits.ndim < 2 or labels.shape != logits.shape[:-1]:
         raise ShapeError("expect ([G,] B, k) logits and ([G,] B) integer labels")
     b, k = logits.shape[-2:]
-    # one row per sample, so one fancy index serves any group shape
-    rows, flat_labels = np.arange(labels.size), labels.ravel()
+    # each sample's true-class entry in the flat logits, for any group shape
+    flat = np.arange(0, labels.size * k, k) + labels.ravel()
     lsm = log_softmax(logits)
-    picked = lsm.reshape(-1, k)[rows, flat_labels].reshape(labels.shape)
-    loss = -(picked.sum(axis=-1) / b)
+    loss = -(np.add.reduce(lsm.ravel().take(flat).reshape(labels.shape), axis=-1) / b)
     dlogits = np.exp(lsm)
-    dlogits.reshape(-1, k)[rows, flat_labels] -= 1.0
-    return loss, dlogits / b
+    dlogits.ravel()[flat] -= 1.0
+    dlogits /= b
+    return loss, dlogits
 
 
 def fv_cos_batch(f_p: np.ndarray, f_g: np.ndarray):
     """Mean alignment loss over a batch with per-sample gradients (already /B)."""
-    norm_p = np.linalg.norm(f_p, axis=-1)
-    norm_g = np.linalg.norm(f_g, axis=-1)
-    if np.any(norm_p == 0) or np.any(norm_g == 0):
+    # the sum `np.linalg.norm` runs for real input, without its dispatch
+    norm_p = np.sqrt(np.add.reduce(f_p * f_p, axis=-1))
+    norm_g = np.sqrt(np.add.reduce(f_g * f_g, axis=-1))
+    if not (norm_p.all() and norm_g.all()):
         raise DomainError("zero-norm embedding in cosine alignment loss")
-    cos = (f_p * f_g).sum(axis=-1) / (norm_p * norm_g)
-    loss = np.abs(cos - 1.0).mean(axis=-1)
+    norms = norm_p * norm_g
+    cos = np.add.reduce(f_p * f_g, axis=-1) / norms
     b = f_p.shape[-2]
+    loss = np.add.reduce(np.abs(cos - 1.0), axis=-1) / b
     sign = np.sign(cos - 1.0)[..., None] / b
-    d_p = sign * (f_g / (norm_p * norm_g)[..., None] - (cos / norm_p**2)[..., None] * f_p)
-    d_g = sign * (f_p / (norm_p * norm_g)[..., None] - (cos / norm_g**2)[..., None] * f_g)
+    d_p = sign * (f_g / norms[..., None] - (cos / norm_p**2)[..., None] * f_p)
+    d_g = sign * (f_p / norms[..., None] - (cos / norm_g**2)[..., None] * f_g)
     return loss, d_p, d_g
 
 
@@ -136,16 +138,18 @@ def center_loss_grad(embeddings: np.ndarray, labels, bank: CenterBank):
 def update_centers(bank: CenterBank, embeddings: np.ndarray, labels) -> None:
     """Move each touched center toward its class's batch mean by bank.lr.
 
-    Each class sum accumulates its rows in order. That equals numpy's
-    per-class `mean(axis=0)` bit for bit when dim >= 2; for dim == 1 numpy
-    sums pairwise, so eight or more same-class rows may round differently.
+    Each class sum accumulates its rows in order from +0.0. That equals
+    numpy's per-class `mean(axis=0)` bit for bit when dim >= 2; for dim == 1
+    numpy sums pairwise, so eight or more same-class rows may round differently.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    rows = _center_rows(embeddings, labels, bank).ravel()
+    # intp: a label times dim may not fit the labels' own integer type
+    rows = _center_rows(embeddings, labels, bank).ravel().astype(np.intp)
     dim = embeddings.shape[-1]
     centers = bank.centers.reshape(-1, dim)
-    sums = np.zeros_like(centers)
-    np.add.at(sums, rows, embeddings.reshape(-1, dim))
+    # entry j of a row goes to bin center_row * dim + j, in sample order
+    bins = (rows[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(bins, embeddings.ravel(), centers.size).reshape(centers.shape)
     counts = np.bincount(rows, minlength=centers.shape[0])
     touched = np.flatnonzero(counts)
     c = centers[touched]
@@ -158,6 +162,6 @@ def update_centers(bank: CenterBank, embeddings: np.ndarray, labels) -> None:
 def total_loss(fv: float, ce2: float, cen: float, w: LossWeights) -> float:
     """Weighted sum of the three local-training terms (per group row, if any)."""
     for name, v in (("fv", fv), ("ce2", ce2), ("cen", cen)):
-        if not np.all(np.isfinite(v) & (v >= 0)):
+        if not (np.isfinite(v) & (v >= 0)).all():
             raise DomainError(f"loss term {name} must be finite and nonnegative")
     return w.alpha1 * fv + w.alpha2 * ce2 + w.alpha3 * cen

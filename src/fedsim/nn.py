@@ -134,11 +134,12 @@ def forward_batch(model: MLP, x: np.ndarray):
     return h, acts
 
 
-def backward_batch(model: MLP, cache, dy: np.ndarray):
+def backward_batch(model: MLP, cache, dy: np.ndarray, input_grad: bool = True):
     """Backprop an upstream gradient through the net.
 
     Returns (dparams, dx): gradient w.r.t. the flat parameter vector and
     w.r.t. the batch input, each with the model's group axis if it has one.
+    With input_grad=False, dx is None and its matmul is skipped.
     """
     dy = np.asarray(dy, dtype=np.float64)
     if dy.shape != cache[-1].shape:
@@ -156,8 +157,8 @@ def backward_batch(model: MLP, cache, dy: np.ndarray):
         # splitting the contiguous last axis: a view, never a copy
         np.matmul(grad.swapaxes(-1, -2), cache[i],
                   out=dparams[..., w_lo:b_lo].reshape(w.shape))
-        grad.sum(axis=-2, out=dparams[..., b_lo:b_hi])
-        grad = grad @ w
+        np.add.reduce(grad, axis=-2, out=dparams[..., b_lo:b_hi])
+        grad = grad @ w if i or input_grad else None
     return dparams, grad
 
 

@@ -130,7 +130,9 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
     index_of = {client.client_id: i for i, client in enumerate(clients)}
 
     place = group_clients(clients)   # client index -> (its group, its row)
-    stash = {}   # (kind, client index) -> result of a training event not yet handled
+    # client index -> result of a training event not yet handled, one dict per
+    # kind: hashing an Enum key runs Python code
+    local_stash, async_stash = {}, {}
 
     def async_due(c, round_index):
         # a chain from an earlier round stops even if its client waits again
@@ -139,19 +141,19 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
     def train(t, kind, subject):
         """The result of subject's training event at t, trained together with
         every event of its group queued for the same tick and kind."""
-        if (kind, subject) not in stash:
+        local = kind is EventKind.LOCAL_ROUND_DONE
+        stash = local_stash if local else async_stash
+        if subject not in stash:
             group = place[subject][0]
             due = {subject} | {
                 c for (t_, _, c, _, kind_, payload) in queue
                 if t_ == t and kind_ is kind and place[c][0] is group
-                and (kind, c) not in stash
-                and (kind is EventKind.LOCAL_ROUND_DONE or async_due(c, payload))}
+                and c not in stash and (local or async_due(c, payload))}
             subject_at = {place[c][1]: c for c in due}
-            step = (group.local_rounds if kind is EventKind.LOCAL_ROUND_DONE
-                    else group.async_steps)
+            step = group.local_rounds if local else group.async_steps
             for row, result in step(sorted(subject_at)).items():
-                stash[(kind, subject_at[row])] = result
-        result = stash.pop((kind, subject))
+                stash[subject_at[row]] = result
+        result = stash.pop(subject)
         if isinstance(result, DivergenceError):
             raise result
         return result

@@ -3,14 +3,94 @@ The package itself only runs the batch kernels in `fedsim.losses`, `fedsim.nn`
 and `fedsim.aggregation`; these are written one vector (or one full row) at a
 time so a test can compare the two. The open-set scoring references recompute
 every pair mask, the impostor subsample and the threshold search on each call,
-and repr every row of a ROC trace.
+and repr every row of a ROC trace. The batch-kernel references below are the
+kernels as first written, with the same arithmetic and none of the shortcuts:
+the fast kernels must match them byte for byte.
 """
 
 import numpy as np
 
 from fedsim.errors import DomainError, ShapeError
-from fedsim.losses import log_softmax
 from fedsim.metrics import IMPOSTOR_PAIR_CAP, ScoreSet
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy of ([G,] B, k) logits with 2-D fancy indexing;
+    returns (loss, dlogits)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if logits.ndim < 2 or labels.shape != logits.shape[:-1]:
+        raise ShapeError("expect ([G,] B, k) logits and ([G,] B) integer labels")
+    b, k = logits.shape[-2:]
+    rows, flat_labels = np.arange(labels.size), labels.ravel()
+    lsm = log_softmax(logits)
+    picked = lsm.reshape(-1, k)[rows, flat_labels].reshape(labels.shape)
+    loss = -(picked.sum(axis=-1) / b)
+    dlogits = np.exp(lsm)
+    dlogits.reshape(-1, k)[rows, flat_labels] -= 1.0
+    return loss, dlogits / b
+
+
+def fv_cos_batch(f_p: np.ndarray, f_g: np.ndarray):
+    """Mean alignment loss over a batch with per-sample gradients (already /B),
+    norms from `np.linalg.norm`."""
+    norm_p = np.linalg.norm(f_p, axis=-1)
+    norm_g = np.linalg.norm(f_g, axis=-1)
+    if np.any(norm_p == 0) or np.any(norm_g == 0):
+        raise DomainError("zero-norm embedding in cosine alignment loss")
+    cos = (f_p * f_g).sum(axis=-1) / (norm_p * norm_g)
+    loss = np.abs(cos - 1.0).mean(axis=-1)
+    b = f_p.shape[-2]
+    sign = np.sign(cos - 1.0)[..., None] / b
+    d_p = sign * (f_g / (norm_p * norm_g)[..., None] - (cos / norm_p**2)[..., None] * f_p)
+    d_g = sign * (f_p / (norm_p * norm_g)[..., None] - (cos / norm_g**2)[..., None] * f_g)
+    return loss, d_p, d_g
+
+
+def update_centers(bank, embeddings: np.ndarray, labels) -> None:
+    """Move each touched center of `bank` toward its class's batch mean, the
+    class sums accumulated by `np.add.at`. Labels must be valid."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    labels = np.asarray(labels)
+    k, dim = bank.centers.shape[-2:]
+    if labels.ndim == 2:
+        labels = labels + k * np.arange(labels.shape[0])[:, None]
+    rows = labels.ravel()
+    centers = bank.centers.reshape(-1, dim)
+    sums = np.zeros_like(centers)
+    np.add.at(sums, rows, embeddings.reshape(-1, dim))
+    counts = np.bincount(rows, minlength=centers.shape[0])
+    touched = np.flatnonzero(counts)
+    c = centers[touched]
+    batch_mean = sums[touched] / counts[touched, None]
+    at = np.unravel_index(touched, bank.centers.shape[:-1])
+    bank.centers[at] = c + bank.lr * (batch_mean - c)
+
+
+def backward_batch(model, cache, dy: np.ndarray):
+    """Backprop through an `MLP` layer by layer, the input gradient always
+    computed; returns (dparams, dx)."""
+    dy = np.asarray(dy, dtype=np.float64)
+    layers = model.layers()
+    last = len(layers) - 1
+    dparams = np.empty_like(model.params)
+    grad = dy
+    for i in range(last, -1, -1):
+        w, _ = layers[i]
+        out = cache[i + 1]
+        if i < last or model.out_act == "tanh":
+            grad = grad * (1.0 - out * out)
+        w_lo, b_lo, b_hi = model._offsets[i]
+        np.matmul(grad.swapaxes(-1, -2), cache[i],
+                  out=dparams[..., w_lo:b_lo].reshape(w.shape))
+        grad.sum(axis=-2, out=dparams[..., b_lo:b_hi])
+        grad = grad @ w
+    return dparams, grad
 
 
 def cross_entropy(logits: np.ndarray, label_onehot: np.ndarray) -> float:
@@ -61,6 +141,17 @@ def finite_difference_grad(loss_fn, params: np.ndarray, step: float = 1e-5) -> n
         p_lo[i] -= step
         grad[i] = (loss_fn(p_hi) - loss_fn(p_lo)) / (2.0 * step)
     return grad
+
+
+def finite_difference_grad_stacked(loss_of_stack, params: np.ndarray,
+                                   step: float = 1e-5) -> np.ndarray:
+    """`finite_difference_grad` with every perturbed vector evaluated in one
+    call: `loss_of_stack` takes a (2L, L) stack, the L vectors each raised at
+    one entry and then the L lowered ones, and returns their (2L,) losses."""
+    params = np.asarray(params, dtype=np.float64)
+    shift = step * np.eye(params.size)
+    losses = loss_of_stack(np.concatenate([params + shift, params - shift]))
+    return (losses[:params.size] - losses[params.size:]) / (2.0 * step)
 
 
 def correlation_rows(embs: np.ndarray) -> np.ndarray:

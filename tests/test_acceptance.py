@@ -25,7 +25,8 @@ from fedsim.nn import MLP, channel, forward_batch, fusion_head, linear_head
 from fedsim.server import ServerState, Strategy, handle_upload
 from fedsim.simulation import EventKind, SimConfig, run_simulation
 from fedsim.synth import LabeledDataset
-from oracles import finite_difference_grad, fv_cos_grad, fv_cos_loss
+from oracles import (finite_difference_grad, finite_difference_grad_stacked,
+                     fv_cos_grad, fv_cos_loss)
 from sim_defaults import sim_config
 
 
@@ -113,7 +114,20 @@ def test_criterion_03_aggregation_oracle_equivalence():
 # ---------------------------------------------------------------- criteria 4-6
 
 
+def as_group(model, rows):
+    """`model` as a group: its vector repeated `rows` times, or the (G, L)
+    stack `rows` in its place."""
+    stack = np.tile(model.params, (rows, 1)) if isinstance(rows, int) else rows
+    return MLP(model.sizes, model.out_act, stack)
+
+
+def tiled(a, rows):
+    return np.broadcast_to(a, (rows, *np.shape(a)))
+
+
 def test_criterion_04_loss_gradients_match_finite_differences():
+    # each case's perturbed parameter vectors go through the kernels' group
+    # axis as one stack, every other input repeated along it
     start = time.perf_counter()
     worst = {"ce_wait": 0.0, "ce_fused": 0.0, "center": 0.0, "align": 0.0,
              "total": 0.0}
@@ -126,23 +140,23 @@ def test_criterion_04_loss_gradients_match_finite_differences():
         x = rng.standard_normal((4, 4))
         y = rng.integers(0, 3, size=4)
         _, grads = async_loss_and_grads(lc, h1, x, y)
-        for name, model in (("local", lc), ("head1", h1)):
-            def loss_of(p, model=model):
-                saved = model.params
-                model.params = p.copy()
-                try:
-                    return async_loss_and_grads(lc, h1, x, y)[0]
-                finally:
-                    model.params = saved
+        wait_parts = {"local": lc, "head1": h1}
+        for name, model in wait_parts.items():
+            def loss_of(stack, name=name):
+                g = len(stack)
+                m = {k: as_group(v, stack if k == name else g)
+                     for k, v in wait_parts.items()}
+                return async_loss_and_grads(m["local"], m["head1"], tiled(x, g),
+                                            tiled(y, g))[0]
             worst["ce_wait"] = max(worst["ce_wait"], rel_err(
-                grads[name], finite_difference_grad(loss_of, model.params)))
+                grads[name], finite_difference_grad_stacked(loss_of, model.params)))
 
         # fused classification loss with respect to the logits
         logits = rng.standard_normal((5, 4))
         labels = rng.integers(0, 4, size=5)
         _, dlogits = cross_entropy_batch(logits, labels)
-        fd = finite_difference_grad(
-            lambda p: cross_entropy_batch(p.reshape(5, 4), labels)[0],
+        fd = finite_difference_grad_stacked(
+            lambda p: cross_entropy_batch(p.reshape(-1, 5, 4), tiled(labels, len(p)))[0],
             logits.ravel())
         worst["ce_fused"] = max(worst["ce_fused"], rel_err(dlogits, fd))
 
@@ -150,8 +164,10 @@ def test_criterion_04_loss_gradients_match_finite_differences():
         emb = rng.standard_normal((6, 3))
         lab = rng.integers(0, 2, size=6)
         bank = CenterBank({0: rng.standard_normal(3), 1: rng.standard_normal(3)}, lr=0.5)
-        fd = finite_difference_grad(
-            lambda p: center_loss_grad(p.reshape(6, 3), lab, bank)[0], emb.ravel())
+        fd = finite_difference_grad_stacked(
+            lambda p: center_loss_grad(p.reshape(-1, 6, 3), tiled(lab, len(p)),
+                                       CenterBank(tiled(bank.centers, len(p)), 0.5))[0],
+            emb.ravel())
         worst["center"] = max(worst["center"], rel_err(
             center_loss_grad(emb, lab, bank)[1], fd))
 
@@ -171,18 +187,17 @@ def test_criterion_04_loss_gradients_match_finite_differences():
         yb = rng.integers(0, 3, size=4)
         w = LossWeights(0.3, 1.0, 0.2)
         _, grads, _ = local_loss_and_grads(lc, fc, fu, h2, bank2, xb, yb, w)
-        for name, model in (("local", lc), ("fed", fc), ("fusion", fu),
-                            ("head2", h2)):
-            def loss_of(p, model=model):
-                saved = model.params
-                model.params = p.copy()
-                try:
-                    return local_loss_and_grads(lc, fc, fu, h2, bank2,
-                                                xb, yb, w)[0]
-                finally:
-                    model.params = saved
+        parts = {"local": lc, "fed": fc, "fusion": fu, "head2": h2}
+        for name, model in parts.items():
+            def loss_of(stack, name=name):
+                g = len(stack)
+                m = {k: as_group(v, stack if k == name else g) for k, v in parts.items()}
+                return local_loss_and_grads(
+                    m["local"], m["fed"], m["fusion"], m["head2"],
+                    CenterBank(tiled(bank2.centers, g), 0.5), tiled(xb, g), tiled(yb, g),
+                    w)[0]
             worst["total"] = max(worst["total"], rel_err(
-                grads[name], finite_difference_grad(loss_of, model.params)))
+                grads[name], finite_difference_grad_stacked(loss_of, model.params)))
     elapsed = time.perf_counter() - start
     bad = {k: v for k, v in worst.items() if v >= 1e-4}
     report(4, "analytic gradients match finite differences (100 cases each)",

@@ -374,6 +374,17 @@ class TestSweepVerb:
         run_dirs = {d for d in os.listdir(out) if os.path.isdir(os.path.join(out, d))}
         assert {r[1] for r in rows} == run_dirs and len(run_dirs) == 3
 
+    def test_bad_grid_value_stops_the_sweep_before_any_run(
+            self, small_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", small_config, "--out", str(out),
+                     "--grid", "training.lr=0.05|-1|0.01"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: grid point training.lr=-1: "
+                                "lr and center_lr must be finite and >= 0\n")
+        assert not out.exists()
+
     def test_client_subset_axis_row_counts(self, small_config, tmp_path):
         out = str(tmp_path / "out")
         assert main(["sweep", "--config", small_config, "--out", out,

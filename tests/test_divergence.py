@@ -7,7 +7,8 @@ bindings of `handle_upload` and `run_aggregation`. The fixed cases poison each
 client of a 4-client default run; the drawn cases poison a drawn client of a
 drawn schedule, whose unequal step durations step members both alone and
 together with their group. The group cases poison one member of a
-`ClientGroup` and check that the stacked step fails that member alone.
+`ClientGroup`, or two members in different ways in one stacked step, and
+check that the stacked step fails each poisoned member alone.
 """
 
 import dataclasses
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fedsim.client
 import fedsim.experiment
 import fedsim.simulation
 from fedsim.client import ClientGroup
@@ -184,3 +186,44 @@ def test_group_local_round_isolates_an_exploding_member(k):
     for g, msg in out.items():
         assert np.array_equal(msg.params, expected[g].params)
         assert clients[g].last_epoch_losses == reference[g].last_epoch_losses
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * learning rate
+@pytest.mark.parametrize("part", ["fusion", "head2"])
+def test_stacked_step_names_a_bad_loss_and_a_bad_part_each_alone(part):
+    # in the second stacked step, member 1 gets a NaN loss, member 2 an infinite
+    # gradient entry of one part only, so only that part turns non-finite, and
+    # member 3 both, which names its loss
+    lrs = [0.05, 0.1, 0.02, 0.07]
+    clients, reference = alike_clients(lrs), alike_clients(lrs)
+    loss_and_grads = fedsim.client.local_loss_and_grads
+    calls = []
+
+    def poisoned(*args):
+        loss, grads, z = loss_and_grads(*args)
+        calls.append(np.ndim(loss))
+        if len(calls) == 2:
+            assert np.shape(loss) == (4,)
+            loss[[1, 3]] = np.nan
+            grads[part][[2, 3], 3] = np.inf
+        return loss, grads, z
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fedsim.client, "local_loss_and_grads", poisoned)
+        out = ClientGroup(clients).local_rounds([0, 1, 2, 3])
+    expected = ClientGroup(reference).local_rounds([0, 1, 2, 3])
+    named = {g: (str(err), err.client_id, err.round_index, err.phase, err.batch_index)
+             for g, err in ((g, out.pop(g)) for g in (1, 2, 3))}
+    assert named == {1: ("non-finite local training loss", 1, 0, "local", 1),
+                     2: ("non-finite local training parameters", 2, 0, "local", 1),
+                     3: ("non-finite local training loss", 3, 0, "local", 1)}
+    assert [other for other in PARTS
+            if not np.isfinite(getattr(clients[2], other).params).all()] == [part]
+    # member 0 ran on, alone once the stack had dead members, to the same bits
+    assert calls[2:] and all(ndim == 0 for ndim in calls[2:])
+    assert list(out) == [0]
+    assert np.array_equal(out[0].params, expected[0].params)
+    assert clients[0].last_epoch_losses == reference[0].last_epoch_losses
+    for other in PARTS:
+        assert np.array_equal(getattr(clients[0], other).params,
+                              getattr(reference[0], other).params)

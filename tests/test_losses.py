@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsim.errors import DomainError, ShapeError
 from fedsim.losses import (CenterBank, LossWeights, center_loss_grad,
                            cross_entropy_batch, fv_cos_batch, total_loss,
                            update_centers)
+import oracles
 from oracles import cross_entropy, finite_difference_grad, fv_cos_grad, fv_cos_loss
 
 
@@ -316,3 +317,66 @@ class TestCenterBankConstruction:
             with pytest.raises(DomainError):
                 update_centers(bank, np.zeros((1, 2)), bad)
         assert np.array_equal(bank.centers, np.zeros((2, 2)))
+
+
+# -- the kernels against their first-written references, byte for byte --------
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+# no group axis, or G stacked batches
+LEADS = st.sampled_from([(), (1,), (2,), (3,)])
+
+
+def signed_zeros(rng, x, share):
+    """x with about `share` of its entries replaced by +0.0 or -0.0."""
+    zeros = np.copysign(0.0, rng.standard_normal(x.shape))
+    return np.where(rng.random(x.shape) < share, zeros, x)
+
+
+def outcome(kernel, *args):
+    """The bytes and types of each array a kernel returns, or its error."""
+    try:
+        return [(type(a), a.tobytes()) for a in kernel(*args)]
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestKernelsMatchReferenceBytes:
+    @given(LEADS, st.integers(1, 8), st.integers(1, 6),
+           st.sampled_from([1e-3, 1.0, 40.0, 1e3, 1e300, 1e308]), SEEDS, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cross_entropy(self, lead, b, k, scale, seed, data):
+        rng = np.random.default_rng(seed)
+        # repeated labels: a batch draws from its first m classes, often one
+        labels = rng.integers(0, data.draw(st.integers(1, k)), (*lead, b))
+        with np.errstate(over="ignore", invalid="ignore"):   # inf logits at 1e308
+            logits = scale * rng.standard_normal((*lead, b, k))
+            got = outcome(cross_entropy_batch, logits, labels)
+            expected = outcome(oracles.cross_entropy_batch, logits, labels)
+        assert got == expected
+
+    @given(LEADS, st.integers(1, 8), st.sampled_from([1, 2, 3, 6]), SEEDS)
+    @settings(max_examples=150, deadline=None)
+    def test_fv_cos(self, lead, b, dim, seed):
+        rng = np.random.default_rng(seed)
+        f_p, f_g = (signed_zeros(rng, rng.standard_normal((*lead, b, dim))
+                                 * 10.0 ** rng.uniform(-3, 3, (*lead, b, 1)), 0.1)
+                    for _ in range(2))
+        got = outcome(fv_cos_batch, f_p, f_g)
+        assert got == outcome(oracles.fv_cos_batch, f_p, f_g)
+
+    # the example's label 4 times dim 70 would wrap in uint8 arithmetic
+    @given(LEADS, st.integers(1, 5), st.sampled_from([1, 2, 3, 70]), st.integers(1, 24),
+           st.floats(0.0, 1.0), st.sampled_from([np.int64, np.int32, np.uint8]), SEEDS)
+    @example((), 5, 70, 24, 0.5, np.uint8, 0)
+    @settings(max_examples=150, deadline=None)
+    def test_update_centers(self, lead, k, dim, b, lr, label_type, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3, 3)
+        emb = signed_zeros(rng, scale * rng.standard_normal((*lead, b, dim)), 0.3)
+        # repeats, and absent classes
+        labels = rng.integers(0, k, (*lead, b)).astype(label_type)
+        start = signed_zeros(rng, scale * rng.standard_normal((*lead, k, dim)), 0.3)
+        bank, reference = CenterBank(start, lr), CenterBank(start, lr)
+        update_centers(bank, emb, labels)
+        oracles.update_centers(reference, emb, labels)
+        assert bank.centers.tobytes() == reference.centers.tobytes()

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from fedsim.errors import ShapeError
 from fedsim.nn import (MLP, backward_batch, channel, forward_batch, fusion_head,
-                       linear_head, param_count, sgd_step)
+                       init_params, linear_head, param_count, sgd_step)
+import oracles
 from oracles import finite_difference_grad
 
 
@@ -133,6 +134,31 @@ class TestBackward:
             fd[i] = (forward_batch(m, hi[None])[0][0] @ d
                      - forward_batch(m, lo[None])[0][0] @ d) / (2 * step)
         np.testing.assert_allclose(dx[0], fd, rtol=1e-4, atol=1e-7)
+
+
+class TestBackwardMatchesReference:
+    @given(st.sampled_from([((4, 6, 3), "linear"), ((3, 5), "linear"), ((6, 2), "tanh"),
+                            ((1, 1, 1), "linear")]),
+           st.sampled_from([(), (1,), (3,)]), st.integers(1, 9), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_bytes(self, arch, lead, b, input_grad, seed):
+        sizes, out_act = arch
+        rng = np.random.default_rng(seed)
+        params = np.stack([init_params(sizes, (seed, g)) for g in range(lead[0])]) \
+            if lead else init_params(sizes, seed)
+        m = MLP(sizes, out_act, params)
+        _, cache = forward_batch(m, rng.standard_normal((*lead, b, sizes[0])))
+        dy = rng.standard_normal(cache[-1].shape)
+        before = [a.tobytes() for a in (*cache, dy)]
+        dparams, dx = backward_batch(m, cache, dy, input_grad=input_grad)
+        expected = oracles.backward_batch(m, cache, dy)
+        assert dparams.tobytes() == expected[0].tobytes()
+        if input_grad:
+            assert dx.tobytes() == expected[1].tobytes()
+        else:
+            assert dx is None
+        assert [a.tobytes() for a in (*cache, dy)] == before   # inputs left alone
 
 
 class TestSgdStep:
