@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .nn import forward_batch
+from .nn import GROUP_ROWS, MLP, forward_batch
 
 
 @dataclass(frozen=True)
@@ -47,19 +47,25 @@ def correlation_degree(emb_n, emb_u) -> float:
     return float(correlation_rows(np.stack([a, b]))[0, 1])
 
 
-def build_correlation_matrix(models, probes: np.ndarray,
+def build_correlation_matrix(uploads: MLP, probes: np.ndarray,
                              clamp_epsilon=AggregationConfig.clamp_epsilon) -> np.ndarray:
-    """(N, N) correlation degrees of all model pairs on a shared probe set, NaN on the
-    diagonal, clamped from below at clamp_epsilon so downstream weights stay positive."""
-    models = list(models)
-    if len(models) < 2:
+    """(N, N) correlation degrees of the models in an (N, L) stack on a shared probe
+    set, NaN on the diagonal, clamped from below at clamp_epsilon (weights stay > 0)."""
+    if uploads.params.ndim != 2 or len(uploads.params) < 2:
         raise DomainError("need at least 2 models")
-    if any(m.sizes != models[0].sizes for m in models):
-        raise ShapeError("all models must share one architecture")
-    embs = np.stack([forward_batch(m, probes)[0] for m in models])
-    entries = np.maximum(correlation_rows(embs), clamp_epsilon)
+    entries = np.maximum(correlation_rows(probe_embeddings(uploads, probes)), clamp_epsilon)
     np.fill_diagonal(entries, np.nan)
     return entries
+
+
+def probe_embeddings(uploads: MLP, probes: np.ndarray) -> np.ndarray:
+    """(N, T, out) probe embeddings of the stacked models, GROUP_ROWS per forward."""
+    embs = np.empty((len(uploads.params), len(probes), uploads.out_dim))
+    for lo in range(0, len(embs), GROUP_ROWS):
+        block = MLP(uploads.sizes, uploads.out_act, uploads.params[lo:lo + GROUP_ROWS])
+        embs[lo:lo + GROUP_ROWS] = forward_batch(
+            block, np.broadcast_to(probes, (len(block.params), *np.shape(probes))))[0]
+    return embs
 
 
 def correlation_weights(entries: np.ndarray) -> np.ndarray:
@@ -74,15 +80,15 @@ def correlation_weights(entries: np.ndarray) -> np.ndarray:
     return weights
 
 
-def mix(params, weights: np.ndarray, gamma: float) -> np.ndarray:
-    """Rows gamma * sum_u weights[n, u] * params[u] + (1 - gamma) * params[n]: one axpy
-    per u in ascending order (rounds like a lone per-client sum), no copy of params."""
-    acc = np.zeros((len(weights), len(params[0])))
-    for u, p in enumerate(params):
-        acc += weights[:, u, None] * p
+def mix(params: np.ndarray, weights: np.ndarray, gamma: float) -> np.ndarray:
+    """Rows gamma * sum_u weights[n, u] * params[u] + (1 - gamma) * params[n] of an
+    (N, L) stack. The einsum (no BLAS) runs n, u ascending, then l, so each entry
+    rounds as in one axpy per u: see test_aggregation.py::TestMixMatchesAxpyBytes.
+    A lone column would put u innermost, summed in another order: it is doubled."""
+    wide = params if params.shape[1] > 1 else np.repeat(params, 2, axis=1)
+    acc = np.einsum("nu,ul->nl", weights, wide)[:, :params.shape[1]]
     acc *= gamma
-    for row, p in zip(acc, params):
-        row += (1.0 - gamma) * p
+    acc += (1.0 - gamma) * params[:len(acc)]
     return acc
 
 

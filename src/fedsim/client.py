@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, DomainError, ProtocolError, ShapeError
 from .losses import (CenterBank, LossWeights, center_loss_grad,
                      cross_entropy_batch, fv_cos_batch, total_loss, update_centers)
-from .nn import (MLP, backward_batch, channel, forward_batch, fusion_head,
-                 linear_head)
+from .nn import (GROUP_ROWS, MLP, backward_batch, channel, forward_batch,
+                 fusion_head, linear_head)
 from .synth import LabeledDataset
 
 
@@ -369,12 +369,6 @@ class ClientGroup:
             update_centers(bank, out[2], yb)
         for row, value in zip(rows, np.atleast_1d(loss).tolist()):
             losses[row].append(value)
-
-
-# Widest group. With 64 alike clients (the `many_clients_agg` workload), groups
-# of 16 trained a client-step faster than one group of 64 and held a quarter of
-# its temporaries (1.6 vs 6.4 MiB).
-GROUP_ROWS = 16
 
 
 def group_clients(clients) -> list:

@@ -161,7 +161,10 @@ def update_centers(bank: CenterBank, embeddings: np.ndarray, labels) -> None:
 
 def total_loss(fv: float, ce2: float, cen: float, w: LossWeights) -> float:
     """Weighted sum of the three local-training terms (per group row, if any)."""
-    for name, v in (("fv", fv), ("ce2", ce2), ("cen", cen)):
-        if not (np.isfinite(v) & (v >= 0)).all():
-            raise DomainError(f"loss term {name} must be finite and nonnegative")
-    return w.alpha1 * fv + w.alpha2 * ce2 + w.alpha3 * cen
+    total = w.alpha1 * fv + w.alpha2 * ce2 + w.alpha3 * cen
+    # all terms pass if the least is >= 0 and the sum finite (NaN or 0 * inf fails)
+    if not ((np.minimum(np.minimum(fv, ce2), cen) >= 0) & np.isfinite(total)).all():
+        for name, v in (("fv", fv), ("ce2", ce2), ("cen", cen)):
+            if not (np.isfinite(v) & (v >= 0)).all():
+                raise DomainError(f"loss term {name} must be finite and nonnegative")
+    return total

@@ -1,5 +1,7 @@
 """Server runtime: collects uploads, picks the mixing weights for the round's
-strategy, and dispatches one mixed parameter vector per client."""
+strategy, and dispatches one mixed parameter vector per client. The uploads are
+stacked once; the probes go through them in stacked forwards and the dispatches
+are the rows of one `mix`, each with the bits of a per-upload pass."""
 
 import enum
 from dataclasses import dataclass, field
@@ -77,10 +79,10 @@ def run_aggregation(server: ServerState):
             f"aggregation requires {server.expected_clients} uploads, "
             f"have {len(server.received)}")
     n = server.expected_clients
-    params = [server.received.pop(c) for c in server.client_ids]
+    params = np.stack([server.received.pop(c) for c in server.client_ids])
     if server.strategy is Strategy.PERSONALIZED:
-        models = [MLP(server.fed_arch.sizes, server.fed_arch.out_act, p) for p in params]
-        corr = build_correlation_matrix(models, server.probes, server.agg_cfg.clamp_epsilon)
+        uploads = MLP(server.fed_arch.sizes, server.fed_arch.out_act, params)
+        corr = build_correlation_matrix(uploads, server.probes, server.agg_cfg.clamp_epsilon)
         weights, gamma = correlation_weights(corr), server.agg_cfg.gamma
     else:
         weights, gamma = np.full((n, n), 1.0 / n), 1.0

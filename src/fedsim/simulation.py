@@ -119,7 +119,8 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
 
     def push(t, kind, subject, payload=None):
         nonlocal seq
-        heapq.heappush(queue, (t, kind.value, subject, seq, kind, payload))
+        # `_value_`/`_name_`: plain attributes, not the Python-level `.value`/`.name`
+        heapq.heappush(queue, (t, kind._value_, subject, seq, kind, payload))
         seq += 1
 
     d = cfg.async_step_duration
@@ -172,7 +173,7 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
         if kind is EventKind.LOCAL_ROUND_DONE:
             client = clients[subject]
             msg = train(t, kind, subject)
-            log.append(TimelineRecord(t, kind.name, subject, client.fed_round))
+            log.append(TimelineRecord(t, kind._name_, subject, client.fed_round))
             wait_start[subject] = t
             async_count[subject] = 0
             if server is None:
@@ -186,13 +187,13 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
 
         elif kind is EventKind.UPLOAD_ARRIVED:
             handle_upload(server, payload)
-            log.append(TimelineRecord(t, kind.name, -1, server.round))
+            log.append(TimelineRecord(t, kind._name_, -1, server.round))
             if server.ready:
                 push(t + cfg.server_compute_time, EventKind.AGGREGATION_DONE, -1)
 
         elif kind is EventKind.AGGREGATION_DONE:
             dispatches = run_aggregation(server)
-            log.append(TimelineRecord(t, kind.name, -1, server.round - 1))
+            log.append(TimelineRecord(t, kind._name_, -1, server.round - 1))
             for msg in dispatches:
                 c = index_of[msg.client_id]
                 push(t + cfg.download_latency[c], EventKind.MODEL_RETURNED, c,
@@ -202,7 +203,7 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
             if async_due(subject, payload):
                 train(t, kind, subject)
                 async_count[subject] += 1
-                log.append(TimelineRecord(t, kind.name, subject, payload))
+                log.append(TimelineRecord(t, kind._name_, subject, payload))
                 push(t + d, EventKind.ASYNC_STEP_DUE, subject, payload)
 
         elif kind is EventKind.MODEL_RETURNED:
@@ -211,7 +212,7 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
             client.adopt_global(payload)
             steps = async_count[subject]
             idle = t - wait_start[subject] - steps * (d or 0)
-            log.append(TimelineRecord(t, kind.name, subject, round_index,
+            log.append(TimelineRecord(t, kind._name_, subject, round_index,
                                       async_steps=steps, idle=idle))
             if on_round_complete is not None:
                 on_round_complete(client, round_index, t)

@@ -164,6 +164,18 @@ def correlation_rows(embs: np.ndarray) -> np.ndarray:
                      for e, n in zip(embs, norms)])
 
 
+def mix(params, weights: np.ndarray, gamma: float) -> np.ndarray:
+    """Rows gamma * sum_u weights[n, u] * params[u] + (1 - gamma) * params[n]: one axpy
+    per u in ascending order (rounds like a lone per-client sum), no copy of params."""
+    acc = np.zeros((len(weights), len(params[0])))
+    for u, p in enumerate(params):
+        acc += weights[:, u, None] * p
+    acc *= gamma
+    for row, p in zip(acc, params):
+        row += (1.0 - gamma) * p
+    return acc
+
+
 def score_pairs(embeddings: np.ndarray, labels, cap: int = IMPOSTOR_PAIR_CAP,
                 seed: int = 0) -> ScoreSet:
     """Cosine similarities of all same-label and cross-label embedding pairs,

@@ -87,7 +87,8 @@ def test_criterion_03_aggregation_oracle_equivalence():
         probes = rng.standard_normal((6, 4))
         models = [channel(4, 5, 3, seed=100 * n + c) for c in range(n)]
         params = [m.params for m in models]
-        corr = build_correlation_matrix(models, probes)
+        uploads = MLP(models[0].sizes, models[0].out_act, np.stack(params))
+        corr = build_correlation_matrix(uploads, probes)
         embs = [forward_batch(m, probes)[0] for m in models]
         for c in range(n):
             # straight-line re-derivation of the per-client dispatch

@@ -3,14 +3,15 @@ weighted-average baseline."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsim.aggregation import (AggregationConfig, build_correlation_matrix,
                                 correlation_degree, correlation_rows,
-                                fedavg_aggregate, personalized_aggregate)
+                                correlation_weights, fedavg_aggregate, mix,
+                                personalized_aggregate, probe_embeddings)
 from fedsim.errors import DomainError, ShapeError
-from fedsim.nn import channel, forward_batch
+from fedsim.nn import GROUP_ROWS, MLP, channel, forward_batch
 
 import oracles
 
@@ -19,6 +20,11 @@ def corr_from(entries):
     entries = np.asarray(entries, dtype=np.float64)
     np.fill_diagonal(entries, np.nan)
     return entries
+
+
+def stacked(models):
+    """One MLP holding the models' parameter vectors as an (N, L) stack."""
+    return MLP(models[0].sizes, models[0].out_act, np.stack([m.params for m in models]))
 
 
 class TestCorrelationDegree:
@@ -92,7 +98,7 @@ class TestBuildCorrelationMatrix:
     def test_identical_models_give_t(self):
         m = channel(4, 6, 3, seed=0)
         probes = np.random.default_rng(0).standard_normal((5, 4))
-        corr = build_correlation_matrix([m, m.clone()], probes)
+        corr = build_correlation_matrix(stacked([m, m.clone()]), probes)
         assert corr[0, 1] == pytest.approx(5.0, abs=1e-12)
         assert corr[1, 0] == pytest.approx(5.0, abs=1e-12)
 
@@ -100,7 +106,7 @@ class TestBuildCorrelationMatrix:
         rng = np.random.default_rng(4)
         models = [channel(4, 6, 3, seed=s) for s in range(3)]
         probes = rng.standard_normal((8, 4))
-        corr = build_correlation_matrix(models, probes)
+        corr = build_correlation_matrix(stacked(models), probes)
         # independent per-pair recomputation
         for i in range(3):
             for j in range(3):
@@ -121,22 +127,69 @@ class TestBuildCorrelationMatrix:
         neg = m.clone()
         neg.params = -neg.params
         probes = np.random.default_rng(5).standard_normal((4, 4))
-        corr = build_correlation_matrix([m, neg], probes, clamp_epsilon=1e-6)
+        corr = build_correlation_matrix(stacked([m, neg]), probes, clamp_epsilon=1e-6)
         # anti-correlated models are pinned to the clamp floor
         assert corr[0, 1] == 1e-6
 
     def test_symmetric_after_clamp(self):
         models = [channel(4, 6, 3, seed=s) for s in range(4)]
         probes = np.random.default_rng(6).standard_normal((6, 4))
-        corr = build_correlation_matrix(models, probes)
+        corr = build_correlation_matrix(stacked(models), probes)
         mask = ~np.eye(4, dtype=bool)
         np.testing.assert_array_equal(corr[mask],
                                       corr.T[mask])
 
     def test_single_model_rejected(self):
         with pytest.raises(DomainError):
-            build_correlation_matrix([channel(4, 6, 3, seed=0)],
+            build_correlation_matrix(stacked([channel(4, 6, 3, seed=0)]),
                                      np.ones((2, 4)))
+
+    def test_unstacked_model_rejected(self):
+        with pytest.raises(DomainError):
+            build_correlation_matrix(channel(4, 6, 3, seed=0), np.ones((2, 4)))
+
+
+class TestProbeEmbeddings:
+    """The server embeds the probes through all uploads at once, GROUP_ROWS models
+    per stacked forward; every row must equal that model's lone forward bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 15, 16, 17, 64])
+    def test_blocks_match_lone_forwards(self, n):
+        assert GROUP_ROWS == 16   # n straddles the block edges
+        # the fed channel and probe set of the `many_clients_agg` workload
+        models = [channel(32, 32, 16, seed=s) for s in range(n)]
+        probes = np.random.default_rng(n).standard_normal((128, 32))
+        got = probe_embeddings(stacked(models), probes)
+        expected = np.stack([forward_batch(m, probes)[0] for m in models])
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestMixMatchesAxpyBytes:
+    """`mix` is one einsum over the (N, L) stack; each entry must round as in the
+    axpy loop it replaced (`oracles.mix`), for correlation weights and for the
+    uniform FedAvg matrix and row, one column (L = 1) included."""
+
+    @given(st.integers(1, 70), st.one_of(st.just(1), st.integers(1, 2000)),
+           st.sampled_from(["correlation", "uniform", "fedavg_row"]),
+           st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+           st.integers(0, 2 ** 32 - 1))
+    @example(70, 1, "correlation", 0.5, 0)      # u would be einsum's inner loop
+    @example(64, 1584, "correlation", 0.5, 1)   # `many_clients_agg`
+    @settings(max_examples=100, deadline=None)
+    def test_bytes(self, n, length, weights, gamma, seed):
+        rng = np.random.default_rng(seed)
+        params = rng.standard_normal((n, length)) * np.exp(rng.uniform(-6, 6, (n, length)))
+        params[rng.random(params.shape) < 0.05] *= 0.0   # signed zeros
+        if weights == "correlation" and n > 1:
+            w = correlation_weights(corr_from(np.exp(rng.uniform(-6, 6, (n, n)))))
+        elif weights == "correlation":
+            w = np.zeros((1, 1))
+        else:
+            w = np.full((1 if weights == "fedavg_row" else n, n), 1.0 / n)
+        got = mix(params, w, gamma)
+        assert got.shape == (len(w), length)
+        assert got.tobytes() == oracles.mix(params, w, gamma).tobytes()
 
 
 class TestPersonalizedAggregate:

@@ -101,3 +101,22 @@ def test_tracer_counts_the_run_path_scoring(tmp_path):
     assert t.counters["metrics.pairs_scored"] == n * r * (
         genuine + min(impostor, IMPOSTOR_PAIR_CAP))
     assert t.counters["metrics.impostor_subsampled"] == n * r
+
+
+@pytest.mark.parametrize("personalized", [True, False])
+def test_tracer_counts_one_correlation_matrix_per_personalized_aggregation(personalized):
+    # 3 clients of the aggregation workload: the server embeds and correlates the
+    # probes once per personalized aggregation, and never under FedAvg
+    wl = replace(workloads.WORKLOADS["many_clients_agg"], n_clients=3,
+                 personalized=personalized)
+    cfg = wl.experiment_config(0)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        fedsim.experiment.run_experiment(cfg)
+    finally:
+        t.uninstall()
+    calls = {name: count for name, (count, _) in t.summary().items()}
+    assert calls["server.run_aggregation"] == cfg.rounds
+    assert calls.get("aggregation.build_correlation_matrix", 0) == (
+        cfg.rounds if personalized else 0)
