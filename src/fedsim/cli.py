@@ -65,9 +65,9 @@ def _execute_run(values, canonical, out_root):
         manifest["files"] = {"metrics": metrics_path, "timeline": timeline_path,
                              "traces": []}
         os.makedirs(os.path.join(run_dir, "traces"), exist_ok=True)
-        for client_id in sorted(result.final_scores):
+        for client_id in sorted(result.final_points):
             roc_path = os.path.join(run_dir, "traces", f"roc_client{client_id}.csv")
-            write_roc_csv(roc_path, result.final_scores[client_id])
+            write_roc_csv(roc_path, result.final_points[client_id])
             manifest["files"]["traces"].append(roc_path)
         manifest["final_metrics"] = [vars(rec) for rec in result.final_metrics()]
         manifest["status"] = "ok"

@@ -1,12 +1,12 @@
 """Property-test bed for the convergence regime: federated SGD on synthetic
-strongly convex quadratics with known constants, plus the aggregation-weight
-simplex check."""
+strongly convex quadratics with known constants, and the dispatch simplex
+check. Both mix through `aggregation.mix`, the rule every dispatch runs."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import AggregationConfig, correlation_weights
+from .aggregation import AggregationConfig, correlation_weights, mix
 from .errors import ConfigError, DomainError
 
 
@@ -34,21 +34,18 @@ class ConvexProblem:
     def condition_number(self) -> float:
         return self.smoothness / self.strong_convexity
 
-    def client_value(self, k, w):
-        d = w - self.targets[k]
-        return 0.5 * float(d @ self.mats[k] @ d)
-
-    def client_grad(self, k, w):
-        return self.mats[k] @ (w - self.targets[k])
+    def client_grads(self, models):
+        """(N, dim) gradients, row k client k's at row k of `models` (or at w)."""
+        return (self.mats @ (models - self.targets)[..., None])[..., 0]
 
     def value(self, w) -> float:
-        return float(sum(p * self.client_value(k, w)
-                         for k, p in enumerate(self.weights)))
+        return float(sum(p * (0.5 * float(d @ a @ d))
+                         for p, a, d in zip(self.weights, self.mats, w - self.targets)))
 
     def grad(self, w) -> np.ndarray:
         out = np.zeros(self.dim)
-        for k, p in enumerate(self.weights):
-            out += p * self.client_grad(k, w)
+        for p, g in zip(self.weights, self.client_grads(w)):
+            out += p * g
         return out
 
 
@@ -57,9 +54,11 @@ def make_problem(n_clients: int, dim: int, seed, heterogeneity: float = 1.0,
     """Seeded quadratic problem; optimum and constants in closed form."""
     if dim < 1 or n_clients < 1:
         raise ConfigError("dim and n_clients must be >= 1")
+    lo, hi = eig_range
+    if not 0 < lo <= hi:
+        raise ConfigError(f"eig_range must satisfy 0 < lo <= hi, got {eig_range}")
     rng = np.random.default_rng(seed)
     mats = np.empty((n_clients, dim, dim))
-    lo, hi = eig_range
     for k in range(n_clients):
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         eigs = rng.uniform(lo, hi, size=dim)
@@ -84,8 +83,7 @@ def make_problem(n_clients: int, dim: int, seed, heterogeneity: float = 1.0,
 
 @dataclass
 class ConvergenceTrace:
-    rounds: np.ndarray     # recorded round indices
-    mean_gap: np.ndarray   # mean optimality gap over replicates
+    mean_gap: np.ndarray   # (rounds + 1,) mean optimality gap over replicates
     std_gap: np.ndarray
 
 
@@ -93,57 +91,52 @@ def run_fedavg_convergence(problem: ConvexProblem, rounds: int, local_steps: int
                            lr_scale: float, lr_offset: float, noise: float,
                            seed, replicates: int = 1,
                            w0: np.ndarray = None) -> ConvergenceTrace:
-    """Federated averaging on the quadratic problem with decaying steps.
-
-    Step size at global step t is lr_scale / (t + lr_offset). Gaussian
-    gradient noise of scale `noise` is added per local step.
-    """
-    if rounds < 1 or local_steps < 1:
-        raise ConfigError("rounds and local_steps must be >= 1")
-    if w0 is None:
-        w0 = np.zeros(problem.dim)
+    """Federated averaging of an (N, dim) model stack on the quadratic problem:
+    step lr_scale / (t + lr_offset) at global step t, Gaussian gradient noise of
+    scale `noise` per local step, and at each round's end `mix` with gamma = 1
+    and every row of W the problem weights, so every row is the FedAvg model."""
+    if rounds < 1 or local_steps < 1 or replicates < 1:
+        raise ConfigError("rounds, local_steps and replicates must be >= 1")
+    if not (lr_offset > 0 and lr_scale >= 0):
+        raise ConfigError("need lr_offset > 0 and lr_scale >= 0")
+    n, dim = problem.targets.shape
+    w0 = np.zeros(dim) if w0 is None else w0
+    start, shared = np.tile(w0, (n, 1)), np.tile(problem.weights, (n, 1))
     gaps = np.empty((replicates, rounds + 1))
+    gaps[:, 0] = problem.value(w0) - problem.f_star
     for rep in range(replicates):
         rng = np.random.default_rng((seed, rep))
-        w = w0.copy()
-        gaps[rep, 0] = problem.value(w) - problem.f_star
-        t = 0
+        models = start.copy()
         for r in range(rounds):
-            locals_ = np.tile(w, (problem.n_clients, 1))
-            for _ in range(local_steps):
-                lr = lr_scale / (t + lr_offset)
-                for k in range(problem.n_clients):
-                    g = problem.client_grad(k, locals_[k])
-                    if noise > 0:
-                        g = g + noise * rng.standard_normal(problem.dim)
-                    locals_[k] -= lr * g
-                t += 1
-            w = np.einsum("k,ki->i", problem.weights, locals_)
-            gap = problem.value(w) - problem.f_star
+            for t in range(r * local_steps, (r + 1) * local_steps):
+                grads = problem.client_grads(models)
+                if noise > 0:
+                    grads += noise * rng.standard_normal((n, dim))
+                models -= lr_scale / (t + lr_offset) * grads
+            models = mix(models, shared, 1.0)
+            gap = problem.value(models[0]) - problem.f_star
             if gap > 1e6:
                 raise DomainError(f"divergence at round {r}: gap {gap:.3g}")
             gaps[rep, r + 1] = gap
-    rounds_axis = np.arange(rounds + 1)
-    return ConvergenceTrace(rounds_axis, gaps.mean(axis=0), gaps.std(axis=0))
+    return ConvergenceTrace(gaps.mean(axis=0), gaps.std(axis=0))
 
 
 def verify_simplex(n_samples: int, seed, eps=AggregationConfig.clamp_epsilon, tol=1e-12):
-    """Check that every personalized mixing row's weights sum to exactly 1.
+    """Check that every personalized dispatch's coefficients sum to exactly 1.
 
-    Draws random clamped (n, n) correlation matrices (n in 2..8) and gammas,
-    takes W from `aggregation.correlation_weights`, and checks
-    gamma * W.sum(1) + (1 - gamma) == 1 row by row. Returns (violations,
-    worst_deviation), counting a matrix with any row off by tol or more once.
+    Draws random clamped (n, n) correlation matrices (n in 2..8) and gammas;
+    row n of `mix(I, correlation_weights(R), gamma)` holds dispatch n's weight
+    on each upload. Returns (violations, worst_deviation), counting a matrix
+    with any row sum off 1 by tol or more once.
     """
     rng = np.random.default_rng(seed)
-    violations = 0
-    worst = 0.0
+    violations, worst = 0, 0.0
     for _ in range(n_samples):
         n = int(rng.integers(2, 9))
         entries = np.maximum(rng.uniform(-1.0, 5.0, size=(n, n)), eps)
         gamma = float(rng.uniform(0.0, 1.0))
-        totals = gamma * correlation_weights(entries).sum(axis=1) + (1.0 - gamma)
-        dev = float(np.abs(totals - 1.0).max())
+        rows = mix(np.eye(n), correlation_weights(entries), gamma)
+        dev = float(np.abs(rows.sum(axis=1) - 1.0).max())
         worst = max(worst, dev)
         if dev >= tol:
             violations += 1

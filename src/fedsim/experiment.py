@@ -93,7 +93,7 @@ class RunResult:
     config: ExperimentConfig
     metrics: list            # MetricsRecord, in event order
     timeline: object         # TimelineLog
-    final_scores: dict       # client id -> ScoreSet of its last evaluation
+    final_points: dict       # client id -> operating_points of its last evaluation
 
     def final_metrics(self):
         last = {}
@@ -132,30 +132,31 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         sim_cfg = replace(sim_cfg, async_step_duration=None)
 
     metrics = []
-    final_scores = {}
+    final_points = {}
     positions = {}   # client id -> pair_positions of its test split
 
     def on_round_complete(client, round_index, t):
         c = client.client_id
         if c not in positions:   # at the first evaluation: setup stays short
             positions[c] = pair_positions(test_of[c].labels, seed=cfg.seed * 1000 + c)
-        record, final_scores[c] = evaluate_client(client, test_of[c], round_index,
+        final_points.pop(c, None)   # the last sweep only: free the old one first
+        record, final_points[c] = evaluate_client(client, test_of[c], round_index,
                                                   positions[c])
         metrics.append(record)
 
     timeline, _, _ = run_simulation(sim_cfg, clients, server, on_round_complete)
-    return RunResult(cfg, metrics, timeline, final_scores)
+    return RunResult(cfg, metrics, timeline, final_points)
 
 
 def evaluate_client(client, test, round_index, positions):
     """Score the split's `pair_positions` and sweep them once; returns
-    (MetricsRecord, ScoreSet)."""
+    (MetricsRecord, operating_points)."""
     scores = client_score_set(client, test, positions)
     points = operating_points(scores)
     record = MetricsRecord(client.client_id, round_index, eer(points),
                            tar_at_far(points, 0.01),
                            int(scores.genuine.size), int(scores.impostor.size))
-    return record, scores
+    return record, points
 
 
 def client_score_set(client, test, positions) -> ScoreSet:
@@ -163,12 +164,12 @@ def client_score_set(client, test, positions) -> ScoreSet:
     return score_pairs(emb, test.labels, positions=positions)
 
 
-def write_roc_csv(path, scores: ScoreSet) -> None:
-    """Raw threshold sweep (threshold, FAR, FRR) for external DET plotting.
+def write_roc_csv(path, points) -> None:
+    """Raw threshold sweep (threshold, FAR, FRR) of `operating_points` for DET plots.
 
     The bytes are `csv.writer`'s: repr'd floats and CRLF line ends.
     """
-    thresholds, far, frr = operating_points(scores)
+    thresholds, far, frr = points
     with open(path, "w", newline="") as fh:
         fh.write("threshold,far,frr\r\n")
         for i in range(0, thresholds.size, 4096):  # chunks: no whole-file string

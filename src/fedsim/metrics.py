@@ -104,24 +104,26 @@ def operating_points(scores: ScoreSet):
     """
     if scores.genuine.size == 0 or scores.impostor.size == 0:
         raise DomainError("both genuine and impostor scores are required")
-    # np.unique, not the merge below, picks which of -0.0 and +0.0 stands
-    # for their tie; the merge can pick the other one
-    thresholds = np.unique(np.concatenate([scores.genuine, scores.impostor]))
     n_g, n_i = scores.genuine.size, scores.impostor.size
-    # one stable sort of the two sorted runs merges them
+    # one stable sort of the two sorted runs merges them (temporaries are
+    # dropped once read: a run holds every client's last sweep)
     merged = np.concatenate([np.sort(scores.genuine), np.sort(scores.impostor)])
     order = np.argsort(merged, kind="stable")
-    values = merged[order]
-    first = np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
+    is_imp, merged = order >= n_g, merged[order]
+    del order
+    first = np.flatnonzero(np.concatenate([[True], merged[1:] != merged[:-1]]))
+    del merged
     # impostors ahead of each threshold's first position score below it
-    is_imp = order >= n_g
     imp_below = np.cumsum(is_imp)[first] - is_imp[first]
-    # integer counts first: 1.0 - m/n would round at exact-boundary FARs
-    far = (n_i - imp_below) / n_i
-    frr = (first - imp_below) / n_g
-    far = np.append(far, 0.0)   # threshold above every score
-    frr = np.append(frr, 1.0)
-    thresholds = np.append(thresholds, np.inf)
+    # integer counts first: 1.0 - m/n would round at exact-boundary FARs;
+    # the last entries are for a threshold above every score
+    far = np.append((n_i - imp_below) / n_i, 0.0)
+    frr = np.append((first - imp_below) / n_g, 1.0)
+    del first, imp_below
+    # np.unique, not the merge above, picks which of -0.0 and +0.0 stands
+    # for their tie; the merge can pick the other one
+    thresholds = np.append(np.unique(np.concatenate([scores.genuine, scores.impostor])),
+                           np.inf)
     return thresholds, far, frr
 
 

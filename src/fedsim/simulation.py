@@ -50,17 +50,23 @@ class SimConfig:
         if self.n_clients < 1:
             raise ConfigError("n_clients must be >= 1")
         for name in ("local_step_duration", "upload_latency", "download_latency"):
-            vals = tuple(int(v) for v in _per_client(getattr(self, name),
-                                                      self.n_clients, name))
-            if any(v < 0 for v in vals):
-                raise ConfigError(f"{name} must be nonnegative")
-            object.__setattr__(self, name, vals)
-        if self.server_compute_time < 0:
-            raise ConfigError("server_compute_time must be nonnegative")
+            object.__setattr__(self, name, tuple(_ticks(name, v) for v in _per_client(
+                getattr(self, name), self.n_clients, name)))
+        object.__setattr__(self, "server_compute_time",
+                           _ticks("server_compute_time", self.server_compute_time))
         if self.async_step_duration is not None:
-            object.__setattr__(self, "async_step_duration", int(self.async_step_duration))
-            if self.async_step_duration < 1:
-                raise ConfigError("async_step_duration must be >= 1 tick (or None)")
+            object.__setattr__(self, "async_step_duration",
+                               _ticks("async_step_duration", self.async_step_duration, 1))
+
+
+def _ticks(name, value, least=0) -> int:
+    """`value` as an int number of ticks >= least; a fraction, NaN or inf is refused."""
+    try:
+        if int(value) == value and value >= least:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be a whole number of ticks >= {least}, got {value!r}")
 
 
 @dataclass
@@ -91,9 +97,6 @@ class TimelineLog:
         with open(path, "w") as fh:
             for rec in self.records:
                 fh.write(rec.as_json() + "\n")
-
-    def by_kind(self, kind: str):
-        return [r for r in self.records if r.kind == kind]
 
 
 def run_simulation(cfg: SimConfig, clients, server: ServerState = None,

@@ -5,7 +5,8 @@ time so a test can compare the two. The open-set scoring references recompute
 every pair mask, the impostor subsample and the threshold search on each call,
 and repr every row of a ROC trace. The batch-kernel references below are the
 kernels as first written, with the same arithmetic and none of the shortcuts:
-the fast kernels must match them byte for byte.
+the fast kernels must match them byte for byte. So must the convergence
+harness's gaps those of its per-client loop below, at dim >= 2.
 """
 
 import numpy as np
@@ -231,3 +232,40 @@ def write_roc_csv(path, scores: ScoreSet) -> None:
         fh.write("threshold,far,frr\r\n")
         for t, fa, fr in zip(thresholds.tolist(), far.tolist(), frr.tolist()):
             fh.write(f"{t!r},{fa!r},{fr!r}\r\n")
+
+
+def client_grad(problem, k, w):
+    """Gradient of client k's quadratic at w, one client at a time."""
+    return problem.mats[k] @ (w - problem.targets[k])
+
+
+def run_fedavg_convergence(problem, rounds: int, local_steps: int,
+                           lr_scale: float, lr_offset: float, noise: float,
+                           seed, replicates: int = 1, w0: np.ndarray = None):
+    """The convergence harness as first written: a per-client loop on a model
+    stack tiled from the average each round, averaged by its own einsum.
+    Returns (mean_gap, std_gap)."""
+    if w0 is None:
+        w0 = np.zeros(problem.dim)
+    gaps = np.empty((replicates, rounds + 1))
+    for rep in range(replicates):
+        rng = np.random.default_rng((seed, rep))
+        w = w0.copy()
+        gaps[rep, 0] = problem.value(w) - problem.f_star
+        t = 0
+        for r in range(rounds):
+            locals_ = np.tile(w, (problem.n_clients, 1))
+            for _ in range(local_steps):
+                lr = lr_scale / (t + lr_offset)
+                for k in range(problem.n_clients):
+                    g = client_grad(problem, k, locals_[k])
+                    if noise > 0:
+                        g = g + noise * rng.standard_normal(problem.dim)
+                    locals_[k] -= lr * g
+                t += 1
+            w = np.einsum("k,ki->i", problem.weights, locals_)
+            gap = problem.value(w) - problem.f_star
+            if gap > 1e6:
+                raise DomainError(f"divergence at round {r}: gap {gap:.3g}")
+            gaps[rep, r + 1] = gap
+    return gaps.mean(axis=0), gaps.std(axis=0)

@@ -27,7 +27,7 @@ from fedsim.simulation import EventKind, SimConfig, run_simulation
 from fedsim.synth import LabeledDataset
 from oracles import (finite_difference_grad, finite_difference_grad_stacked,
                      fv_cos_grad, fv_cos_loss)
-from sim_defaults import sim_config
+from sim_defaults import by_kind, sim_config
 
 
 def report(num, name, ok, detail=""):
@@ -291,13 +291,13 @@ def test_criterion_07_async_schedule_exactness():
     cfg = sim_config(n_clients=1, rounds=1, upload_latency=5, download_latency=0,
                      server_compute_time=0, async_step_duration=1)
     log, _, _ = run_simulation(cfg, _sim_clients(1), _sim_server(1))
-    five = [r.async_steps for r in log.by_kind("MODEL_RETURNED")] == [5]
+    five = [r.async_steps for r in by_kind(log, "MODEL_RETURNED")] == [5]
 
     # all latencies zero: exactly 0 steps
     cfg = sim_config(n_clients=2, rounds=2, upload_latency=0, download_latency=0,
                      server_compute_time=0, async_step_duration=1)
     log, _, _ = run_simulation(cfg, _sim_clients(2), _sim_server(2))
-    zero = all(r.async_steps == 0 for r in log.by_kind("MODEL_RETURNED"))
+    zero = all(r.async_steps == 0 for r in by_kind(log, "MODEL_RETURNED"))
 
     # conservation on every round of a heterogeneous 3-client run
     cfg = SimConfig(n_clients=3, rounds=4, local_step_duration=(1, 2, 1),
@@ -357,7 +357,7 @@ def test_criterion_08_freeze_and_upload_isolation(monkeypatch):
                      download_latency=4, server_compute_time=2,
                      async_step_duration=1)
     log, _, _ = run_simulation(cfg, clients, server)
-    steps = len(log.by_kind("ASYNC_STEP_DUE"))
+    steps = len(by_kind(log, "ASYNC_STEP_DUE"))
     report(8, "frozen parts unchanged by wait-window steps; uploads bit-exact",
            checks["frozen"] and checks["uploads"] == 30 and steps > 0,
            f"{steps} async steps, {checks['uploads']} uploads verified")

@@ -8,8 +8,10 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
+import fedsim.convergence
 import fedsim.losses
 from fedsim.aggregation import AggregationConfig
 from fedsim.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_FAILURE, EXIT_OK, main)
@@ -424,6 +426,24 @@ class TestVerifyVerb:
         monkeypatch.setattr(fedsim.losses, "fv_cos_batch", doubled)
         assert main(["verify"]) == EXIT_FAILURE
         assert "[FAIL] cosine alignment loss algebra" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("breakage, failed", [
+        ("drop the self term", ["aggregation weight simplex"]),
+        ("scale the rows", ["aggregation weight simplex",
+                            "noise-free federated descent"]),
+    ])
+    def test_verify_checks_the_mixing_rule_runs_use(self, monkeypatch, capsys,
+                                                    breakage, failed):
+        real = fedsim.convergence.mix
+        broken = {
+            "drop the self term": lambda p, w, g: g * np.einsum("nu,ul->nl", w, p),
+            "scale the rows": lambda p, w, g: 1.01 * real(p, w, g),
+        }[breakage]
+        monkeypatch.setattr(fedsim.convergence, "mix", broken)
+        assert main(["verify"]) == EXIT_FAILURE
+        fails = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("[FAIL]")]
+        assert [name for name in failed if any(name in line for line in fails)] == failed
 
     def test_negative_seed_is_a_config_error(self, capsys):
         assert main(["verify", "--seed", "-1"]) == EXIT_CONFIG

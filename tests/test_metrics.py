@@ -245,7 +245,7 @@ class TestSweepOracle:
     def test_trace_bytes_match_oracle(self, tmp_path_factory, genuine, impostor):
         s = ScoreSet(genuine, impostor)
         d = tmp_path_factory.mktemp("roc")
-        write_roc_csv(d / "got.csv", s)
+        write_roc_csv(d / "got.csv", operating_points(s))
         oracles.write_roc_csv(d / "expected.csv", s)
         assert (d / "got.csv").read_bytes() == (d / "expected.csv").read_bytes()
 
@@ -254,7 +254,7 @@ class TestSweepOracle:
         # makes runs of equal FAR and FRR that cross the chunk boundaries
         rng = np.random.default_rng(11)
         s = ScoreSet(np.round(rng.normal(0.4, 0.3, 3000), 3), rng.normal(0.0, 0.3, 9000))
-        write_roc_csv(tmp_path / "got.csv", s)
+        write_roc_csv(tmp_path / "got.csv", operating_points(s))
         oracles.write_roc_csv(tmp_path / "expected.csv", s)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 

@@ -18,7 +18,7 @@ from fedsim.server import ServerState, Strategy
 from fedsim.simulation import (EventKind, SimConfig, TimelineLog,
                                TimelineRecord, run_simulation)
 from fedsim.synth import LabeledDataset, SynthSpec
-from sim_defaults import sim_config
+from sim_defaults import by_kind, sim_config
 from test_golden import artifact_digest
 
 
@@ -52,7 +52,7 @@ def make_server(n, seed=0, strategy=None):
 
 
 def returns_of(log):
-    return log.by_kind(EventKind.MODEL_RETURNED.name)
+    return by_kind(log, EventKind.MODEL_RETURNED.name)
 
 
 class TestAsyncBudget:
@@ -101,7 +101,7 @@ class TestAsyncBudget:
                          async_step_duration=4)
         log, _, _ = run_simulation(cfg, make_clients(1), make_server(1))
         assert [(r.async_steps, r.idle) for r in returns_of(log)] == [(1, 1)] * 3
-        assert len(log.by_kind(EventKind.ASYNC_STEP_DUE.name)) == 3
+        assert len(by_kind(log, EventKind.ASYNC_STEP_DUE.name)) == 3
 
 
 @st.composite
@@ -128,8 +128,8 @@ class TestScheduleProperties:
         log, server = run()
         d = cfg.async_step_duration
         done = {(r.subject, r.round): r.t
-                for r in log.by_kind(EventKind.LOCAL_ROUND_DONE.name)}
-        steps = log.by_kind(EventKind.ASYNC_STEP_DUE.name)
+                for r in by_kind(log, EventKind.LOCAL_ROUND_DONE.name)}
+        steps = by_kind(log, EventKind.ASYNC_STEP_DUE.name)
         for r in returns_of(log):
             wait = r.t - done[(r.subject, r.round)]
             if d is None:
@@ -160,7 +160,7 @@ class TestScheduleProperties:
             assert [r.round for r in returns_of(log) if r.subject == c] \
                 == list(range(cfg.rounds))
         assert all((r.async_steps, r.idle) == (0, 0) for r in returns_of(log))
-        assert not log.by_kind(EventKind.ASYNC_STEP_DUE.name)
+        assert not by_kind(log, EventKind.ASYNC_STEP_DUE.name)
         ts = [r.t for r in log.records]
         assert ts == sorted(ts)
         assert [r.as_json() for r in run().records] == [r.as_json() for r in log.records]
@@ -260,7 +260,7 @@ class TestSynchronousReference:
                 r.t for r in log.records
                 if r.subject == rec.subject
                 and r.kind == EventKind.LOCAL_ROUND_DONE.name and r.t <= rec.t)
-        assert not log.by_kind(EventKind.ASYNC_STEP_DUE.name)
+        assert not by_kind(log, EventKind.ASYNC_STEP_DUE.name)
 
     def test_equals_run_with_huge_async_step(self):
         # a step longer than any wait window never fires
@@ -281,9 +281,9 @@ class TestSoloMode:
     def test_no_server_events(self):
         cfg = sim_config(n_clients=2, rounds=2, async_step_duration=1)
         log, _, _ = run_simulation(cfg, make_clients(2), server=None)
-        assert not log.by_kind(EventKind.UPLOAD_ARRIVED.name)
-        assert not log.by_kind(EventKind.AGGREGATION_DONE.name)
-        assert not log.by_kind(EventKind.ASYNC_STEP_DUE.name)
+        assert not by_kind(log, EventKind.UPLOAD_ARRIVED.name)
+        assert not by_kind(log, EventKind.AGGREGATION_DONE.name)
+        assert not by_kind(log, EventKind.ASYNC_STEP_DUE.name)
 
     def test_solo_rounds_complete(self):
         cfg = sim_config(n_clients=1, rounds=3, async_step_duration=1)
@@ -320,6 +320,22 @@ class TestValidation:
     def test_zero_async_step_rejected(self):
         with pytest.raises(ConfigError):
             sim_config(n_clients=1, rounds=1, async_step_duration=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("local_step_duration", 1.5), ("upload_latency", (10, 2.5)),
+        ("download_latency", float("nan")), ("server_compute_time", 2.5),
+        ("async_step_duration", 2.7)])
+    def test_fractional_ticks_rejected(self, field, value):
+        # int() would run 1.5 as 1 tick; the CLI refuses these values too
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(synth=SynthSpec(n_clients=2), **{field: value})
+
+    def test_whole_float_ticks_stored_as_ints(self):
+        cfg = sim_config(n_clients=2, rounds=1, local_step_duration=2.0,
+                         server_compute_time=5.0, async_step_duration=3.0)
+        assert cfg.local_step_duration == (2, 2)
+        assert type(cfg.server_compute_time) is int and cfg.server_compute_time == 5
+        assert type(cfg.async_step_duration) is int
 
     def test_client_count_mismatch_rejected(self):
         cfg = sim_config(n_clients=3, rounds=1)
