@@ -4,9 +4,9 @@ the returned personalized parameters.
 
 Clients train in groups: a `ClientGroup` stacks the trained parts, center
 banks and training sets of clients that share every shape and training
-setting, and each member's own arrays are row views of those stacks. One
-kernel call with a leading group axis then steps every member at once, and
-row g equals member g stepped alone through its own arrays, bit for bit.
+setting, and each member's own arrays are row views of those stacks. Every
+step is one kernel call with a leading group axis; a member stepped alone
+is a group of one over its own arrays, bit for bit its row of the group.
 """
 
 import enum
@@ -210,16 +210,16 @@ def _own_arrays(c: ClientState) -> tuple:
 
 
 class ClientGroup:
-    """Clients of one `_group_key`, trained in one of two step shapes.
+    """Clients of one `_group_key`, each step one kernel call with a group axis.
 
     Two members or more are stacked: one (G, L) model per trained part, one
     (G, K, d) center bank and (G, n, ·) training sets, of which each member's
     `MLP.params`, `CenterBank.centers` and dataset arrays become row views. A
-    step of every member is one kernel call on the stacks; any other step
-    takes each stepped member alone through its own arrays, bit for bit its
-    row of the stacked call. A group of one stacks nothing. A stacked member
-    that rebinds one of its arrays is refused at its next step. Members keep
-    their own learning rate and RNG streams."""
+    group of one views its member's own arrays with a leading axis of 1. A
+    member stepped alone is stepped by its own group of one, built once and
+    kept, bit for bit its row of the full step. A member that rebinds one of
+    its arrays is refused at its next step. Members keep their own learning
+    rate and RNG streams."""
 
     def __init__(self, members):
         self.members = list(members)
@@ -230,22 +230,23 @@ class ClientGroup:
         self.batch_size = first.batch_size
         self.loss_weights = first.loss_weights
         self.n_samples = first.dataset.labels.size
-        self.models = None   # the stacks, with two members or more
-        if len(self.members) == 1:
-            return
+        one = len(self.members) == 1
+        stack = (lambda arrays: arrays[0][None]) if one else np.stack
         self.models = {attr: MLP(getattr(first, attr).sizes, getattr(first, attr).out_act,
-                                 np.stack([getattr(c, attr).params for c in self.members]))
+                                 stack([getattr(c, attr).params for c in self.members]))
                        for attr in _PART_MODELS.values()}
-        self.bank = CenterBank(np.stack([c.center_bank.centers for c in self.members]),
-                               first.center_bank.lr)
-        self.inputs = np.stack([c.dataset.inputs for c in self.members])
-        self.labels = np.stack([c.dataset.labels for c in self.members])
-        for g, c in enumerate(self.members):
+        centers = stack([c.center_bank.centers for c in self.members])
+        self.bank = CenterBank(centers, first.center_bank.lr)
+        self.bank.centers = centers   # the bank copies what it is given
+        self.inputs = stack([c.dataset.inputs for c in self.members])
+        self.labels = stack([c.dataset.labels for c in self.members])
+        for g, c in enumerate(self.members if not one else ()):
             for attr, model in self.models.items():
                 getattr(c, attr).params = model.params[g]
             c.center_bank.centers = self.bank.centers[g]
             c.dataset.inputs, c.dataset.labels = self.inputs[g], self.labels[g]
         self._rows = [_own_arrays(c) for c in self.members]
+        self._alone = {}   # row -> that member's group of one
         # views of the (G, n, ·) sets as (G*n, ·) rows: sample i of member g is row g*n + i
         self._flat_inputs = self.inputs.reshape(-1, self.inputs.shape[-1])
         self._flat_labels = self.labels.reshape(-1)
@@ -256,7 +257,7 @@ class ClientGroup:
             c = self.members[g]
             if c.phase is not phase:
                 raise ProtocolError(f"{step} in phase {c.phase}")
-            if self.models is not None and any(map(is_not, _own_arrays(c), self._rows[g])):
+            if any(map(is_not, _own_arrays(c), self._rows[g])):
                 raise ProtocolError(f"client {c.client_id} rebound an array of its group")
 
     def local_rounds(self, rows) -> dict:
@@ -305,36 +306,32 @@ class ClientGroup:
         return {g: dead[g] if g in dead else losses[g][0] for g in rows}
 
     def _steps(self, rows, phase, batch_index, idx, losses, dead):
-        """Step the members in `rows` all at once through the stacks, or each alone."""
-        if self.models is not None and len(rows) == len(self.members):
+        """Step the members in `rows` all at once, or each as its own group of one."""
+        if len(rows) == len(self.members):
             try:
-                return self._step(None, phase, batch_index, idx, losses, dead)
+                return self._step(rows, phase, batch_index, idx, losses, dead)
             except DomainError:
                 pass   # non-finite activations from exploded parameters: find whose
         for g in rows:
-            self._step(g, phase, batch_index, idx[g], losses, dead)
+            if g not in self._alone:
+                self._alone[g] = ClientGroup([self.members[g]])
+            self._alone[g]._step((g,), phase, batch_index, idx[g:g + 1], losses, dead)
 
     # the finite checks below report an overflow once, as a DivergenceError;
     # numpy's RuntimeWarnings for it would only add lines ahead of that one
     @np.errstate(over="ignore", invalid="ignore")
-    def _step(self, g, phase, batch_index, idx, losses, dead):
-        """One SGD step on training rows `idx`: of member g through its own
-        arrays, or of every member through the stacks when g is None.
+    def _step(self, rows, phase, batch_index, idx, losses, dead):
+        """One SGD step of every member, member i on its training rows idx[i].
 
-        Appends each member's loss to losses[row]. A member whose loss or an
-        updated part is non-finite gets its first error in dead[row], with
+        Appends member i's loss to losses[rows[i]]. A member whose loss or an
+        updated part is non-finite gets its first error in dead[rows[i]], with
         the message, round, phase and batch a step of it alone would raise. A
-        stacked step lets a `DomainError` through, raised before any update."""
-        if g is None:
-            rows, models, bank = range(len(self.members)), self.models, self.bank
-            at = idx + self._row_offset
-            xb, yb = self._flat_inputs.take(at, axis=0), self._flat_labels.take(at)
-            lr = np.array([c.lr for c in self.members], dtype=np.float64)[:, None]
-        else:
-            c = self.members[g]
-            rows, bank, lr = (g,), c.center_bank, c.lr
-            models = {attr: getattr(c, attr) for attr in _PART_MODELS.values()}
-            xb, yb = c.dataset.inputs[idx], c.dataset.labels[idx]
+        `DomainError`, raised before any update, is the member's error in a
+        group of one; a larger group lets it through."""
+        models, bank = self.models, self.bank
+        at = idx + self._row_offset
+        xb, yb = self._flat_inputs.take(at, axis=0), self._flat_labels.take(at)
+        lr = np.array([c.lr for c in self.members], dtype=np.float64)[:, None]
         try:
             if phase == "local":
                 out = local_loss_and_grads(
@@ -343,11 +340,11 @@ class ClientGroup:
             else:
                 out = async_loss_and_grads(models["local_channel"], models["head1"], xb, yb)
         except DomainError as exc:
-            if g is None:
+            if len(self.members) > 1:
                 raise
-            err = c._diverged(f"{phase} training diverged: {exc}", phase, batch_index)
+            dead[rows[0]] = err = self.members[0]._diverged(
+                f"{phase} training diverged: {exc}", phase, batch_index)
             err.__cause__ = exc
-            dead[g] = err
             return
 
         loss, grads = out[0], out[1]
@@ -363,11 +360,11 @@ class ClientGroup:
                     ("parameters", ~np.isfinite(models[_PART_MODELS[part]].params).all(axis=-1))
                     for part in grads]:
                 for i in np.flatnonzero(bad):
-                    dead.setdefault(rows[i], self.members[rows[i]]._diverged(
+                    dead.setdefault(rows[i], self.members[i]._diverged(
                         f"non-finite {phase} training {what}", phase, batch_index))
         if phase == "local" and self.loss_weights.alpha3 > 0:
             update_centers(bank, out[2], yb)
-        for row, value in zip(rows, np.atleast_1d(loss).tolist()):
+        for row, value in zip(rows, loss.tolist()):
             losses[row].append(value)
 
 

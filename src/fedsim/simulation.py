@@ -4,11 +4,11 @@ Sim-time is integer ticks. Events at equal timestamps are ordered by a fixed
 kind rank (server work first, async steps before model returns) and then by
 subject id, so the processed sequence is a pure function of the inputs.
 
-Clients train in groups (`client.ClientGroup`, never stacked for one). The
-first local round or async step of a group to come up on a tick trains every
-member with that event queued on that tick, all in one stacked call or each
-alone; each member's result waits until its own event is handled, in the
-order above. Rebinding a stacked member's arrays raises `ProtocolError`.
+Clients train in groups (`client.ClientGroup`). The first local round or
+async step of a group to come up on a tick trains every member with that
+event queued on that tick, all in one stacked call or each as its own group
+of one; each member's result waits until its own event is handled, in the
+order above. Rebinding a member's arrays raises `ProtocolError`.
 """
 
 import enum

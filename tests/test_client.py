@@ -335,6 +335,12 @@ def alike_clients(lrs, weights=LossWeights(0.1, 1.0, 0.01), batch=8, seed=0):
     return clients
 
 
+REBINDS = {
+    "params": lambda c: setattr(c.fusion, "params", c.fusion.params.copy()),
+    "centers": lambda c: setattr(c.center_bank, "centers", c.center_bank.centers.copy()),
+    "labels": lambda c: setattr(c.dataset, "labels", c.dataset.labels.copy())}
+
+
 class TestClientGroup:
     @settings(max_examples=40, deadline=None)
     @given(lrs=st.lists(st.floats(0.0, 0.3), min_size=1, max_size=6),
@@ -382,29 +388,34 @@ class TestClientGroup:
         c, = alike_clients([0.05])
         before = (c.local_channel.params, c.fed_channel.params, c.head1.params,
                   c.center_bank.centers, c.dataset.inputs)
-        assert ClientGroup([c]).models is None
+        group = ClientGroup([c])
+        for part in PARTS:
+            assert np.shares_memory(group.models[part].params, getattr(c, part).params)
+        assert np.shares_memory(group.bank.centers, c.center_bank.centers)
+        assert np.shares_memory(group.inputs, c.dataset.inputs)
+        assert np.shares_memory(group.labels, c.dataset.labels)
         c.local_train_round()
         c.async_train_step()
         after = (c.local_channel.params, c.fed_channel.params, c.head1.params,
                  c.center_bank.centers, c.dataset.inputs)
         assert all(a is b for a, b in zip(before, after))
 
-    @pytest.mark.parametrize("rebind", [
-        lambda c: setattr(c.fusion, "params", c.fusion.params.copy()),
-        lambda c: setattr(c.center_bank, "centers", c.center_bank.centers.copy()),
-        lambda c: setattr(c.dataset, "labels", c.dataset.labels.copy())],
-        ids=["params", "centers", "labels"])
-    def test_rebound_member_refused_before_any_row_steps(self, rebind):
-        clients = alike_clients([0.05, 0.1, 0.02])
+    @pytest.mark.parametrize("rebind, size", [
+        pytest.param(rebind, size, id=name if size > 1 else f"{name}-group_of_one")
+        for size in (3, 1) for name, rebind in REBINDS.items()])
+    def test_rebound_member_refused_before_any_row_steps(self, rebind, size):
+        # a kept group of one holds views of its member's arrays, as a stack does
+        clients = alike_clients([0.05, 0.1, 0.02][:size])
         group = ClientGroup(clients)
-        rebind(clients[2])
+        rebind(clients[-1])
         before = [c.local_channel.params.copy() for c in clients]
-        with pytest.raises(ProtocolError, match="client 2 rebound"):
-            group.local_rounds([0, 1, 2])
+        with pytest.raises(ProtocolError, match=f"client {size - 1} rebound"):
+            group.local_rounds(list(range(size)))
         for c, params in zip(clients, before):
             assert np.array_equal(c.local_channel.params, params)
             assert c.phase is Phase.LOCAL_TRAINING
-        assert group.local_rounds([0, 1]).keys() == {0, 1}   # the others still train
+        others = list(range(size - 1))
+        assert group.local_rounds(others).keys() == set(others)   # the others still train
 
     def test_unlike_clients_rejected(self):
         a, = alike_clients([0.05])

@@ -445,6 +445,20 @@ class TestVerifyVerb:
                  if line.startswith("[FAIL]")]
         assert [name for name in failed if any(name in line for line in fails)] == failed
 
+    def test_verify_reports_a_diverging_descent_run_as_its_failed_check(
+            self, monkeypatch, capsys):
+        real = fedsim.convergence.mix
+        monkeypatch.setattr(fedsim.convergence, "mix", lambda p, w, g: 1.5 * real(p, w, g))
+        assert main(["verify"]) == EXIT_FAILURE
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[-1] == "2/4 checks passed"
+        descent = [line for line in lines if "noise-free federated descent" in line]
+        assert len(descent) == 1
+        assert descent[0].startswith("[FAIL] ")
+        assert "(divergence at round " in descent[0]
+        assert err == ""
+
     def test_negative_seed_is_a_config_error(self, capsys):
         assert main(["verify", "--seed", "-1"]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err

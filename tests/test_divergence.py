@@ -201,7 +201,7 @@ def test_stacked_step_names_a_bad_loss_and_a_bad_part_each_alone(part):
 
     def poisoned(*args):
         loss, grads, z = loss_and_grads(*args)
-        calls.append(np.ndim(loss))
+        calls.append(np.shape(loss))
         if len(calls) == 2:
             assert np.shape(loss) == (4,)
             loss[[1, 3]] = np.nan
@@ -220,7 +220,7 @@ def test_stacked_step_names_a_bad_loss_and_a_bad_part_each_alone(part):
     assert [other for other in PARTS
             if not np.isfinite(getattr(clients[2], other).params).all()] == [part]
     # member 0 ran on, alone once the stack had dead members, to the same bits
-    assert calls[2:] and all(ndim == 0 for ndim in calls[2:])
+    assert calls[2:] and all(shape == (1,) for shape in calls[2:])
     assert list(out) == [0]
     assert np.array_equal(out[0].params, expected[0].params)
     assert clients[0].last_epoch_losses == reference[0].last_epoch_losses
