@@ -1,7 +1,7 @@
 """Aggregation as one mixing rule over the stacked uploads P: dispatch row n is
 gamma * sum_u W[n,u] * P[u] + (1 - gamma) * P[n]. Personalized mixing takes W
 from probe-set correlations, W[n,u] = R[n,u] / sum_{k!=n} R[n,k] with a zero
-diagonal; FedAvg is W = 1/N with gamma = 1."""
+diagonal. FedAvg is one row of weights with gamma = 1, sent to every client."""
 
 from dataclasses import dataclass
 
@@ -93,24 +93,28 @@ def mix(params: np.ndarray, weights: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _stack_params(params_list) -> np.ndarray:
-    """Stack equal-length parameter vectors into an (N, L) array."""
-    params = [np.asarray(p, dtype=np.float64) for p in params_list]
-    if any(p.ndim != 1 or p.shape != params[0].shape for p in params):
+    """Equal-length parameter vectors as an (N, L) float64 stack; an (N, L) float64
+    array is that stack already and is not copied."""
+    try:
+        params = np.asarray(params_list, dtype=np.float64)
+    except ValueError as exc:
+        raise ShapeError(f"all parameter vectors must have equal length: {exc}") from exc
+    if params.ndim != 2:
         raise ShapeError("all parameter vectors must have equal length")
-    return np.stack(params)
+    return params
 
 
 def personalized_aggregate(params_list, entries: np.ndarray,
-                           cfg: AggregationConfig, n: int) -> np.ndarray:
-    """Client n's row of the correlation mixing rule for the (N, N) matrix `entries`."""
+                           cfg: AggregationConfig) -> np.ndarray:
+    """(N, L) dispatches by the correlation rule for `entries`: row n is client n's."""
     params = _stack_params(params_list)
     if params.shape[0] != entries.shape[0]:
         raise ShapeError("parameter count does not match correlation matrix")
-    return mix(params, correlation_weights(entries), cfg.gamma)[n]
+    return mix(params, correlation_weights(entries), cfg.gamma)
 
 
 def fedavg_aggregate(params_list, weights) -> np.ndarray:
-    """Element-wise weighted mean of parameter vectors (gamma = 1, shared row)."""
+    """Element-wise weighted mean of parameter vectors: the row every client is sent."""
     params = _stack_params(params_list)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(params),):

@@ -193,14 +193,18 @@ def _raise_diverged(result):
     return result
 
 
+def _settings(c: ClientState) -> tuple:
+    """The training settings a group reads from its first member: all but lr."""
+    return c.local_epochs, c.batch_size, c.loss_weights, c.center_bank.lr
+
+
 def _group_key(client: ClientState) -> tuple:
-    """What clients of one group must share: every array shape and every
-    training setting except the learning rate, which is read per client."""
+    """What clients of one group must share: every array shape and `_settings`;
+    the learning rate is read per client at each step."""
     return (tuple((getattr(client, attr).sizes, getattr(client, attr).out_act)
                   for attr in _PART_MODELS.values()),
-            client.center_bank.centers.shape, client.center_bank.lr,
-            client.dataset.inputs.shape, client.batch_size, client.local_epochs,
-            client.loss_weights)
+            client.center_bank.centers.shape, client.dataset.inputs.shape,
+            _settings(client))
 
 
 def _own_arrays(c: ClientState) -> tuple:
@@ -218,17 +222,16 @@ class ClientGroup:
     group of one views its member's own arrays with a leading axis of 1. A
     member stepped alone is stepped by its own group of one, built once and
     kept, bit for bit its row of the full step. A member that rebinds one of
-    its arrays is refused at its next step. Members keep their own learning
-    rate and RNG streams."""
+    its arrays or changes one of its `_settings` is refused at its next step.
+    Members keep their own learning rate and RNG streams."""
 
     def __init__(self, members):
         self.members = list(members)
         first = self.members[0]
         if any(_group_key(c) != _group_key(first) for c in self.members):
             raise ShapeError("clients of one group must share shapes and settings")
-        self.local_epochs = first.local_epochs
-        self.batch_size = first.batch_size
-        self.loss_weights = first.loss_weights
+        self.settings = _settings(first)
+        self.local_epochs, self.batch_size, self.loss_weights, bank_lr = self.settings
         self.n_samples = first.dataset.labels.size
         one = len(self.members) == 1
         stack = (lambda arrays: arrays[0][None]) if one else np.stack
@@ -236,7 +239,7 @@ class ClientGroup:
                                  stack([getattr(c, attr).params for c in self.members]))
                        for attr in _PART_MODELS.values()}
         centers = stack([c.center_bank.centers for c in self.members])
-        self.bank = CenterBank(centers, first.center_bank.lr)
+        self.bank = CenterBank(centers, bank_lr)
         self.bank.centers = centers   # the bank copies what it is given
         self.inputs = stack([c.dataset.inputs for c in self.members])
         self.labels = stack([c.dataset.labels for c in self.members])
@@ -259,6 +262,8 @@ class ClientGroup:
                 raise ProtocolError(f"{step} in phase {c.phase}")
             if any(map(is_not, _own_arrays(c), self._rows[g])):
                 raise ProtocolError(f"client {c.client_id} rebound an array of its group")
+            if _settings(c) != self.settings:
+                raise ProtocolError(f"client {c.client_id} changed a setting of its group")
 
     def local_rounds(self, rows) -> dict:
         """One local round of each member in `rows` (sorted row indices).

@@ -1,12 +1,12 @@
 """Property-test bed for the convergence regime: federated SGD on synthetic
 strongly convex quadratics with known constants, and the dispatch simplex
-check. Both mix through `aggregation.mix`, the rule every dispatch runs."""
+check. Both mix through the rules the server runs, `aggregation.*_aggregate`."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import AggregationConfig, correlation_weights, mix
+from .aggregation import AggregationConfig, fedavg_aggregate, personalized_aggregate
 from .errors import ConfigError, DomainError
 
 
@@ -93,15 +93,15 @@ def run_fedavg_convergence(problem: ConvexProblem, rounds: int, local_steps: int
                            w0: np.ndarray = None) -> ConvergenceTrace:
     """Federated averaging of an (N, dim) model stack on the quadratic problem:
     step lr_scale / (t + lr_offset) at global step t, Gaussian gradient noise of
-    scale `noise` per local step, and at each round's end `mix` with gamma = 1
-    and every row of W the problem weights, so every row is the FedAvg model."""
+    scale `noise` per local step, and at each round's end every row set to the
+    `fedavg_aggregate` of the stack under the problem weights."""
     if rounds < 1 or local_steps < 1 or replicates < 1:
         raise ConfigError("rounds, local_steps and replicates must be >= 1")
     if not (lr_offset > 0 and lr_scale >= 0):
         raise ConfigError("need lr_offset > 0 and lr_scale >= 0")
     n, dim = problem.targets.shape
     w0 = np.zeros(dim) if w0 is None else w0
-    start, shared = np.tile(w0, (n, 1)), np.tile(problem.weights, (n, 1))
+    start = np.tile(w0, (n, 1))
     gaps = np.empty((replicates, rounds + 1))
     gaps[:, 0] = problem.value(w0) - problem.f_star
     for rep in range(replicates):
@@ -113,7 +113,7 @@ def run_fedavg_convergence(problem: ConvexProblem, rounds: int, local_steps: int
                 if noise > 0:
                     grads += noise * rng.standard_normal((n, dim))
                 models -= lr_scale / (t + lr_offset) * grads
-            models = mix(models, shared, 1.0)
+            models[:] = fedavg_aggregate(models, problem.weights)
             gap = problem.value(models[0]) - problem.f_star
             if gap > 1e6:
                 raise DomainError(f"divergence at round {r}: gap {gap:.3g}")
@@ -125,9 +125,9 @@ def verify_simplex(n_samples: int, seed, eps=AggregationConfig.clamp_epsilon, to
     """Check that every personalized dispatch's coefficients sum to exactly 1.
 
     Draws random clamped (n, n) correlation matrices (n in 2..8) and gammas;
-    row n of `mix(I, correlation_weights(R), gamma)` holds dispatch n's weight
-    on each upload. Returns (violations, worst_deviation), counting a matrix
-    with any row sum off 1 by tol or more once.
+    row n of the personalized dispatches of the identity stack holds dispatch
+    n's weight on each upload. Returns (violations, worst_deviation), counting
+    a matrix with any row sum off 1 by tol or more once.
     """
     rng = np.random.default_rng(seed)
     violations, worst = 0, 0.0
@@ -135,7 +135,7 @@ def verify_simplex(n_samples: int, seed, eps=AggregationConfig.clamp_epsilon, to
         n = int(rng.integers(2, 9))
         entries = np.maximum(rng.uniform(-1.0, 5.0, size=(n, n)), eps)
         gamma = float(rng.uniform(0.0, 1.0))
-        rows = mix(np.eye(n), correlation_weights(entries), gamma)
+        rows = personalized_aggregate(np.eye(n), entries, AggregationConfig(gamma))
         dev = float(np.abs(rows.sum(axis=1) - 1.0).max())
         worst = max(worst, dev)
         if dev >= tol:

@@ -122,10 +122,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     else:
         probes = load_probe_set(probe_source, cfg.probe_size, (cfg.seed, 555))
         strategy = Strategy.PERSONALIZED if personalized_on else Strategy.FEDAVG
-        server = ServerState(expected_clients=n, probes=probes,
+        server = ServerState(client_ids=cfg.clients, probes=probes,
                              fed_arch=clients[0].fed_channel.clone(),
-                             agg_cfg=cfg.agg, strategy=strategy,
-                             client_ids=cfg.clients)
+                             agg_cfg=cfg.agg, strategy=strategy)
 
     sim_cfg = cfg.schedule()
     if not async_on:

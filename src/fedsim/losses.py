@@ -12,8 +12,6 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 
-EPS = 1e-300  # guards log of exact zero only
-
 
 @dataclass(frozen=True)
 class LossWeights:

@@ -1,7 +1,7 @@
-"""Server runtime: collects uploads, picks the mixing weights for the round's
-strategy, and dispatches one mixed parameter vector per client. The uploads are
-stacked once; the probes go through them in stacked forwards and the dispatches
-are the rows of one `mix`, each with the bits of a per-upload pass."""
+"""Server runtime: collects uploads, mixes them by the round's strategy, and
+dispatches one mixed parameter vector per client. The uploads are stacked once,
+the probes go through them in stacked forwards, and the dispatches come from
+`personalized_aggregate` or, one row shared by all, `fedavg_aggregate`."""
 
 import enum
 from dataclasses import dataclass, field
@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregation import (AggregationConfig, build_correlation_matrix,
-                          correlation_weights, mix)
+                          fedavg_aggregate, personalized_aggregate)
 from .errors import (ConfigError, DivergenceError, ProtocolError, ShapeError,
                      StaleMessageError)
 from .client import UploadMessage
@@ -30,26 +30,22 @@ class DispatchMessage:
 
 @dataclass
 class ServerState:
-    expected_clients: int
+    client_ids: tuple                  # the roster, stored sorted
     probes: np.ndarray                 # (T, in_dim)
     fed_arch: MLP                      # architecture template for uploads
     agg_cfg: AggregationConfig = field(default_factory=AggregationConfig)
     strategy: Strategy = Strategy.PERSONALIZED
     round: int = 0
     received: dict = field(default_factory=dict)  # client_id -> float64 params
-    client_ids: tuple = None           # defaults to 0..expected_clients-1
 
     def __post_init__(self):
-        if self.client_ids is None:
-            self.client_ids = tuple(range(self.expected_clients))
-        else:
-            self.client_ids = tuple(sorted(self.client_ids))
-        if not len(set(self.client_ids)) == len(self.client_ids) == self.expected_clients:
-            raise ConfigError("client_ids must list one distinct id per expected client")
+        self.client_ids = tuple(sorted(self.client_ids))
+        if len(set(self.client_ids)) != len(self.client_ids):
+            raise ConfigError("client_ids must list each client once")
 
     @property
     def ready(self) -> bool:
-        return len(self.received) == self.expected_clients
+        return len(self.received) == len(self.client_ids)
 
 
 def handle_upload(server: ServerState, msg: UploadMessage) -> None:
@@ -74,19 +70,18 @@ def handle_upload(server: ServerState, msg: UploadMessage) -> None:
 
 def run_aggregation(server: ServerState):
     """Aggregate all uploads and emit one dispatch per client; advances the round."""
+    n = len(server.client_ids)
     if not server.ready:
         raise ProtocolError(
-            f"aggregation requires {server.expected_clients} uploads, "
-            f"have {len(server.received)}")
-    n = server.expected_clients
+            f"aggregation requires {n} uploads, have {len(server.received)}")
     params = np.stack([server.received.pop(c) for c in server.client_ids])
     if server.strategy is Strategy.PERSONALIZED:
         uploads = MLP(server.fed_arch.sizes, server.fed_arch.out_act, params)
         corr = build_correlation_matrix(uploads, server.probes, server.agg_cfg.clamp_epsilon)
-        weights, gamma = correlation_weights(corr), server.agg_cfg.gamma
+        outs = personalized_aggregate(params, corr, server.agg_cfg)
     else:
-        weights, gamma = np.full((n, n), 1.0 / n), 1.0
-    outs = mix(params, weights, gamma)
+        # one shared row: adopt_global copies it into each client's own array
+        outs = [fedavg_aggregate(params, np.full(n, 1.0 / n))] * n
     dispatches = [DispatchMessage(c, server.round, out)
                   for c, out in zip(server.client_ids, outs)]
     server.round += 1

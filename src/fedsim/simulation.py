@@ -134,9 +134,8 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
     index_of = {client.client_id: i for i, client in enumerate(clients)}
 
     place = group_clients(clients)   # client index -> (its group, its row)
-    # client index -> result of a training event not yet handled, one dict per
-    # kind: hashing an Enum key runs Python code
-    local_stash, async_stash = {}, {}
+    # client index -> its result for the (tick, kind) being handled, not yet popped
+    stash = {}
 
     def async_due(c, round_index):
         # a chain from an earlier round stops even if its client waits again
@@ -146,7 +145,6 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
         """The result of subject's training event at t, trained together with
         every event of its group queued for the same tick and kind."""
         local = kind is EventKind.LOCAL_ROUND_DONE
-        stash = local_stash if local else async_stash
         if subject not in stash:
             group = place[subject][0]
             due = {subject} | {

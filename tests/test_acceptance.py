@@ -61,12 +61,12 @@ def test_criterion_02_aggregation_degenerate_cases():
     entries = rng.uniform(0.5, 3.0, (3, 3))
     np.fill_diagonal(entries, np.nan)
     # gamma = 0: the client's own model, bit-exact
-    own = personalized_aggregate(params, entries, AggregationConfig(0.0), 1)
+    own = personalized_aggregate(params, entries, AggregationConfig(0.0))[1]
     ok = np.array_equal(own, params[1])
     # identical uploads: the shared model back, any gamma
     shared = [params[0].copy() for _ in range(3)]
     for gamma in (0.3, 0.7, 1.0):
-        out = personalized_aggregate(shared, entries, AggregationConfig(gamma), 2)
+        out = personalized_aggregate(shared, entries, AggregationConfig(gamma))[2]
         ok = ok and np.allclose(out, params[0], atol=1e-12)
     # hand-computed scalar case: R = (3, 1), gamma = 0.5, params (0, 4, 8)
     hand_entries = np.array([[np.nan, 3.0, 1.0],
@@ -74,7 +74,7 @@ def test_criterion_02_aggregation_degenerate_cases():
                              [1.0, 1.0, np.nan]])
     out = personalized_aggregate(
         [np.array([0.0]), np.array([4.0]), np.array([8.0])],
-        hand_entries, AggregationConfig(0.5), 0)
+        hand_entries, AggregationConfig(0.5))[0]
     ok = ok and out[0] == 2.5
     report(2, "mixing rule degenerate and hand-computed cases", ok)
 
@@ -104,7 +104,7 @@ def test_criterion_03_aggregation_oracle_equivalence():
                 r[u] = max(total, 1e-6)
             mix = sum((r[u] / sum(r.values())) * params[u] for u in r)
             expected = 0.5 * mix + 0.5 * params[c]
-            got = personalized_aggregate(params, corr, AggregationConfig(0.5), c)
+            got = personalized_aggregate(params, corr, AggregationConfig(0.5))[c]
             worst = max(worst, float(np.max(np.abs(got - expected))))
     elapsed = time.perf_counter() - start
     report(3, "dispatches equal straight-line re-implementation",
@@ -281,7 +281,7 @@ def _sim_clients(n, seed=0, epochs=1):
 def _sim_server(n, seed=0):
     probes = np.random.default_rng((seed, 99)).standard_normal((5, 6))
     strategy = Strategy.PERSONALIZED if n >= 2 else Strategy.FEDAVG
-    return ServerState(expected_clients=n, probes=probes,
+    return ServerState(client_ids=range(n), probes=probes,
                        fed_arch=channel(6, 6, 4, seed=(seed, 2)),
                        agg_cfg=AggregationConfig(0.5), strategy=strategy)
 

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedsim.aggregation import (AggregationConfig, build_correlation_matrix,
-                                correlation_degree, correlation_rows,
-                                correlation_weights, fedavg_aggregate, mix,
-                                personalized_aggregate, probe_embeddings)
+from fedsim.aggregation import (AggregationConfig, _stack_params,
+                                build_correlation_matrix, correlation_degree,
+                                correlation_rows, correlation_weights,
+                                fedavg_aggregate, mix, personalized_aggregate,
+                                probe_embeddings)
 from fedsim.errors import DomainError, ShapeError
 from fedsim.nn import GROUP_ROWS, MLP, channel, forward_batch
 
@@ -197,20 +198,20 @@ class TestPersonalizedAggregate:
         rng = np.random.default_rng(7)
         params = [rng.standard_normal(10) for _ in range(3)]
         corr = corr_from(rng.uniform(0.1, 2.0, (3, 3)))
-        out = personalized_aggregate(params, corr, AggregationConfig(0.0), 1)
+        out = personalized_aggregate(params, corr, AggregationConfig(0.0))[1]
         assert np.array_equal(out, params[1])
 
     def test_two_clients_gamma_one_returns_other(self):
         params = [np.array([1.0, 2.0]), np.array([5.0, -3.0])]
         corr = corr_from([[0, 0.7], [0.7, 0]])
-        out = personalized_aggregate(params, corr, AggregationConfig(1.0), 0)
+        out = personalized_aggregate(params, corr, AggregationConfig(1.0))[0]
         np.testing.assert_allclose(out, params[1], atol=1e-12)
 
     def test_three_client_hand_arithmetic(self):
         # weights (3/4, 1/4) over others, gamma 0.5, scalar params (0, 4, 8)
         params = [np.array([0.0]), np.array([4.0]), np.array([8.0])]
         corr = corr_from([[0, 3.0, 1.0], [3.0, 0, 1.0], [1.0, 1.0, 0]])
-        out = personalized_aggregate(params, corr, AggregationConfig(0.5), 0)
+        out = personalized_aggregate(params, corr, AggregationConfig(0.5))[0]
         assert out[0] == pytest.approx(2.5, abs=1e-12)
 
     def test_identical_inputs_fixed_point(self):
@@ -219,7 +220,7 @@ class TestPersonalizedAggregate:
         corr = corr_from(np.random.default_rng(9).uniform(0.1, 3.0, (4, 4)))
         for gamma in (0.0, 0.3, 1.0):
             out = personalized_aggregate(params, corr,
-                                         AggregationConfig(max(gamma, 1e-9)), 2)
+                                         AggregationConfig(max(gamma, 1e-9)))[2]
             np.testing.assert_allclose(out, p, atol=1e-12)
 
     @given(st.integers(0, 10 ** 6), st.floats(0.0, 1.0))
@@ -229,7 +230,7 @@ class TestPersonalizedAggregate:
         n = int(rng.integers(2, 6))
         params = [rng.standard_normal(5) for _ in range(n)]
         corr = corr_from(rng.uniform(1e-6, 2.0, (n, n)))
-        out = personalized_aggregate(params, corr, AggregationConfig(gamma), 0)
+        out = personalized_aggregate(params, corr, AggregationConfig(gamma))[0]
         stack = np.stack(params)
         assert np.all(out >= stack.min(axis=0) - 1e-9)
         assert np.all(out <= stack.max(axis=0) + 1e-9)
@@ -240,28 +241,34 @@ class TestPersonalizedAggregate:
         entries = rng.uniform(0.1, 2.0, (4, 4))
         entries = (entries + entries.T) / 2
         corr = corr_from(entries.copy())
-        out = personalized_aggregate(params, corr, AggregationConfig(0.7), 0)
+        out = personalized_aggregate(params, corr, AggregationConfig(0.7))[0]
         # swap clients 2 and 3 everywhere; client 0's result must not move
         perm = [0, 1, 3, 2]
         permuted = corr_from(entries[np.ix_(perm, perm)])
         out_p = personalized_aggregate([params[i] for i in perm], permuted,
-                                       AggregationConfig(0.7), 0)
+                                       AggregationConfig(0.7))[0]
         np.testing.assert_allclose(out, out_p, atol=1e-12)
 
     def test_uniform_r_gamma_one_equals_fedavg_over_others(self):
         rng = np.random.default_rng(11)
         params = [rng.standard_normal(6) for _ in range(4)]
         corr = corr_from(np.full((4, 4), 0.8))
-        out = personalized_aggregate(params, corr, AggregationConfig(1.0), 1)
+        out = personalized_aggregate(params, corr, AggregationConfig(1.0))[1]
         others = [params[u] for u in (0, 2, 3)]
         expected = fedavg_aggregate(others, np.full(3, 1.0 / 3.0))
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    def test_float64_stack_is_not_copied(self):
+        # the server passes its (N, L) upload stack; a copy would raise peak memory
+        stack = np.arange(6.0).reshape(3, 2)
+        assert _stack_params(stack) is stack
+        assert np.array_equal(_stack_params(list(stack)), stack)
 
     def test_length_mismatch_raises(self):
         params = [np.zeros(3), np.zeros(4)]
         corr = corr_from([[0, 1.0], [1.0, 0]])
         with pytest.raises(ShapeError):
-            personalized_aggregate(params, corr, AggregationConfig(0.5), 0)
+            personalized_aggregate(params, corr, AggregationConfig(0.5))
 
 
 class TestSimplexInvariant:

@@ -106,7 +106,8 @@ def test_tracer_counts_the_run_path_scoring(tmp_path):
 @pytest.mark.parametrize("personalized", [True, False])
 def test_tracer_counts_one_correlation_matrix_per_personalized_aggregation(personalized):
     # 3 clients of the aggregation workload: the server embeds and correlates the
-    # probes once per personalized aggregation, and never under FedAvg
+    # probes once per personalized aggregation, and never under FedAvg; each
+    # aggregation mixes through its own strategy's rule, once
     wl = replace(workloads.WORKLOADS["many_clients_agg"], n_clients=3,
                  personalized=personalized)
     cfg = wl.experiment_config(0)
@@ -118,5 +119,7 @@ def test_tracer_counts_one_correlation_matrix_per_personalized_aggregation(perso
         t.uninstall()
     calls = {name: count for name, (count, _) in t.summary().items()}
     assert calls["server.run_aggregation"] == cfg.rounds
-    assert calls.get("aggregation.build_correlation_matrix", 0) == (
-        cfg.rounds if personalized else 0)
+    for name, on in [("build_correlation_matrix", personalized),
+                     ("personalized_aggregate", personalized),
+                     ("fedavg_aggregate", not personalized)]:
+        assert calls.get(f"aggregation.{name}", 0) == (cfg.rounds if on else 0), name

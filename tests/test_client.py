@@ -341,6 +341,14 @@ REBINDS = {
     "labels": lambda c: setattr(c.dataset, "labels", c.dataset.labels.copy())}
 
 
+# settings a group reads once, from its first member
+SETTINGS = {
+    "local_epochs": lambda c: setattr(c, "local_epochs", 1),
+    "batch_size": lambda c: setattr(c, "batch_size", 4),
+    "loss_weights": lambda c: setattr(c, "loss_weights", LossWeights(0.2, 1.0, 0.01)),
+    "center_lr": lambda c: setattr(c.center_bank, "lr", 0.25)}
+
+
 class TestClientGroup:
     @settings(max_examples=40, deadline=None)
     @given(lrs=st.lists(st.floats(0.0, 0.3), min_size=1, max_size=6),
@@ -416,6 +424,19 @@ class TestClientGroup:
             assert c.phase is Phase.LOCAL_TRAINING
         others = list(range(size - 1))
         assert group.local_rounds(others).keys() == set(others)   # the others still train
+
+    @pytest.mark.parametrize("change", SETTINGS.values(), ids=SETTINGS)
+    def test_changed_setting_refused_before_any_row_steps(self, change):
+        # the group would go on training with the setting it read at construction
+        clients = alike_clients([0.05, 0.1, 0.02])
+        group = ClientGroup(clients)
+        change(clients[0])
+        before = [c.local_channel.params.copy() for c in clients]
+        with pytest.raises(ProtocolError, match="client 0 changed a setting of its group"):
+            group.local_rounds([0, 1, 2])
+        for c, params in zip(clients, before):
+            assert np.array_equal(c.local_channel.params, params)
+            assert c.phase is Phase.LOCAL_TRAINING
 
     def test_unlike_clients_rejected(self):
         a, = alike_clients([0.05])

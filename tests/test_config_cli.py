@@ -11,7 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-import fedsim.convergence
+import fedsim.aggregation
 import fedsim.losses
 from fedsim.aggregation import AggregationConfig
 from fedsim.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_FAILURE, EXIT_OK, main)
@@ -434,12 +434,12 @@ class TestVerifyVerb:
     ])
     def test_verify_checks_the_mixing_rule_runs_use(self, monkeypatch, capsys,
                                                     breakage, failed):
-        real = fedsim.convergence.mix
+        real = fedsim.aggregation.mix
         broken = {
             "drop the self term": lambda p, w, g: g * np.einsum("nu,ul->nl", w, p),
             "scale the rows": lambda p, w, g: 1.01 * real(p, w, g),
         }[breakage]
-        monkeypatch.setattr(fedsim.convergence, "mix", broken)
+        monkeypatch.setattr(fedsim.aggregation, "mix", broken)
         assert main(["verify"]) == EXIT_FAILURE
         fails = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("[FAIL]")]
@@ -447,8 +447,8 @@ class TestVerifyVerb:
 
     def test_verify_reports_a_diverging_descent_run_as_its_failed_check(
             self, monkeypatch, capsys):
-        real = fedsim.convergence.mix
-        monkeypatch.setattr(fedsim.convergence, "mix", lambda p, w, g: 1.5 * real(p, w, g))
+        real = fedsim.aggregation.mix
+        monkeypatch.setattr(fedsim.aggregation, "mix", lambda p, w, g: 1.5 * real(p, w, g))
         assert main(["verify"]) == EXIT_FAILURE
         out, err = capsys.readouterr()
         lines = out.splitlines()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fedsim.convergence
+import fedsim.aggregation
 import oracles
 from fedsim.convergence import make_problem, run_fedavg_convergence, verify_simplex
 from fedsim.errors import ConfigError
@@ -50,25 +50,25 @@ def test_stacked_gradients_match_per_client_bytes():
 
 def test_harness_averages_through_mix(monkeypatch):
     calls = []
-    real = fedsim.convergence.mix
+    real = fedsim.aggregation.mix
 
     def spy(params, weights, gamma):
         calls.append((params.shape, weights.copy(), gamma))
         return real(params, weights, gamma)
 
-    monkeypatch.setattr(fedsim.convergence, "mix", spy)
+    monkeypatch.setattr(fedsim.aggregation, "mix", spy)
     problem = make_problem(3, 4, seed=1)
     run_fedavg_convergence(problem, rounds=4, local_steps=2, lr_scale=0.5,
                            lr_offset=2.0, noise=0.0, seed=0)
     assert len(calls) == 4
     for shape, weights, gamma in calls:
         assert shape == (3, 4) and gamma == 1.0
-        assert np.array_equal(weights, np.tile(problem.weights, (3, 1)))
+        assert np.array_equal(weights, problem.weights[None, :])
 
 
 def test_simplex_check_reads_mix(monkeypatch):
-    real = fedsim.convergence.mix
-    monkeypatch.setattr(fedsim.convergence, "mix",
+    real = fedsim.aggregation.mix
+    monkeypatch.setattr(fedsim.aggregation, "mix",
                         lambda params, weights, gamma: 1.01 * real(params, weights, gamma))
     violations, worst = verify_simplex(50, seed=0)
     assert violations == 50 and worst == pytest.approx(0.01)

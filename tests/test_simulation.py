@@ -45,7 +45,7 @@ def make_server(n, seed=0, strategy=None):
         # the personalized rule needs at least two models to mix
         strategy = Strategy.PERSONALIZED if n >= 2 else Strategy.FEDAVG
     probes = np.random.default_rng((seed, 99)).standard_normal((5, 6))
-    return ServerState(expected_clients=n, probes=probes,
+    return ServerState(client_ids=range(n), probes=probes,
                        fed_arch=channel(6, 6, 4, seed=(seed, 2)),
                        agg_cfg=AggregationConfig(0.5),
                        strategy=strategy)
@@ -365,6 +365,17 @@ class TestValidation:
         with pytest.raises(ProtocolError, match="client 0 rebound"):
             run_simulation(sim_config(n_clients=2, rounds=3), make_clients(2),
                            make_server(2), rebind)
+
+    def test_changing_a_group_setting_is_refused(self):
+        # the scheduler times a round by client.local_epochs; the group would
+        # still train the epochs it read at construction
+        def more_epochs(client, round_index, t):
+            if round_index == 0:
+                client.local_epochs += 1
+
+        with pytest.raises(ProtocolError, match="changed a setting of its group"):
+            run_simulation(sim_config(n_clients=2, rounds=3), make_clients(2),
+                           None, more_epochs)
 
     def test_timeline_rejects_time_travel(self):
         log = TimelineLog()
