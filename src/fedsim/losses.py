@@ -118,7 +118,7 @@ def _center_rows(embeddings: np.ndarray, labels, bank: CenterBank) -> np.ndarray
     if labels.size and (labels.dtype.kind not in "iu" or labels.min() < 0
                         or labels.max() >= k):
         raise DomainError(f"no center for a class in {np.unique(labels)}")
-    if labels.ndim == 2:
+    if labels.ndim == 2 and labels.shape[0] > 1:   # a group of one: no offset
         labels = labels + k * np.arange(labels.shape[0])[:, None]
     return labels
 
