@@ -5,8 +5,8 @@ Verbs:
   sweep  -- run a grid of config overrides and collect a summary table
   verify -- run the cross-module invariant checks
 
-Exit codes: 0 success, 1 invariant/acceptance failure, 2 config error,
-3 training divergence.
+Exit codes: 0 success, 1 invariant/acceptance failure or I/O error, 2 config
+error, 3 training divergence.
 """
 
 import argparse
@@ -81,34 +81,28 @@ def _execute_run(values, canonical, out_root):
 def _write_traces(jobs):
     """`write_roc_csv` each (path, points) job, round-robin between this process and
     one forked child per further usable CPU, as `repr` holds the GIL; the bytes are
-    the same at any width. Reaps every child, then raises a child's error text."""
+    the same at any width. A child reports by exit status only: after reaping every
+    child, this process rewrites each failed child's share, raising a lasting error."""
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     width = min(len(os.sched_getaffinity(0)) if can_fork else 1, len(jobs))
-    children, errors = [], []
+    children = {}
     try:
         for k in range(1, width):
-            read_fd, write_fd = os.pipe()
             if (pid := os.fork()) == 0:   # os._exit: no buffer flush, no exit handler
                 try:
                     for path, points in jobs[k::width]:
                         write_roc_csv(path, points)
                     os._exit(0)
-                except BaseException as exc:
-                    os.write(write_fd, str(exc).encode())
                 finally:
                     os._exit(1)
-            os.close(write_fd)
-            children.append((pid, read_fd))
+            children[pid] = k
         for path, points in jobs[::width]:
             write_roc_csv(path, points)
     finally:
-        for pid, read_fd in children:
-            with open(read_fd, "rb") as fh:
-                text = fh.read().decode(errors="replace")
-            if os.waitpid(pid, 0)[1]:
-                errors.append(text or f"trace writer {pid} died")
-    if errors:
-        raise FedSimError(errors[0])
+        failed = [k for pid, k in children.items() if os.waitpid(pid, 0)[1]]
+    for k in failed:
+        for path, points in jobs[k::width]:
+            write_roc_csv(path, points)
 
 
 def cmd_run(args) -> int:
@@ -263,7 +257,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"divergence: {_describe(exc)}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except FedSimError as exc:
+    except (FedSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

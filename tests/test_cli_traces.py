@@ -2,8 +2,8 @@
 per further usable CPU; these pin what that must not change.
 
 The bytes are the goldens of tests/test_cli_artifacts.py at any width, a
-child's failure fails the run, no child outlives the run, and no child
-writes to the parent's output.
+failure the run's own process cannot repair fails the run, no child outlives
+the run, and no child writes to the parent's output.
 """
 
 import hashlib
@@ -75,6 +75,54 @@ def test_failed_child_write_fails_the_run(config, tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().err == f"error: {refused.value}\n"
     manifest = json.loads((out / RUN_ID / "manifest.json").read_text())
     assert manifest["status"] == f"failed: {refused.value}"
+    with pytest.raises(ChildProcessError):   # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def file_above_out(out):
+    out.parent.write_text("")   # `--out` under a regular file
+    os.makedirs(out / RUN_ID)
+
+
+def dir_at_own_trace(out):
+    blocked = out / RUN_ID / "traces" / "roc_client0.csv"   # the parent's share
+    blocked.mkdir(parents=True)
+    open(blocked, "w")
+
+
+@pytest.mark.parametrize("block, has_manifest",
+                         [(file_above_out, False), (dir_at_own_trace, True)])
+def test_write_error_in_this_process_exits_1_with_one_line(
+        block, has_manifest, config, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "above" / "out"
+    with pytest.raises(OSError) as refused:
+        block(out)
+    assert run_cli(config, out, 1, monkeypatch) == (EXIT_FAILURE, 0)
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
+    manifest = out / RUN_ID / "manifest.json"
+    assert manifest.exists() == has_manifest
+    if has_manifest:
+        assert json.loads(manifest.read_text())["status"] == f"failed: {refused.value}"
+
+
+def test_writer_that_dies_before_it_writes_is_repaired(config, tmp_path, monkeypatch):
+    test_pid = os.getpid()
+    write = fedsim.cli.write_roc_csv
+
+    def dies_in_a_child(path, points):
+        if os.getpid() != test_pid:
+            os._exit(9)
+        write(path, points)
+
+    monkeypatch.setattr(fedsim.cli, "write_roc_csv", dies_in_a_child)
+    out = tmp_path / "out"
+    assert run_cli(config, out, 2, monkeypatch) == (EXIT_OK, 1)
+    got = {rel: hashlib.sha256((out / RUN_ID / rel).read_bytes()).hexdigest()
+           for rel in DIGESTS}
+    assert got == DIGESTS
+    manifest = json.loads((out / RUN_ID / "manifest.json").read_text())
+    assert manifest["files"]["traces"] == [
+        str(out / RUN_ID / "traces" / f"roc_client{c}.csv") for c in (0, 1)]
     with pytest.raises(ChildProcessError):   # every child was reaped
         os.waitpid(-1, os.WNOHANG)
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,7 +240,7 @@ class TestRunVerb:
         out = str(tmp_path / "out")
         assert main(["run", "--config", small_config, "--out", out,
                      "--mode", "solo"]) == EXIT_OK
-        timeline = open(os.path.join(only_run_dir(out), "timeline.log")).read()
+        timeline = Path(only_run_dir(out), "timeline.log").read_text()
         assert "UPLOAD_ARRIVED" not in timeline
         assert "AGGREGATION_DONE" not in timeline
         assert "MODEL_RETURNED" in timeline
@@ -249,8 +250,7 @@ class TestRunVerb:
         for out in outs:
             assert main(["run", "--config", small_config, "--out", out]) == EXIT_OK
         for name in ("metrics.csv", "timeline.log"):
-            blobs = [open(os.path.join(only_run_dir(o), name), "rb").read()
-                     for o in outs]
+            blobs = [Path(only_run_dir(o), name).read_bytes() for o in outs]
             assert blobs[0] == blobs[1]
 
     def test_disabling_every_toggle_matches_plain_averaging(
@@ -264,8 +264,8 @@ class TestRunVerb:
                      "--set", "toggles.personalized=off"]) == EXIT_OK
         assert main(["run", "--config", small_config, "--out", out_b,
                      "--mode", "fedavg"]) == EXIT_OK
-        a = open(os.path.join(only_run_dir(out_a), "metrics.csv"), "rb").read()
-        b = open(os.path.join(only_run_dir(out_b), "metrics.csv"), "rb").read()
+        a = Path(only_run_dir(out_a), "metrics.csv").read_bytes()
+        b = Path(only_run_dir(out_b), "metrics.csv").read_bytes()
         assert a == b
 
     def test_client_subset_restricts_metrics(self, small_config, tmp_path):
