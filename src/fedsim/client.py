@@ -68,8 +68,9 @@ def local_loss_and_grads(local_channel, fed_channel, fusion, head2, bank,
                          x_batch, y_batch, weights: LossWeights):
     """Full local-training loss and analytic gradients for the four trained parts.
 
-    Returns (loss, grads dict, fused embeddings). Group models and bank take
-    (G, B, ·) batches and give a (G,) loss and (G, L) gradients.
+    Returns (loss, grads keyed by `PARTS` name, fused embeddings). Group
+    models and bank take (G, B, ·) batches and give a (G,) loss and (G, L)
+    gradients.
     """
     f_p, cache_p = forward_batch(local_channel, x_batch)
     f_g, cache_g = forward_batch(fed_channel, x_batch)
@@ -96,7 +97,8 @@ def local_loss_and_grads(local_channel, fed_channel, fusion, head2, bank,
     dfg = dfused[..., emb_l:] + weights.alpha1 * dfg_fv
     dp_local, _ = backward_batch(local_channel, cache_p, dfp, input_grad=False)
     dp_fed, _ = backward_batch(fed_channel, cache_g, dfg, input_grad=False)
-    grads = {"local": dp_local, "fed": dp_fed, "fusion": dp_fusion, "head2": dp_head2}
+    grads = {"local_channel": dp_local, "fed_channel": dp_fed, "fusion": dp_fusion,
+             "head2": dp_head2}
     return loss, grads, z
 
 
@@ -107,7 +109,7 @@ def async_loss_and_grads(local_channel, head1, x_batch, y_batch):
     loss, dlogits = cross_entropy_batch(logits, y_batch)
     dp_head1, dfp = backward_batch(head1, cache_h, dlogits)
     dp_local, _ = backward_batch(local_channel, cache_p, dfp, input_grad=False)
-    return loss, {"local": dp_local, "head1": dp_head1}
+    return loss, {"local_channel": dp_local, "head1": dp_head1}
 
 
 def fused_embeddings(local_channel, fed_channel, fusion, inputs):
@@ -118,9 +120,8 @@ def fused_embeddings(local_channel, fed_channel, fusion, inputs):
     return z
 
 
-# grads dict key -> the ClientState field holding that part's model
-_PART_MODELS = {"local": "local_channel", "fed": "fed_channel", "fusion": "fusion",
-                "head1": "head1", "head2": "head2"}
+# the ClientState fields of the trained parts, which also key their gradients
+PARTS = ("local_channel", "fed_channel", "fusion", "head1", "head2")
 
 
 @dataclass
@@ -202,7 +203,7 @@ def _group_key(client: ClientState) -> tuple:
     """What clients of one group must share: every array shape and `_settings`;
     the learning rate is read per client at each step."""
     return (tuple((getattr(client, attr).sizes, getattr(client, attr).out_act)
-                  for attr in _PART_MODELS.values()),
+                  for attr in PARTS),
             client.center_bank.centers.shape, client.dataset.inputs.shape,
             _settings(client))
 
@@ -219,9 +220,10 @@ class ClientGroup:
     Two members or more are stacked: one (G, L) model per trained part, one
     (G, K, d) center bank and (G, n, ·) training sets, of which each member's
     `MLP.params`, `CenterBank.centers` and dataset arrays become row views. A
-    group of one views its member's own arrays with a leading axis of 1. A
-    member stepped alone is stepped by its own group of one, built once and
-    kept, bit for bit its row of the full step. A member that rebinds one of
+    group of one views its member's own arrays with a leading axis of 1 and
+    steps itself. A member of a larger group stepped alone is stepped by its
+    own group of one, built once and kept, bit for bit its row of the full
+    step. A member that rebinds one of
     its arrays or changes one of its `_settings` is refused at its next step.
     Members keep their own learning rate and RNG streams."""
 
@@ -237,7 +239,7 @@ class ClientGroup:
         stack = (lambda arrays: arrays[0][None]) if one else np.stack
         self.models = {attr: MLP(getattr(first, attr).sizes, getattr(first, attr).out_act,
                                  stack([getattr(c, attr).params for c in self.members]))
-                       for attr in _PART_MODELS.values()}
+                       for attr in PARTS}
         centers = stack([c.center_bank.centers for c in self.members])
         self.bank = CenterBank(centers, bank_lr)
         self.bank.centers = centers   # the bank copies what it is given
@@ -311,16 +313,23 @@ class ClientGroup:
         return {g: dead[g] if g in dead else losses[g][0] for g in rows}
 
     def _steps(self, rows, phase, batch_index, idx, losses, dead):
-        """Step the members in `rows` all at once, or each as its own group of one."""
-        if len(rows) == len(self.members):
+        """Step the members in `rows` all at once, or each as its own group of
+        one; the `DomainError` of a member stepped alone is its DivergenceError."""
+        if len(rows) == len(self.members) > 1:
             try:
                 return self._step(rows, phase, batch_index, idx, losses, dead)
             except DomainError:
                 pass   # non-finite activations from exploded parameters: find whose
         for g in rows:
-            if g not in self._alone:
+            if len(self.members) > 1 and g not in self._alone:
                 self._alone[g] = ClientGroup([self.members[g]])
-            self._alone[g]._step((g,), phase, batch_index, idx[g:g + 1], losses, dead)
+            try:
+                self._alone.get(g, self)._step((g,), phase, batch_index, idx[g:g + 1],
+                                               losses, dead)
+            except DomainError as exc:
+                dead[g] = self.members[g]._diverged(
+                    f"{phase} training diverged: {exc}", phase, batch_index)
+                dead[g].__cause__ = exc
 
     # the finite checks below report an overflow once, as a DivergenceError;
     # numpy's RuntimeWarnings for it would only add lines ahead of that one
@@ -331,38 +340,28 @@ class ClientGroup:
         Appends member i's loss to losses[rows[i]]. A member whose loss or an
         updated part is non-finite gets its first error in dead[rows[i]], with
         the message, round, phase and batch a step of it alone would raise. A
-        `DomainError`, raised before any update, is the member's error in a
-        group of one; a larger group lets it through."""
+        `DomainError` is raised before any update."""
         models, bank = self.models, self.bank
         at = idx + self._row_offset
         xb, yb = self._flat_inputs.take(at, axis=0), self._flat_labels.take(at)
         lr = np.array([c.lr for c in self.members], dtype=np.float64)[:, None]
-        try:
-            if phase == "local":
-                out = local_loss_and_grads(
-                    models["local_channel"], models["fed_channel"], models["fusion"],
-                    models["head2"], bank, xb, yb, self.loss_weights)
-            else:
-                out = async_loss_and_grads(models["local_channel"], models["head1"], xb, yb)
-        except DomainError as exc:
-            if len(self.members) > 1:
-                raise
-            dead[rows[0]] = err = self.members[0]._diverged(
-                f"{phase} training diverged: {exc}", phase, batch_index)
-            err.__cause__ = exc
-            return
-
+        if phase == "local":
+            out = local_loss_and_grads(
+                models["local_channel"], models["fed_channel"], models["fusion"],
+                models["head2"], bank, xb, yb, self.loss_weights)
+        else:
+            out = async_loss_and_grads(models["local_channel"], models["head1"], xb, yb)
         loss, grads = out[0], out[1]
         finite = np.isfinite(loss).all()
         for part, grad in grads.items():
-            params = models[_PART_MODELS[part]].params
+            params = models[part].params
             grad *= lr
             params -= grad
             finite &= np.isfinite(params).all()
         if not finite:
             # name the members: the loss first, then each part in update order
             for what, bad in [("loss", ~np.isfinite(loss))] + [
-                    ("parameters", ~np.isfinite(models[_PART_MODELS[part]].params).all(axis=-1))
+                    ("parameters", ~np.isfinite(models[part].params).all(axis=-1))
                     for part in grads]:
                 for i in np.flatnonzero(bad):
                     dead.setdefault(rows[i], self.members[i]._diverged(

@@ -91,7 +91,9 @@ def parse_config_text(text: str, overrides=None):
     Returns (values dict keyed by (section, key), canonical text used for the
     run-id hash).
     """
-    parser = configparser.ConfigParser()
+    # as `--set` reads: literal values, exact keys, and [DEFAULT] an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section=None)
+    parser.optionxform = str
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -14,8 +14,6 @@ from .server import ServerState, Strategy, load_probe_set
 from .simulation import SimConfig, run_simulation
 from .synth import PROBE_POOL_SIZE, SynthSpec, generate
 
-MODES = ("solo", "fedavg", "full")
-
 MODE_PRESETS = {
     # mode -> (async_enabled, use_total_loss, personalized_agg)
     "solo": (False, True, False),
@@ -57,7 +55,7 @@ class ExperimentConfig:
     client_subset: tuple = None   # indices into the synth clients
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if self.mode not in MODE_PRESETS:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")

@@ -35,23 +35,17 @@ class CenterBank:
     """Per-class embedding centers with their own update rate.
 
     `centers` is a (K, dim) float64 array; row k is the center of class k.
-    It may be given as a mapping {k: vector} with keys exactly 0..K-1. A
-    (G, K, dim) array holds the banks of G clients that share one rate.
+    A (G, K, dim) array holds the banks of G clients that share one rate.
     """
 
     centers: np.ndarray
     lr: float
 
     def __post_init__(self):
-        centers = self.centers
-        if isinstance(centers, dict):
-            if sorted(centers) != list(range(len(centers))):
-                raise DomainError(f"center classes must be 0..K-1, got {sorted(centers)}")
-            centers = [centers[k] for k in range(len(centers))]
         try:
-            centers = np.array(centers, dtype=np.float64)
-        except ValueError as exc:
-            raise ShapeError(f"centers must share one dimension: {exc}") from exc
+            centers = np.array(self.centers, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ShapeError(f"centers must be rows of one length: {exc}") from exc
         if centers.ndim not in (2, 3):
             raise ShapeError(
                 f"centers must be a ([G,] K, dim) array, got shape {centers.shape}")

@@ -2,16 +2,13 @@
 and true-acceptance rate at a false-acceptance budget."""
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
 
 IMPOSTOR_PAIR_CAP = 50_000
-
-METRICS_CSV_HEADER = ["client_id", "round", "eer", "tar_at_far01",
-                      "n_genuine", "n_impostor"]
 
 
 @dataclass
@@ -39,11 +36,6 @@ class MetricsRecord:
     tar_at_far01: float
     n_genuine: int
     n_impostor: int
-
-    def as_row(self):
-        return [self.client_id, self.round, repr(float(self.eer)),
-                repr(float(self.tar_at_far01)),
-                self.n_genuine, self.n_impostor]
 
 
 def pair_positions(labels, cap: int = IMPOSTOR_PAIR_CAP, seed: int = 0):
@@ -74,13 +66,9 @@ def pair_positions(labels, cap: int = IMPOSTOR_PAIR_CAP, seed: int = 0):
     return genuine, impostor
 
 
-def score_pairs(embeddings: np.ndarray, labels, cap: int = IMPOSTOR_PAIR_CAP,
-                seed: int = 0, positions=None) -> ScoreSet:
-    """Cosine similarities of all same-label and cross-label embedding pairs.
-
-    Impostor pairs beyond `cap` are subsampled with the given seed.
-    `positions` is `pair_positions(labels, cap, seed)`, found here when None.
-    """
+def score_pairs(embeddings: np.ndarray, labels, *, positions) -> ScoreSet:
+    """Cosine similarities of the genuine and impostor embedding pairs at
+    `positions`, a `pair_positions(labels, cap, seed)`."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
     if embeddings.ndim != 2 or labels.shape != (embeddings.shape[0],):
@@ -88,8 +76,6 @@ def score_pairs(embeddings: np.ndarray, labels, cap: int = IMPOSTOR_PAIR_CAP,
     norms = np.linalg.norm(embeddings, axis=1)
     if np.any(norms == 0):
         raise DomainError("zero-norm embedding cannot be scored")
-    if positions is None:
-        positions = pair_positions(labels, cap, seed)
     unit = embeddings / norms[:, None]
     sims = (unit @ unit.T).ravel()
     genuine, impostor = positions
@@ -131,10 +117,9 @@ def eer(points) -> float:
     """Error rate where FAR equals FRR on an `operating_points` sweep, interpolated."""
     _, far, frr = points
     diff = far - frr
-    # diff is nonincreasing and ends at -1; find the sign change.
+    # diff is nonincreasing, starts at +1 (FAR 1, FRR 0) and ends at -1,
+    # so the sign change is at some k >= 1
     k = int(np.argmax(diff <= 0))
-    if k == 0:
-        return 0.5 * (far[0] + frr[0])
     d0, d1 = diff[k - 1], diff[k]
     alpha = 0.0 if d0 == d1 else d0 / (d0 - d1)
     e0 = 0.5 * (far[k - 1] + frr[k - 1])
@@ -155,6 +140,6 @@ def tar_at_far(points, far_target: float = 0.01) -> float:
 def write_metrics_csv(path, records) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRICS_CSV_HEADER)
+        writer.writerow(f.name for f in fields(MetricsRecord))
         for rec in records:
-            writer.writerow(rec.as_row())
+            writer.writerow(astuple(rec))

@@ -95,4 +95,4 @@ def load_probe_set(source: np.ndarray, t: int, seed) -> np.ndarray:
         raise ConfigError(f"probe source has {source.shape[0]} items, need {t}")
     rng = np.random.default_rng(seed)
     idx = rng.choice(source.shape[0], size=t, replace=False)
-    return source[np.sort(idx)].copy()
+    return source[np.sort(idx)]

@@ -16,8 +16,8 @@ import heapq
 import json
 from dataclasses import dataclass, field
 
-from .client import Phase, group_clients
-from .errors import ConfigError, DivergenceError
+from .client import Phase, _raise_diverged, group_clients
+from .errors import ConfigError
 from .server import ServerState, handle_upload, run_aggregation
 from .synth import _per_client
 
@@ -79,9 +79,7 @@ class TimelineRecord:
     idle: int = 0
 
     def as_json(self) -> str:
-        return json.dumps({"t": self.t, "kind": self.kind, "subject": self.subject,
-                           "round": self.round, "async_steps": self.async_steps,
-                           "idle": self.idle})
+        return json.dumps(vars(self))
 
 
 @dataclass
@@ -155,10 +153,7 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
             step = group.local_rounds if local else group.async_steps
             for row, result in step(sorted(subject_at)).items():
                 stash[subject_at[row]] = result
-        result = stash.pop(subject)
-        if isinstance(result, DivergenceError):
-            raise result
-        return result
+        return _raise_diverged(stash.pop(subject))
 
     def start_round(c, t):
         client = clients[c]

@@ -51,18 +51,11 @@ class SynthSpec:
         if not 1 <= self.latent_dim <= self.input_dim:
             raise ConfigError("latent_dim must be in [1, input_dim]")
         n = self.n_clients
-        object.__setattr__(self, "classes_per_client",
-                           _per_client(self.classes_per_client, n, "classes_per_client"))
-        object.__setattr__(self, "samples_per_class",
-                           _per_client(self.samples_per_class, n, "samples_per_class"))
-        rot = self.rotation_deg
-        if rot is None:
-            rot = tuple(c * 180.0 / max(n, 1) for c in range(n))
-        object.__setattr__(self, "rotation_deg", _per_client(rot, n, "rotation_deg"))
-        object.__setattr__(self, "offset_scale",
-                           _per_client(self.offset_scale, n, "offset_scale"))
-        object.__setattr__(self, "noise_scale",
-                           _per_client(self.noise_scale, n, "noise_scale"))
+        if self.rotation_deg is None:
+            object.__setattr__(self, "rotation_deg", tuple(c * 180.0 / n for c in range(n)))
+        for name in ("classes_per_client", "samples_per_class", "rotation_deg",
+                     "offset_scale", "noise_scale"):
+            object.__setattr__(self, name, _per_client(getattr(self, name), n, name))
         if not np.isfinite(self.rotation_deg + self.offset_scale + self.noise_scale).all():
             raise ConfigError("rotation_deg, offset_scale and noise_scale must be finite")
         seeds = self.client_seeds

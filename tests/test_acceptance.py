@@ -141,13 +141,13 @@ def test_criterion_04_loss_gradients_match_finite_differences():
         x = rng.standard_normal((4, 4))
         y = rng.integers(0, 3, size=4)
         _, grads = async_loss_and_grads(lc, h1, x, y)
-        wait_parts = {"local": lc, "head1": h1}
+        wait_parts = {"local_channel": lc, "head1": h1}
         for name, model in wait_parts.items():
             def loss_of(stack, name=name):
                 g = len(stack)
                 m = {k: as_group(v, stack if k == name else g)
                      for k, v in wait_parts.items()}
-                return async_loss_and_grads(m["local"], m["head1"], tiled(x, g),
+                return async_loss_and_grads(m["local_channel"], m["head1"], tiled(x, g),
                                             tiled(y, g))[0]
             worst["ce_wait"] = max(worst["ce_wait"], rel_err(
                 grads[name], finite_difference_grad_stacked(loss_of, model.params)))
@@ -164,7 +164,7 @@ def test_criterion_04_loss_gradients_match_finite_differences():
         # compactness loss with respect to the embeddings
         emb = rng.standard_normal((6, 3))
         lab = rng.integers(0, 2, size=6)
-        bank = CenterBank({0: rng.standard_normal(3), 1: rng.standard_normal(3)}, lr=0.5)
+        bank = CenterBank([rng.standard_normal(3), rng.standard_normal(3)], lr=0.5)
         fd = finite_difference_grad_stacked(
             lambda p: center_loss_grad(p.reshape(-1, 6, 3), tiled(lab, len(p)),
                                        CenterBank(tiled(bank.centers, len(p)), 0.5))[0],
@@ -183,18 +183,18 @@ def test_criterion_04_loss_gradients_match_finite_differences():
         fc = channel(4, 4, 3, seed=(seed, 2))
         fu = fusion_head(6, 3, seed=(seed, 3))
         h2 = linear_head(3, 3, seed=(seed, 4))
-        bank2 = CenterBank({k: rng.standard_normal(3) for k in range(3)}, lr=0.5)
+        bank2 = CenterBank([rng.standard_normal(3) for _ in range(3)], lr=0.5)
         xb = rng.standard_normal((4, 4))
         yb = rng.integers(0, 3, size=4)
         w = LossWeights(0.3, 1.0, 0.2)
         _, grads, _ = local_loss_and_grads(lc, fc, fu, h2, bank2, xb, yb, w)
-        parts = {"local": lc, "fed": fc, "fusion": fu, "head2": h2}
+        parts = {"local_channel": lc, "fed_channel": fc, "fusion": fu, "head2": h2}
         for name, model in parts.items():
             def loss_of(stack, name=name):
                 g = len(stack)
                 m = {k: as_group(v, stack if k == name else g) for k, v in parts.items()}
                 return local_loss_and_grads(
-                    m["local"], m["fed"], m["fusion"], m["head2"],
+                    m["local_channel"], m["fed_channel"], m["fusion"], m["head2"],
                     CenterBank(tiled(bank2.centers, g), 0.5), tiled(xb, g), tiled(yb, g),
                     w)[0]
             worst["total"] = max(worst["total"], rel_err(

@@ -44,13 +44,13 @@ class TestGradients:
         fc = channel(5, 4, 4, seed=2)
         fu = fusion_head(8, 3, seed=3)
         h2 = linear_head(3, 3, seed=4)
-        bank = CenterBank({k: rng.standard_normal(3) for k in range(3)}, lr=0.5)
+        bank = CenterBank([rng.standard_normal(3) for _ in range(3)], lr=0.5)
         x = rng.standard_normal((6, 5))
         y = rng.integers(0, 3, size=6)
         w = LossWeights(0.3, 1.0, 0.2)
         _, grads, _ = local_loss_and_grads(lc, fc, fu, h2, bank, x, y, w)
 
-        parts = {"local": lc, "fed": fc, "fusion": fu, "head2": h2}
+        parts = {"local_channel": lc, "fed_channel": fc, "fusion": fu, "head2": h2}
         for name, model in parts.items():
             def loss_of(params, model=model):
                 saved = model.params
@@ -70,7 +70,7 @@ class TestGradients:
         x = rng.standard_normal((5, 5))
         y = rng.integers(0, 3, size=5)
         _, grads = async_loss_and_grads(lc, h1, x, y)
-        for name, model in (("local", lc), ("head1", h1)):
+        for name, model in (("local_channel", lc), ("head1", h1)):
             def loss_of(params, model=model):
                 saved = model.params
                 model.params = params.copy()

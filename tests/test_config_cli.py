@@ -211,6 +211,29 @@ class TestConfigParsing:
         cfg = build_experiment_config(values)
         assert cfg.synth.rotation_deg == SynthSpec(n_clients=8).rotation_deg
 
+    def test_file_values_read_literally_as_set_does(self):
+        for raw in ("runs%x", "runs%%x", "a%(b)s"):
+            from_file = parse_config_text(f"[experiment]\nout = {raw}\n")
+            from_set = parse_config_text("", overrides=[f"experiment.out={raw}"])
+            assert from_file[0][("experiment", "out")] == raw
+            assert from_file == from_set
+
+    def test_default_section_refused(self):
+        for text in ("[DEFAULT]\nrounds = 3\n", "[DEFAULT]\nbogus = 1\n", "[DEFAULT]\n",
+                     "[experiment]\nrounds = 2\n[DEFAULT]\nseed = 1\n[training]\n"):
+            with pytest.raises(ConfigError) as info:
+                parse_config_text(text)
+            assert str(info.value) == "unknown config section [DEFAULT]", text
+
+    def test_keys_match_exactly(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text("[training]\nLR = 0.1\n")
+        assert str(info.value) == "unknown config key training.LR"
+        with pytest.raises(ConfigError):
+            parse_config_text("", overrides=["training.LR=0.1"])
+        with pytest.raises(ConfigError):
+            parse_config_text("[Training]\nlr = 0.1\n")
+
     def test_negative_seed_rejected_without_a_synth_spec(self):
         # ExperimentConfig(seed=-1) keeps the default SynthSpec, so it checks the
         # seed itself before build_client would seed numpy with it
@@ -298,6 +321,17 @@ class TestRunVerb:
                          str(tmp_path / "out"), "--set", bad]) == EXIT_CONFIG, bad
             assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # refused before any run directory
+
+    def test_config_file_values_reach_the_run_literally(self, small_config, tmp_path,
+                                                        capsys):
+        out = tmp_path / "runs%x"
+        Path(small_config).write_text(SMALL.replace("[experiment]\n",
+                                                    f"[experiment]\nout = {out}\n"))
+        assert main(["run", "--config", small_config]) == EXIT_OK
+        assert os.path.exists(os.path.join(only_run_dir(str(out)), "metrics.csv"))
+        Path(small_config).write_text("[DEFAULT]\nrounds = 3\n")
+        assert main(["run", "--config", small_config]) == EXIT_CONFIG
+        assert "unknown config section [DEFAULT]" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate overflow
     def test_divergence_exit_code_and_failed_manifest(

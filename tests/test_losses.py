@@ -148,18 +148,18 @@ class TestFvCosBatchMatchesOracle:
 
 class TestCenterLoss:
     def test_zero_when_embeddings_equal_centers(self):
-        bank = CenterBank({0: np.array([1.0, 2.0]), 1: np.array([-1.0, 0.0])}, lr=0.5)
+        bank = CenterBank([[1.0, 2.0], [-1.0, 0.0]], lr=0.5)
         emb = np.array([[1.0, 2.0], [-1.0, 0.0]])
         assert center_loss_grad(emb, [0, 1], bank)[0] == 0.0
 
     def test_half_squared_norm(self):
-        bank = CenterBank({0: np.zeros(2)}, lr=0.5)
+        bank = CenterBank(np.zeros((1, 2)), lr=0.5)
         assert center_loss_grad(np.array([[1.0, 0.0]]), [0], bank)[0] == 0.5
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(5)
         emb = rng.standard_normal((3, 4))
-        bank = CenterBank({k: rng.standard_normal(4) for k in range(3)}, lr=0.5)
+        bank = CenterBank([rng.standard_normal(4) for _ in range(3)], lr=0.5)
         labels = [2, 0, 1]
         expected = 0.5 * sum(
             float(np.sum((emb[i] - bank.centers[labels[i]]) ** 2))
@@ -167,14 +167,14 @@ class TestCenterLoss:
         assert center_loss_grad(emb, labels, bank)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_unknown_label_raises(self):
-        bank = CenterBank({0: np.zeros(2)}, lr=0.5)
+        bank = CenterBank(np.zeros((1, 2)), lr=0.5)
         with pytest.raises(DomainError):
             center_loss_grad(np.zeros((1, 2)), [7], bank)[0]
 
     def test_gradient_is_difference(self):
         rng = np.random.default_rng(6)
         emb = rng.standard_normal((4, 3))
-        bank = CenterBank({k: rng.standard_normal(3) for k in range(2)}, lr=0.5)
+        bank = CenterBank([rng.standard_normal(3) for _ in range(2)], lr=0.5)
         labels = [0, 1, 0, 1]
         _, grad = center_loss_grad(emb, labels, bank)
         for i in range(4):
@@ -183,27 +183,27 @@ class TestCenterLoss:
 
 class TestUpdateCenters:
     def test_zero_lr_leaves_bank_unchanged(self):
-        bank = CenterBank({0: np.array([1.0, 1.0])}, lr=0.0)
+        bank = CenterBank([[1.0, 1.0]], lr=0.0)
         update_centers(bank, np.array([[5.0, 5.0]]), [0])
         np.testing.assert_array_equal(bank.centers[0], [1.0, 1.0])
 
     def test_full_step_reaches_sample(self):
-        bank = CenterBank({0: np.array([1.0, 1.0])}, lr=1.0)
+        bank = CenterBank([[1.0, 1.0]], lr=1.0)
         update_centers(bank, np.array([[5.0, -3.0]]), [0])
         np.testing.assert_array_equal(bank.centers[0], [5.0, -3.0])
 
     def test_half_step_hand_arithmetic(self):
-        bank = CenterBank({0: np.array([0.0, 0.0])}, lr=0.5)
+        bank = CenterBank([[0.0, 0.0]], lr=0.5)
         update_centers(bank, np.array([[2.0, 2.0]]), [0])
         np.testing.assert_array_equal(bank.centers[0], [1.0, 1.0])
 
     def test_untouched_center_unchanged(self):
-        bank = CenterBank({0: np.zeros(2), 1: np.array([7.0, 7.0])}, lr=0.5)
+        bank = CenterBank([[0.0, 0.0], [7.0, 7.0]], lr=0.5)
         update_centers(bank, np.array([[2.0, 2.0]]), [0])
         np.testing.assert_array_equal(bank.centers[1], [7.0, 7.0])
 
     def test_moves_toward_batch_mean(self):
-        bank = CenterBank({0: np.zeros(1)}, lr=0.25)
+        bank = CenterBank(np.zeros((1, 1)), lr=0.25)
         update_centers(bank, np.array([[4.0], [8.0]]), [0, 0])
         np.testing.assert_allclose(bank.centers[0], [1.5])  # 0 + 0.25*(6-0)
 
@@ -274,7 +274,7 @@ class TestCenterBankMatchesPerLabelOracle:
         scale = 10.0 ** rng.uniform(-3, 3)
         emb = scale * rng.standard_normal((b, dim))
         start = {c: scale * rng.standard_normal(dim) for c in range(k)}
-        bank = CenterBank(dict(start), lr=lr)
+        bank = CenterBank([start[c] for c in range(k)], lr=lr)
 
         loss, diffs = center_loss_grad(emb, labels, bank)
         o_loss, o_diffs = oracle_center_loss_grad(emb, labels, start)
@@ -288,13 +288,6 @@ class TestCenterBankMatchesPerLabelOracle:
 
 
 class TestCenterBankConstruction:
-    def test_mapping_and_array_forms_agree(self):
-        rows = np.arange(6.0).reshape(3, 2)
-        by_map = CenterBank({k: rows[k] for k in (2, 0, 1)}, lr=0.5)
-        by_array = CenterBank(rows, lr=0.5)
-        assert np.array_equal(by_map.centers, by_array.centers)
-        assert np.array_equal(by_map.centers[2], [4.0, 5.0])
-
     def test_bank_owns_its_centers(self):
         rows = np.zeros((2, 2))
         bank = CenterBank(rows, lr=1.0)
@@ -303,11 +296,11 @@ class TestCenterBankConstruction:
 
     def test_invalid_banks_rejected(self):
         with pytest.raises(DomainError):
-            CenterBank({0: np.zeros(2), 2: np.zeros(2)}, lr=0.5)   # class 1 missing
-        with pytest.raises(DomainError):
-            CenterBank({0: np.array([np.nan, 0.0])}, lr=0.5)
+            CenterBank([[np.nan, 0.0]], lr=0.5)
         with pytest.raises(ShapeError):
-            CenterBank({0: np.zeros(2), 1: np.zeros(3)}, lr=0.5)
+            CenterBank([np.zeros(2), np.zeros(3)], lr=0.5)
+        with pytest.raises(ShapeError):   # rows only: a {class: center} mapping is refused
+            CenterBank({0: np.zeros(2), 1: np.zeros(2)}, lr=0.5)
 
     def test_out_of_range_labels_rejected(self):
         bank = CenterBank(np.zeros((2, 2)), lr=0.5)

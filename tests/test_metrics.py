@@ -74,12 +74,12 @@ class TestScorePairs:
     def test_two_by_two_pair_counts(self):
         emb = np.array([[1.0, 0], [0.9, 0.1], [0, 1.0], [0.1, 0.9]])
         labels = [0, 0, 1, 1]
-        s = score_pairs(emb, labels)
+        s = score_pairs(emb, labels, positions=pair_positions(labels))
         assert s.genuine.size == 2 and s.impostor.size == 4
 
     def test_identical_embeddings_score_one(self):
         emb = np.tile([1.0, 2.0], (4, 1))
-        s = score_pairs(emb, [0, 0, 1, 1])
+        s = score_pairs(emb, [0, 0, 1, 1], positions=pair_positions([0, 0, 1, 1]))
         np.testing.assert_allclose(s.genuine, 1.0)
         np.testing.assert_allclose(s.impostor, 1.0)
 
@@ -87,13 +87,14 @@ class TestScorePairs:
         rng = np.random.default_rng(0)
         emb = rng.standard_normal((15, 4))
         labels = np.repeat(np.arange(5), 3)
-        s = score_pairs(emb, labels)
+        s = score_pairs(emb, labels, positions=pair_positions(labels))
         assert s.genuine.size == 5 * 3  # 5 * C(3,2)
         assert s.impostor.size == 15 * 14 // 2 - 15
 
     @staticmethod
     def assert_every_scorer_refuses(emb, labels, message):
-        for score in (lambda: score_pairs(emb, labels), lambda: pair_positions(labels),
+        for score in (lambda: score_pairs(emb, labels, positions=pair_positions(labels)),
+                      lambda: pair_positions(labels),
                       lambda: oracles.score_pairs(emb, labels)):
             with pytest.raises(DomainError) as info:
                 score()
@@ -113,8 +114,8 @@ class TestScorePairs:
         rng = np.random.default_rng(3)
         emb = rng.standard_normal((40, 3))
         labels = np.repeat(np.arange(20), 2)
-        a = score_pairs(emb, labels, cap=100, seed=9)
-        b = score_pairs(emb, labels, cap=100, seed=9)
+        a = score_pairs(emb, labels, positions=pair_positions(labels, 100, 9))
+        b = score_pairs(emb, labels, positions=pair_positions(labels, 100, 9))
         assert a.impostor.size == 100
         np.testing.assert_array_equal(a.impostor, b.impostor)
 
@@ -128,16 +129,16 @@ class TestScorePairs:
         genuine, impostor = double_loop_pairs(emb, labels, cap, seed)
         if genuine.size == 0 or impostor.size == 0:
             with pytest.raises(DomainError):
-                score_pairs(emb, labels, cap=cap, seed=seed)
+                score_pairs(emb, labels, positions=pair_positions(labels, cap, seed))
             return
-        s = score_pairs(emb, labels, cap=cap, seed=seed)
+        s = score_pairs(emb, labels, positions=pair_positions(labels, cap, seed))
         assert np.array_equal(s.genuine, genuine)
         assert np.array_equal(s.impostor, impostor)
 
     def test_scores_are_cosines(self):
         emb = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0], [5.0, 0.0]])
         labels = [0, 1, 0, 1]
-        s = score_pairs(emb, labels)
+        s = score_pairs(emb, labels, positions=pair_positions(labels))
         # genuine: (0,2) and (1,3); cos((2,0),(1,1)) = 1/sqrt(2)
         assert np.any(np.isclose(s.genuine, 1.0 / np.sqrt(2.0)))
 
@@ -172,19 +173,20 @@ class TestScorePairsOracle:
                 assert str(exc) == expected
                 return
             assert positions[0].dtype == positions[1].dtype == np.int32
-            got = score_outcome(lambda: score_pairs(emb, labels, cap, seed,
-                                                    positions=positions))
+            got = score_outcome(lambda: score_pairs(emb, labels, positions=positions))
         else:
-            got = score_outcome(lambda: score_pairs(emb, labels, cap, seed))
+            got = score_outcome(lambda: score_pairs(
+                emb, labels, positions=pair_positions(labels, cap, seed)))
         assert got == expected
 
     def test_zero_norm_message_comes_first(self):
         emb = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]])
-        for labels in ([0, 0, 1], [0, 1, 2]):   # with and without genuine pairs
-            for score in (score_pairs, oracles.score_pairs):
-                with pytest.raises(DomainError) as info:
-                    score(emb, labels)
-                assert str(info.value) == "zero-norm embedding cannot be scored"
+        labels = [0, 0, 1]
+        for score in (lambda: score_pairs(emb, labels, positions=pair_positions(labels)),
+                      lambda: oracles.score_pairs(emb, labels)):
+            with pytest.raises(DomainError) as info:
+                score()
+            assert str(info.value) == "zero-norm embedding cannot be scored"
 
 
 # Scores of a (257, 16) input, a shape where OpenBLAS sums `unit @ unit.T`
@@ -192,9 +194,10 @@ class TestScorePairsOracle:
 THREADED_SCORES = """
 import hashlib
 import numpy as np
-from fedsim.metrics import score_pairs
+from fedsim.metrics import pair_positions, score_pairs
 rng = np.random.default_rng(0)
-s = score_pairs(rng.standard_normal((257, 16)), np.arange(257) % 8)
+labels = np.arange(257) % 8
+s = score_pairs(rng.standard_normal((257, 16)), labels, positions=pair_positions(labels))
 print(hashlib.sha256(s.genuine.tobytes() + s.impostor.tobytes()).hexdigest())
 """
 
