@@ -136,24 +136,22 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         c = client.client_id
         if c not in positions:   # at the first evaluation: setup stays short
             positions[c] = pair_positions(test_of[c].labels, seed=cfg.seed * 1000 + c)
-        final_points.pop(c, None)   # the last sweep only: free the old one first
+        # every client ends at round cfg.rounds - 1, the one round swept
         record, final_points[c] = evaluate_client(client, test_of[c], round_index,
-                                                  positions[c])
+                                                  positions[c], round_index == cfg.rounds - 1)
         metrics.append(record)
 
     timeline, _, _ = run_simulation(sim_cfg, clients, server, on_round_complete)
     return RunResult(cfg, metrics, timeline, final_points)
 
 
-def evaluate_client(client, test, round_index, positions):
-    """Score the split's `pair_positions` and sweep them once; returns
-    (MetricsRecord, operating_points)."""
+def evaluate_client(client, test, round_index, positions, sweep=False):
+    """Score the split's `pair_positions` once: EER and TAR from the sorted runs.
+    Returns (MetricsRecord, the `operating_points` sweep if `sweep`, else None)."""
     scores = client_score_set(client, test, positions)
-    points = operating_points(scores)
-    record = MetricsRecord(client.client_id, round_index, eer(points),
-                           tar_at_far(points, 0.01),
+    record = MetricsRecord(client.client_id, round_index, eer(scores), tar_at_far(scores, 0.01),
                            int(scores.genuine.size), int(scores.impostor.size))
-    return record, points
+    return record, operating_points(scores) if sweep else None
 
 
 def client_score_set(client, test, positions) -> ScoreSet:

@@ -2,7 +2,10 @@
 and true-acceptance rate at a false-acceptance budget."""
 
 import csv
+import operator
+from bisect import bisect_left
 from dataclasses import astuple, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +29,13 @@ class ScoreSet:
         self.impostor = np.asarray(self.impostor, dtype=np.float64)
         if not (np.all(np.isfinite(self.genuine)) and np.all(np.isfinite(self.impostor))):
             raise DomainError("scores must be finite")
+
+    @cached_property
+    def runs(self):
+        """(genuine, impostor), each sorted ascending, found once per set."""
+        if self.genuine.size == 0 or self.impostor.size == 0:
+            raise DomainError("both genuine and impostor scores are required")
+        return np.sort(self.genuine), np.sort(self.impostor)
 
 
 @dataclass
@@ -88,12 +98,10 @@ def operating_points(scores: ScoreSet):
     Acceptance rule: accept when score >= threshold. FAR(t) is the impostor
     acceptance fraction, FRR(t) the genuine rejection fraction.
     """
-    if scores.genuine.size == 0 or scores.impostor.size == 0:
-        raise DomainError("both genuine and impostor scores are required")
+    merged = np.concatenate(scores.runs)   # raises if either side is empty
     n_g, n_i = scores.genuine.size, scores.impostor.size
     # one stable sort of the two sorted runs merges them (temporaries are
     # dropped once read: a run holds every client's last sweep)
-    merged = np.concatenate([np.sort(scores.genuine), np.sort(scores.impostor)])
     order = np.argsort(merged, kind="stable")
     is_imp, merged = order >= n_g, merged[order]
     del order
@@ -113,28 +121,47 @@ def operating_points(scores: ScoreSet):
     return thresholds, far, frr
 
 
-def eer(points) -> float:
-    """Error rate where FAR equals FRR on an `operating_points` sweep, interpolated."""
-    _, far, frr = points
-    diff = far - frr
-    # diff is nonincreasing, starts at +1 (FAR 1, FRR 0) and ends at -1,
-    # so the sign change is at some k >= 1
-    k = int(np.argmax(diff <= 0))
-    d0, d1 = diff[k - 1], diff[k]
+def _curve(curve):
+    """Sorted runs of candidate thresholds and v -> (FAR(v), FRR(v)) of a
+    ScoreSet or an `operating_points` sweep; above every score FAR is 0, FRR 1."""
+    if not isinstance(curve, ScoreSet):
+        thresholds, far, frr = curve
+        return (thresholds,), lambda v: (far[k := bisect_left(thresholds, v)], frr[k])
+    gen, imp = curve.runs
+    n_g, n_i = gen.size, imp.size
+    # exact integer quotients, as in the sweep: the same rates to the bit
+    return (gen, imp), lambda v: ((n_i - bisect_left(imp, v)) / n_i, bisect_left(gen, v) / n_g)
+
+
+def _lowest(runs, holds):
+    """Lowest candidate in the sorted `runs` where `holds`, false then true as
+    the threshold rises; +inf where it holds only above every candidate."""
+    return min((run[i] for run in runs
+                if (i := bisect_left(run, True, key=holds)) < len(run)), default=np.inf)
+
+
+def eer(curve) -> float:
+    """Error rate where FAR equals FRR, interpolated between the candidate
+    thresholds around the crossing, of a ScoreSet or an `operating_points` sweep."""
+    runs, rates = _curve(curve)
+    # FAR - FRR never rises with the threshold: it is +1 at the lowest
+    # candidate and -1 above every score, so some candidate lies below v1
+    v1 = _lowest(runs, lambda v: operator.le(*rates(v)))   # FAR - FRR <= 0
+    v0 = max(run[i - 1] for run in runs if (i := bisect_left(run, v1)) > 0)
+    (far0, frr0), (far1, frr1) = rates(v0), rates(v1)
+    d0, d1 = far0 - frr0, far1 - frr1
     alpha = 0.0 if d0 == d1 else d0 / (d0 - d1)
-    e0 = 0.5 * (far[k - 1] + frr[k - 1])
-    e1 = 0.5 * (far[k] + frr[k])
-    return float((1.0 - alpha) * e0 + alpha * e1)
+    return float((1.0 - alpha) * (0.5 * (far0 + frr0)) + alpha * (0.5 * (far1 + frr1)))
 
 
-def tar_at_far(points, far_target: float = 0.01) -> float:
-    """TAR at the lowest swept threshold whose empirical FAR <= far_target."""
+def tar_at_far(curve, far_target: float = 0.01) -> float:
+    """TAR at the lowest candidate threshold whose empirical FAR <= far_target,
+    of a ScoreSet or an `operating_points` sweep."""
+    runs, rates = _curve(curve)
     if not 0.0 < far_target < 1.0:
         raise DomainError("far_target must be in (0, 1)")
-    _, far, frr = points
-    ok = np.nonzero(far <= far_target)[0]
-    k = int(ok[0])  # sentinel guarantees at least one
-    return float(1.0 - frr[k])
+    # FAR never rises with the threshold and is 0 above every score
+    return float(1.0 - rates(_lowest(runs, lambda v: rates(v)[0] <= far_target))[1])
 
 
 def write_metrics_csv(path, records) -> None:

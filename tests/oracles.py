@@ -3,10 +3,11 @@ The package itself only runs the batch kernels in `fedsim.losses`, `fedsim.nn`
 and `fedsim.aggregation`; these are written one vector (or one full row) at a
 time so a test can compare the two. The open-set scoring references recompute
 every pair mask, the impostor subsample and the threshold search on each call,
-and repr every row of a ROC trace. The batch-kernel references below are the
-kernels as first written, with the same arithmetic and none of the shortcuts:
-the fast kernels must match them byte for byte. So must the convergence
-harness's gaps those of its per-client loop below, at dim >= 2.
+read EER and TAR off the whole threshold sweep, and repr every row of a ROC
+trace. The batch-kernel references below are the kernels as first written,
+with the same arithmetic and none of the shortcuts: the fast kernels must
+match them byte for byte. So must the convergence harness's gaps those of its
+per-client loop below, at dim >= 2.
 """
 
 import numpy as np
@@ -222,6 +223,31 @@ def operating_points(scores: ScoreSet):
     frr = np.append(frr, 1.0)
     thresholds = np.append(thresholds, np.inf)
     return thresholds, far, frr
+
+
+def eer(points) -> float:
+    """Error rate where FAR equals FRR on an `operating_points` sweep, interpolated
+    between the two sweep entries around the first FAR - FRR <= 0."""
+    _, far, frr = points
+    diff = far - frr
+    # diff is nonincreasing, starts at +1 (FAR 1, FRR 0) and ends at -1,
+    # so the sign change is at some k >= 1
+    k = int(np.argmax(diff <= 0))
+    d0, d1 = diff[k - 1], diff[k]
+    alpha = 0.0 if d0 == d1 else d0 / (d0 - d1)
+    e0 = 0.5 * (far[k - 1] + frr[k - 1])
+    e1 = 0.5 * (far[k] + frr[k])
+    return float((1.0 - alpha) * e0 + alpha * e1)
+
+
+def tar_at_far(points, far_target: float = 0.01) -> float:
+    """TAR at the lowest swept threshold whose empirical FAR <= far_target."""
+    if not 0.0 < far_target < 1.0:
+        raise DomainError("far_target must be in (0, 1)")
+    _, far, frr = points
+    ok = np.nonzero(far <= far_target)[0]
+    k = int(ok[0])  # sentinel guarantees at least one
+    return float(1.0 - frr[k])
 
 
 def write_roc_csv(path, scores: ScoreSet) -> None:

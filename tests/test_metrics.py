@@ -6,14 +6,16 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fedsim import experiment
 from fedsim.errors import DomainError
-from fedsim.experiment import write_roc_csv
+from fedsim.experiment import ExperimentConfig, run_experiment, write_roc_csv
 from fedsim.metrics import (MetricsRecord, ScoreSet, eer, operating_points,
                             pair_positions, score_pairs, tar_at_far, write_metrics_csv)
+from fedsim.synth import SynthSpec
 
 
 def brute_force_rates(scores, threshold):
@@ -262,31 +264,94 @@ class TestSweepOracle:
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
+def bits(x):
+    return float(x).hex()   # tells -0.0 from 0.0
+
+
+class TestSortedRunsOracle:
+    """`eer` and `tar_at_far` bisect the sorted score runs (or a sweep's
+    thresholds); the references read the whole `operating_points` sweep."""
+
+    def assert_bits_match_oracle(self, s, targets):
+        points = operating_points(s)
+        for curve in (s, points):
+            assert bits(eer(curve)) == bits(oracles.eer(points))
+            for t in targets:
+                assert bits(tar_at_far(curve, t)) == bits(oracles.tar_at_far(points, t))
+
+    @given(SCORES, SCORES, st.integers(1, 40))
+    @example([0.0], [-0.0], 1)
+    @example([-0.0, 0.0], [0.0], 1)
+    @example([0.5], [0.5], 1)
+    @example([0.5, 0.5, -0.5], [0.5, 0.5, 1.0, -0.5], 2)
+    @settings(max_examples=400, deadline=None)
+    def test_bits_match_sweep_oracle(self, genuine, impostor, k):
+        """At fixed targets, and at an attainable FAR k/n_i and one ulp either side."""
+        edge = min(k, len(impostor)) / len(impostor)
+        targets = (0.01, 0.1, 0.5, edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0))
+        self.assert_bits_match_oracle(ScoreSet(genuine, impostor),
+                                      [t for t in targets if 0.0 < t < 1.0])
+
+    def test_open_set_size_matches_sweep_oracle(self):
+        # the open_set_cli shape: 12,480 genuine and 50,000 (capped) impostor pairs
+        rng = np.random.default_rng(20)
+        s = ScoreSet(rng.normal(0.5, 0.3, 12_480), np.round(rng.normal(0.0, 0.3, 50_000), 4))
+        edge = 500 / 50_000
+        self.assert_bits_match_oracle(
+            s, (0.01, 0.1, 0.5, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)))
+
+    def test_empty_side_is_the_first_error(self):
+        for s in (ScoreSet([], [0.1]), ScoreSet([0.1], [])):
+            for call in (lambda: eer(s), lambda: tar_at_far(s, 0.0), lambda: operating_points(s)):
+                with pytest.raises(DomainError) as info:
+                    call()
+                assert str(info.value) == "both genuine and impostor scores are required"
+
+
+def test_run_sweeps_each_client_once(monkeypatch):
+    """Only a client's last-round evaluation builds the full sweep, and it is
+    the one `RunResult.final_points` keeps."""
+    swept = []
+
+    def counting_sweep(scores):
+        swept.append(scores)
+        return operating_points(scores)
+
+    monkeypatch.setattr(experiment, "operating_points", counting_sweep)
+    result = run_experiment(ExperimentConfig(rounds=3, synth=SynthSpec(n_clients=2)))
+    assert len(swept) == 2
+    final = result.final_metrics()
+    assert [(r.client_id, r.round) for r in final] == [(0, 2), (1, 2)]
+    for rec in final:
+        points = result.final_points[rec.client_id]
+        assert (eer(points), tar_at_far(points, 0.01)) == (rec.eer, rec.tar_at_far01)
+
+
 class TestEer:
     def test_perfect_separation(self):
         s = ScoreSet([0.9, 0.8], [0.1, 0.2])
-        assert eer(operating_points(s)) == 0.0
+        assert eer(s) == 0.0
 
     def test_chance_level(self):
         vals = [0.1, 0.4, 0.6, 0.9]
         s = ScoreSet(vals, vals)
-        assert eer(operating_points(s)) == pytest.approx(0.5, abs=1e-12)
+        assert eer(s) == pytest.approx(0.5, abs=1e-12)
 
     def test_fully_inverted(self):
         s = ScoreSet([0.1, 0.2], [0.8, 0.9])
-        assert eer(operating_points(s)) == pytest.approx(1.0, abs=1e-12)
+        assert eer(s) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_matches_brute_force_sweep(self, seed):
         rng = np.random.default_rng(seed)
         s = ScoreSet(rng.normal(0.6, 0.3, 500), rng.normal(0.2, 0.3, 500))
-        assert eer(operating_points(s)) == pytest.approx(brute_force_eer(s), abs=1e-9)
+        assert eer(s) == pytest.approx(brute_force_eer(s), abs=1e-9)
 
     def test_value_in_unit_interval(self):
         rng = np.random.default_rng(99)
         for _ in range(20):
             s = ScoreSet(rng.uniform(-1, 1, 30), rng.uniform(-1, 1, 40))
-            assert 0.0 <= eer(operating_points(s)) <= 1.0
+            assert 0.0 <= eer(s) <= 1.0
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=50, deadline=None)
@@ -294,62 +359,62 @@ class TestEer:
         rng = np.random.default_rng(seed)
         gen = rng.normal(0.5, 0.4, 50)
         imp = rng.normal(0.0, 0.4, 60)
-        base = eer(operating_points(ScoreSet(gen, imp)))
+        base = eer(ScoreSet(gen, imp))
         # strictly increasing map: exp preserves score order
-        mapped = eer(operating_points(ScoreSet(np.exp(gen), np.exp(imp))))
+        mapped = eer(ScoreSet(np.exp(gen), np.exp(imp)))
         assert mapped == pytest.approx(base, abs=1e-12)
 
     def test_swap_and_negate_symmetry(self):
         rng = np.random.default_rng(5)
         gen = rng.normal(0.5, 0.3, 80)
         imp = rng.normal(0.1, 0.3, 90)
-        a = eer(operating_points(ScoreSet(gen, imp)))
-        b = eer(operating_points(ScoreSet(-imp, -gen)))
+        a = eer(ScoreSet(gen, imp))
+        b = eer(ScoreSet(-imp, -gen))
         assert b == pytest.approx(a, abs=1e-9)
 
     def test_empty_raises(self):
         with pytest.raises(DomainError):
-            eer(operating_points(ScoreSet([], [0.1])))
+            eer(ScoreSet([], [0.1]))
 
 
 class TestTarAtFar:
     def test_perfect_separation_gives_one(self):
         s = ScoreSet([0.9, 0.8, 0.7], [0.1, 0.2])
-        assert tar_at_far(operating_points(s), 0.01) == 1.0
+        assert tar_at_far(s, 0.01) == 1.0
 
     def test_fully_inverted_gives_zero(self):
         s = ScoreSet([0.1, 0.2], [0.8, 0.9])
-        assert tar_at_far(operating_points(s), 0.01) == 0.0
+        assert tar_at_far(s, 0.01) == 0.0
 
     @pytest.mark.parametrize("seed", range(50))
     def test_matches_brute_force_sweep(self, seed):
         rng = np.random.default_rng(seed + 1000)
         s = ScoreSet(rng.normal(0.6, 0.3, 500), rng.normal(0.1, 0.3, 500))
         for target in (0.01, 0.05, 0.2):
-            assert tar_at_far(operating_points(s), target) == pytest.approx(
+            assert tar_at_far(s, target) == pytest.approx(
                 brute_force_tar(s, target), abs=1e-9)
 
     def test_nondecreasing_in_target(self):
         rng = np.random.default_rng(7)
         s = ScoreSet(rng.normal(0.5, 0.4, 100), rng.normal(0.0, 0.4, 100))
         targets = [0.005, 0.01, 0.05, 0.1, 0.3, 0.7]
-        vals = [tar_at_far(operating_points(s), t) for t in targets]
+        vals = [tar_at_far(s, t) for t in targets]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(8)
         gen = rng.normal(0.5, 0.4, 60)
         imp = rng.normal(0.0, 0.4, 70)
-        a = tar_at_far(operating_points(ScoreSet(gen, imp)), 0.01)
-        b = tar_at_far(operating_points(ScoreSet(np.tanh(gen), np.tanh(imp))), 0.01)
+        a = tar_at_far(ScoreSet(gen, imp), 0.01)
+        b = tar_at_far(ScoreSet(np.tanh(gen), np.tanh(imp)), 0.01)
         assert a == b
 
     def test_bad_target_raises(self):
         s = ScoreSet([0.5], [0.1])
         with pytest.raises(DomainError):
-            tar_at_far(operating_points(s), 0.0)
+            tar_at_far(s, 0.0)
         with pytest.raises(DomainError):
-            tar_at_far(operating_points(s), 1.0)
+            tar_at_far(s, 1.0)
 
 
 class TestMetricsCsv:
