@@ -64,10 +64,11 @@ def _execute_run(values, canonical, out_root):
         result.timeline.export(timeline_path)
         manifest["files"] = {"metrics": metrics_path, "timeline": timeline_path}
         os.makedirs(os.path.join(run_dir, "traces"), exist_ok=True)
-        traces = [(os.path.join(run_dir, "traces", f"roc_client{c}.csv"),
-                   result.final_points[c]) for c in sorted(result.final_points)]
-        _write_traces(traces)
-        manifest["files"]["traces"] = [path for path, _ in traces]
+        traces = {c: os.path.join(run_dir, "traces", f"roc_client{c}.npy")
+                  for c in sorted(result.final_points)}
+        for c, path in traces.items():
+            write_roc_csv(path, result.final_points[c])
+        manifest["files"]["traces"] = list(traces.values())
         manifest["final_metrics"] = [vars(rec) for rec in result.final_metrics()]
         manifest["status"] = "ok"
         write_manifest_atomic(manifest_path, manifest)
@@ -76,33 +77,6 @@ def _execute_run(values, canonical, out_root):
         manifest["status"] = f"failed: {_describe(exc)}"
         write_manifest_atomic(manifest_path, manifest)
         raise
-
-
-def _write_traces(jobs):
-    """`write_roc_csv` each (path, points) job, round-robin between this process and
-    one forked child per further usable CPU, as `repr` holds the GIL; the bytes are
-    the same at any width. A child reports by exit status only: after reaping every
-    child, this process rewrites each failed child's share, raising a lasting error."""
-    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    width = min(len(os.sched_getaffinity(0)) if can_fork else 1, len(jobs))
-    children = {}
-    try:
-        for k in range(1, width):
-            if (pid := os.fork()) == 0:   # os._exit: no buffer flush, no exit handler
-                try:
-                    for path, points in jobs[k::width]:
-                        write_roc_csv(path, points)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            children[pid] = k
-        for path, points in jobs[::width]:
-            write_roc_csv(path, points)
-    finally:
-        failed = [k for pid, k in children.items() if os.waitpid(pid, 0)[1]]
-    for k in failed:
-        for path, points in jobs[k::width]:
-            write_roc_csv(path, points)
 
 
 def cmd_run(args) -> int:

@@ -160,23 +160,11 @@ def client_score_set(client, test, positions) -> ScoreSet:
 
 
 def write_roc_csv(path, points) -> None:
-    """Raw threshold sweep (threshold, FAR, FRR) of `operating_points` for DET plots.
+    """Save the (threshold, FAR, FRR) sweep of `operating_points` at `path` as one
+    (3, m) float64 `.npy` array, every bit kept: `np.load(path)` reads it back.
 
-    The bytes are `csv.writer`'s: repr'd floats and CRLF line ends.
+    It keeps the name of the CSV writer it replaced, as bench/tracer.py traces
+    `experiment.write_roc_csv`; ROADMAP item 1 renames it.
     """
-    thresholds, far, frr = points
-    with open(path, "w", newline="") as fh:
-        fh.write("threshold,far,frr\r\n")
-        for i in range(0, thresholds.size, 4096):  # chunks: no whole-file string
-            rows = slice(i, i + 4096)
-            fh.write("\r\n".join(map(",".join, zip(
-                map(repr, thresholds[rows].tolist()),
-                _run_reprs(far[rows]), _run_reprs(frr[rows])))) + "\r\n")
-
-
-def _run_reprs(values):
-    """repr of each value, found once per run of equal values (the rates are
-    never -0.0, the one value whose repr differs from an equal one's)."""
-    starts = np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
-    reprs = np.array(list(map(repr, values[starts].tolist())), dtype=object)
-    return np.repeat(reprs, np.diff(starts, append=values.size)).tolist()
+    with open(path, "wb") as fh:   # a handle: np.save appends ".npy" to a bare path
+        np.save(fh, np.stack(points))

@@ -250,16 +250,6 @@ def tar_at_far(points, far_target: float = 0.01) -> float:
     return float(1.0 - frr[k])
 
 
-def write_roc_csv(path, scores: ScoreSet) -> None:
-    """(threshold, FAR, FRR) rows of `operating_points`, every float repr'd
-    on its own, with `csv.writer`'s CRLF line ends."""
-    thresholds, far, frr = operating_points(scores)
-    with open(path, "w", newline="") as fh:
-        fh.write("threshold,far,frr\r\n")
-        for t, fa, fr in zip(thresholds.tolist(), far.tolist(), frr.tolist()):
-            fh.write(f"{t!r},{fa!r},{fr!r}\r\n")
-
-
 def client_grad(problem, k, w):
     """Gradient of client k's quadratic at w, one client at a time."""
     return problem.mats[k] @ (w - problem.targets[k])

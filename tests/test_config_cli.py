@@ -256,7 +256,7 @@ class TestRunVerb:
         assert len(lines) == 1 + 3 * 2  # per client per round
         assert os.path.getsize(os.path.join(run_dir, "timeline.log")) > 0
         traces = os.listdir(os.path.join(run_dir, "traces"))
-        assert sorted(traces) == [f"roc_client{c}.csv" for c in range(3)]
+        assert sorted(traces) == [f"roc_client{c}.npy" for c in range(3)]
         assert "artifacts:" in capsys.readouterr().out
 
     def test_solo_mode_has_no_server_traffic(self, small_config, tmp_path):

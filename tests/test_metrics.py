@@ -235,8 +235,8 @@ SCORES = st.lists(SCORE, min_size=1, max_size=40)
 
 
 class TestSweepOracle:
-    """`operating_points` and the ROC writer against the binary-search and
-    one-repr-per-row references."""
+    """`operating_points` against the binary-search reference, and the ROC
+    writer's `.npy` round trip."""
 
     @given(SCORES, SCORES)
     @settings(max_examples=200, deadline=None)
@@ -247,21 +247,15 @@ class TestSweepOracle:
 
     @given(SCORES, SCORES)
     @settings(max_examples=60, deadline=None)
-    def test_trace_bytes_match_oracle(self, tmp_path_factory, genuine, impostor):
-        s = ScoreSet(genuine, impostor)
-        d = tmp_path_factory.mktemp("roc")
-        write_roc_csv(d / "got.csv", operating_points(s))
-        oracles.write_roc_csv(d / "expected.csv", s)
-        assert (d / "got.csv").read_bytes() == (d / "expected.csv").read_bytes()
-
-    def test_trace_bytes_match_oracle_across_chunks(self, tmp_path):
-        # ~10,100 thresholds span three 4,096-row chunks; rounding to 3 decimals
-        # makes runs of equal FAR and FRR that cross the chunk boundaries
-        rng = np.random.default_rng(11)
-        s = ScoreSet(np.round(rng.normal(0.4, 0.3, 3000), 3), rng.normal(0.0, 0.3, 9000))
-        write_roc_csv(tmp_path / "got.csv", operating_points(s))
-        oracles.write_roc_csv(tmp_path / "expected.csv", s)
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    @example([0.0, -0.0], [-0.0, 1.0])
+    def test_trace_loads_to_the_sweep_bits(self, tmp_path_factory, genuine, impostor):
+        points = operating_points(ScoreSet(genuine, impostor))
+        path = tmp_path_factory.mktemp("roc") / "trace"   # written as named: no ".npy" added
+        write_roc_csv(path, points)
+        loaded = np.load(path)
+        assert loaded.dtype.str == "<f8"
+        assert loaded.shape == (3, len(set(genuine) | set(impostor)) + 1)   # +inf sentinel
+        assert loaded.tobytes() == np.stack(points).tobytes()
 
 
 def bits(x):
