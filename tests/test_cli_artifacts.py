@@ -36,34 +36,26 @@ GOLDEN = {
             "dc7609a4436f5eb5e4085e9d80eaf86738880e1f07db54a3b0c37778f07e0bfa",
         "timeline.log":
             "782fdfce8848d579099433ce013599b64c482771ec569f320db2a6091b428b9b",
-        "traces/roc_client0.csv":
-            "88e771239b1a174b9fc157ab558076be277f8fb9d4f4bab2d5f3223c9aac4e40",
-        "traces/roc_client1.csv":
-            "d9c856a2d715e747255da3f0c5fed979dad30bf479c1b364cbf5aed77620f59d",
-        "traces/roc_client2.csv":
-            "c143cca8cb31e691a70fa15ce9d7e76ad8c0b99fd3623b1cd0077133209e2f6f",
-        "traces/roc_client3.csv":
-            "f5260701415b09aebd1c238a03b232248941c95230e67c4c722a1a28d918856c",
+        "traces/roc_client0.npy":
+            "e88042e06365e5d1a168b6ea5f57cd7c2ea02fdc24f108a8f903e9887d26692b",
+        "traces/roc_client1.npy":
+            "e54f23bf2bb7d2f4e08fe71beb2fb7dd41cd57e73fe0bf9875fbce39630a2045",
+        "traces/roc_client2.npy":
+            "c9d784c640965bcb6ce2326c8648b779ef098d22088af51d18e933654a986df9",
+        "traces/roc_client3.npy":
+            "9deb53e6b6e20ef78ff899af9e3f087fca2ebbcc0737e2907cdd62ddae271d87",
     }),
     "open_set": (OPEN_SET, "0-fedavg-980ecf88", {
         "metrics.csv":
             "992851787b7ca3c5cee6638e9a6befaa089a1645f6d2aa18e128026624a60807",
         "timeline.log":
             "325032a49c72652e0c7e6b30dea7b072e78e8d3d81ba4aa8b8ae406492d6b1fc",
-        "traces/roc_client0.csv":
-            "5e3786f469cd336c97f512ccd8bbb61ae2560f3c515c055eb991bfe1ba0931bf",
-        "traces/roc_client1.csv":
-            "ebbd4273a036bd2a98a41d998a3bc0dfbd5d508ed3a0d72c275ddfe23dba20c5",
+        "traces/roc_client0.npy":
+            "f76ce78c20b8a61a5577a8fcd8734244747e59477e96aece6f19ec06d148cfbd",
+        "traces/roc_client1.npy":
+            "f7dccb867ad3e20b85cbe2d06f18880bcd1b330f7c7f6f8d8344fa1c99a42349",
     }),
 }
-
-
-def read_roc(path):
-    """(thresholds, far, frr) arrays parsed back from a ROC trace."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["threshold", "far", "frr"]
-    return tuple(np.array([float(v) for v in col]) for col in zip(*rows[1:]))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -88,5 +80,5 @@ def test_run_artifacts_match_golden(name, tmp_path, capsys):
         final = {int(row["client_id"]): float(row["eer"])
                  for row in csv.DictReader(fh)}
     for client_id, final_eer in final.items():
-        points = read_roc(run_dir / "traces" / f"roc_client{client_id}.csv")
+        points = np.load(run_dir / "traces" / f"roc_client{client_id}.npy")
         assert eer(points) == final_eer
