@@ -267,6 +267,7 @@ class ClientGroup:
             if _settings(c) != self.settings:
                 raise ProtocolError(f"client {c.client_id} changed a setting of its group")
 
+    @np.errstate(over="ignore", invalid="ignore")   # see `_step`
     def local_rounds(self, rows) -> dict:
         """One local round of each member in `rows` (sorted row indices).
 
@@ -276,6 +277,7 @@ class ClientGroup:
         self._check(rows, Phase.LOCAL_TRAINING, "local_train_round")
         n, size = self.n_samples, self.batch_size
         order = np.empty((len(self.members), n), dtype=np.int64)
+        lr = np.array([c.lr for c in self.members], dtype=np.float64)[:, None]
         dead = {}
         for g in rows:
             self.members[g].last_epoch_losses = []
@@ -286,7 +288,7 @@ class ClientGroup:
             losses = {g: [] for g in live}
             for b_idx, start in enumerate(range(0, n, size)):
                 self._steps([g for g in live if g not in dead], "local", b_idx,
-                            order[:, start:start + size], losses, dead)
+                            order[:, start:start + size], losses, dead, lr)
             for g in live:
                 self.members[g].last_epoch_losses.append(losses[g])
         results = {}
@@ -298,26 +300,34 @@ class ClientGroup:
                 c.client_id, c.fed_round, c.fed_channel.params.copy())
         return results
 
-    def async_steps(self, rows) -> dict:
-        """One waiting-time step of each member in `rows` (sorted row indices).
-
-        Returns {row: the member's loss, or the DivergenceError of its step}.
-        """
-        self._check(rows, Phase.WAITING, "async_train_step")
+    @np.errstate(over="ignore", invalid="ignore")   # see `_step`
+    def async_steps(self, steps) -> dict:
+        """steps[g] waiting-time steps of each member g (keys in row order), or one
+        of each of a sorted list of rows; step j is one call over the members that
+        take more than j, and draws only their batches. Returns {row: its losses,
+        then the DivergenceError that stopped it}; for a list, {row: its loss or error}."""
+        counts = steps if isinstance(steps, dict) else dict.fromkeys(steps, 1)
+        self._check(counts, Phase.WAITING, "async_train_step")
         n, size = self.n_samples, min(self.batch_size, self.n_samples)
-        idx = np.empty((len(self.members), size), dtype=np.int64)
-        for g in rows:
-            idx[g] = self.members[g]._async_rng.choice(n, size=size, replace=False)
-        losses, dead = {g: [] for g in rows}, {}
-        self._steps(rows, "async", None, idx, losses, dead)
-        return {g: dead[g] if g in dead else losses[g][0] for g in rows}
+        idx = np.zeros((len(self.members), size), dtype=np.int64)
+        lr = np.array([c.lr for c in self.members], dtype=np.float64)[:, None]
+        losses, dead = {g: [] for g in counts}, {}
+        for j in range(max(counts.values(), default=0)):
+            due = [g for g in counts if counts[g] > j and g not in dead]
+            for g in due:
+                idx[g] = self.members[g]._async_rng.choice(n, size=size, replace=False)
+            self._steps(due, "async", None, idx, losses, dead, lr)
+            for g in dead.keys() & due:
+                losses[g][j:] = [dead[g]]   # in place of the loss of its last step
+        return losses if counts is steps else {g: losses[g][0] for g in counts}
 
-    def _steps(self, rows, phase, batch_index, idx, losses, dead):
-        """Step the members in `rows` all at once, or each as its own group of
-        one; the `DomainError` of a member stepped alone is its DivergenceError."""
-        if len(rows) == len(self.members) > 1:
+    def _steps(self, rows, phase, batch_index, idx, losses, dead, lr):
+        """Step the members in `rows` in one stacked call, or each as its own group
+        of one: a lone member, or some of a local step (its center update takes
+        the whole stack). The `DomainError` of a member alone is its DivergenceError."""
+        if len(rows) > 1 and (len(rows) == len(self.members) or phase == "async"):
             try:
-                return self._step(rows, phase, batch_index, idx, losses, dead)
+                return self._step(rows, phase, batch_index, idx, losses, dead, lr)
             except DomainError:
                 pass   # non-finite activations from exploded parameters: find whose
         for g in rows:
@@ -325,26 +335,25 @@ class ClientGroup:
                 self._alone[g] = ClientGroup([self.members[g]])
             try:
                 self._alone.get(g, self)._step((g,), phase, batch_index, idx[g:g + 1],
-                                               losses, dead)
+                                               losses, dead, lr[g:g + 1])
             except DomainError as exc:
                 dead[g] = self.members[g]._diverged(
                     f"{phase} training diverged: {exc}", phase, batch_index)
                 dead[g].__cause__ = exc
 
-    # the finite checks below report an overflow once, as a DivergenceError;
-    # numpy's RuntimeWarnings for it would only add lines ahead of that one
-    @np.errstate(over="ignore", invalid="ignore")
-    def _step(self, rows, phase, batch_index, idx, losses, dead):
-        """One SGD step of every member, member i on its training rows idx[i].
-
-        Appends member i's loss to losses[rows[i]]. A member whose loss or an
-        updated part is non-finite gets its first error in dead[rows[i]], with
-        the message, round, phase and batch a step of it alone would raise. A
-        `DomainError` is raised before any update."""
+    # the callers ignore overflow and invalid results: the finite checks below
+    # report them once, as a DivergenceError, where numpy would warn each time
+    def _step(self, rows, phase, batch_index, idx, losses, dead, lr):
+        """One SGD step of the stack, member i on its training rows idx[i] at lr[i],
+        which updates only the members in `rows` (not at lr = 0: -0.0 - -0.0 is
+        +0.0). Each appends its loss to losses[row]; one whose loss or an updated
+        part is non-finite gets its first error in dead[row], as a step of it
+        alone would raise. A `DomainError` is raised before any update."""
         models, bank = self.models, self.bank
+        stack = len(self.members)
+        due = True if len(rows) == stack else np.bincount(rows, minlength=stack)[:, None] > 0
         at = idx + self._row_offset
         xb, yb = self._flat_inputs.take(at, axis=0), self._flat_labels.take(at)
-        lr = np.array([c.lr for c in self.members], dtype=np.float64)[:, None]
         if phase == "local":
             out = local_loss_and_grads(
                 models["local_channel"], models["fed_channel"], models["fusion"],
@@ -356,25 +365,26 @@ class ClientGroup:
         for part, grad in grads.items():
             params = models[part].params
             grad *= lr
-            params -= grad
+            np.subtract(params, grad, out=params, where=due)
             finite &= np.isfinite(params).all()
         if not finite:
             # name the members: the loss first, then each part in update order
+            ids = rows if due is True else range(stack)   # stack index -> row
             for what, bad in [("loss", ~np.isfinite(loss))] + [
                     ("parameters", ~np.isfinite(models[part].params).all(axis=-1))
                     for part in grads]:
-                for i in np.flatnonzero(bad):
-                    dead.setdefault(rows[i], self.members[i]._diverged(
+                for i in np.flatnonzero(bad & np.ravel(due)):
+                    dead.setdefault(ids[i], self.members[i]._diverged(
                         f"non-finite {phase} training {what}", phase, batch_index))
         if phase == "local" and self.loss_weights.alpha3 > 0:
             update_centers(bank, out[2], yb)
-        for row, value in zip(rows, loss.tolist()):
+        for row, value in zip(rows, (loss if due is True else loss[list(rows)]).tolist()):
             losses[row].append(value)
 
 
 def group_clients(clients) -> list:
     """Partition clients into ClientGroups of one `_group_key` and at most
-    GROUP_ROWS members, in list order; returns each client's (group, row)."""
+    GROUP_ROWS members, in list order; returns each client's (group, members)."""
     keyed = {}
     for c, client in enumerate(clients):
         keyed.setdefault(_group_key(client), []).append(c)
@@ -383,8 +393,8 @@ def group_clients(clients) -> list:
         for lo in range(0, len(alike), GROUP_ROWS):
             chunk = alike[lo:lo + GROUP_ROWS]
             group = ClientGroup([clients[c] for c in chunk])
-            for row, c in enumerate(chunk):
-                place[c] = (group, row)
+            for c in chunk:
+                place[c] = (group, chunk)
     return place
 
 

@@ -60,7 +60,7 @@ def pair_positions(labels, cap: int = IMPOSTOR_PAIR_CAP, seed: int = 0):
         raise ShapeError("expect (n,) labels")
     n = labels.size
     # boolean masks read the upper triangle in row-major (i < j) order
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    upper = np.arange(n)[:, None] < np.arange(n)
     same = labels[:, None] == labels[None, :]
     dtype = np.int32 if n * n < 2 ** 31 else np.int64
     genuine = np.flatnonzero(same & upper).astype(dtype)

@@ -1,23 +1,23 @@
-"""Deterministic discrete-event simulation of the asynchronous protocol.
+"""Deterministic simulation of the asynchronous protocol: a plan, then a run.
 
-Sim-time is integer ticks. Events at equal timestamps are ordered by a fixed
-kind rank (server work first, async steps before model returns) and then by
-subject id, so the processed sequence is a pure function of the inputs.
-
-Clients train in groups (`client.ClientGroup`). The first local round or
-async step of a group to come up on a tick trains every member with that
-event queued on that tick, all in one stacked call or each as its own group
-of one; each member's result waits until its own event is handled, in the
-order above. Rebinding a member's arrays raises `ProtocolError`.
+`plan` orders every event from the schedule alone, in plain int ticks: events
+at equal timestamps go by a fixed kind rank (server work first, async steps
+before model returns), then by subject id. `run_simulation` walks that order.
+A client's training runs ahead of its events, stacked with its group's
+(`client.ClientGroup`): its local round once its model is back, its async steps
+up to the group's next gate (a member's upload or model return, or the
+aggregation). A hook at an event may change that event's client, not another
+one. Rebinding a member's arrays raises `ProtocolError`.
 """
 
 import enum
-import heapq
 import json
+from bisect import bisect, bisect_left
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
-from .client import Phase, _raise_diverged, group_clients
-from .errors import ConfigError
+from .client import Phase, group_clients
+from .errors import ConfigError, DivergenceError
 from .server import ServerState, handle_upload, run_aggregation
 from .synth import _per_client
 
@@ -30,6 +30,9 @@ class EventKind(enum.Enum):
     MODEL_RETURNED = 3
     LOCAL_ROUND_DONE = 4
     EXPERIMENT_END = 5
+
+
+TRAINING = (EventKind.LOCAL_ROUND_DONE.name, EventKind.ASYNC_STEP_DUE.name)
 
 
 @dataclass(frozen=True)
@@ -97,14 +100,64 @@ class TimelineLog:
                 fh.write(rec.as_json() + "\n")
 
 
+def plan(cfg: SimConfig, steps_per_round, *, solo=False, first_rounds=None) -> list:
+    """Every event of a run in order, as (client index, TimelineRecord) pairs of
+    plain ints. The index is -1 for the aggregation and the end; for an upload
+    it names the client, where the record names the server.
+
+    Client c trains steps_per_round[c] steps per local round from round
+    first_rounds[c] (0 by default); a `solo` run has no server.
+    """
+    n, d = cfg.n_clients, cfg.async_step_duration
+    agg, upload, step, ret, local, _ = (kind.value for kind in EventKind)
+    names = [kind.name for kind in EventKind]
+    at = list(first_rounds or [0] * n)   # each client's round
+    end = [r + cfg.rounds for r in at]
+    dur = [cfg.local_step_duration[c] * steps_per_round[c] for c in range(n)]
+    done_at, steps, uploads = [0] * n, [0] * n, 0
+    queue, events = sorted((dur[c], local, c, at[c]) for c in range(n)), []   # a heap
+    while queue:
+        t, kind, c, r = heappop(queue)
+        subject, extra = c, ()
+        if kind == step:
+            if at[c] != r:
+                continue   # its round's model has returned: the chain stops
+            steps[c] += 1
+            heappush(queue, (t + d, step, c, r))
+        elif kind == local:
+            done_at[c], steps[c] = t, 0
+            if solo:   # ranks before LOCAL_ROUND_DONE: the next event at t
+                heappush(queue, (t, ret, c, r))
+            else:
+                heappush(queue, (t + cfg.upload_latency[c], upload, c, r))
+                if d is not None:
+                    heappush(queue, (t + d, step, c, r))
+        elif kind == upload:
+            subject, uploads = -1, uploads + 1
+            if uploads % n == 0:   # the last upload of the round
+                heappush(queue, (t + cfg.server_compute_time, agg, -1, r))
+        elif kind == agg:
+            for c_ in range(n):
+                heappush(queue, (t + cfg.download_latency[c_], ret, c_, r))
+        else:
+            extra = (steps[c], t - done_at[c] - steps[c] * (d or 0))
+            at[c] += 1
+            if at[c] < end[c]:
+                heappush(queue, (t + dur[c], local, c, at[c]))
+        events.append((c, TimelineRecord(t, names[kind], subject, r, *extra)))
+    last = events[-1][1].t if events else 0
+    events.append((-1, TimelineRecord(last, EventKind.EXPERIMENT_END.name, -1, cfg.rounds)))
+    return events
+
+
 def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
                    on_round_complete=None):
     """Drive clients (and optionally a server) through cfg.rounds federated rounds.
 
     Without a server a client's own upload returns on the tick its local round
-    ends: no waiting, no async steps. Every round ends in the MODEL_RETURNED
-    handler, which calls on_round_complete(client, round_index, t). A client's
-    DivergenceError is raised when its own event is handled.
+    ends: no waiting, no async steps. Every round ends in its MODEL_RETURNED
+    event, which calls on_round_complete(client, round_index, t). A training
+    op's DivergenceError is raised at the op's place in `plan`.
 
     Returns (TimelineLog, clients, server).
     """
@@ -114,110 +167,57 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
     if server is not None and server.client_ids != tuple(sorted(c.client_id for c in clients)):
         raise ConfigError(f"server client ids {server.client_ids} are not the clients' ids")
 
-    log = TimelineLog()
-    queue = []
-    seq = 0
+    events = plan(cfg, [c.local_epochs * c.n_batches() for c in clients], solo=server is None,
+                  first_rounds=[client.fed_round for client in clients])
+    end = len(events)
+    # each client's training ops and gates as plan positions; its ops end in `end`
+    ops, gates = [[end] for _ in clients], [[] for _ in clients]
+    for i, (c, rec) in enumerate(events):
+        if rec.kind in TRAINING:
+            ops[c].insert(-1, i)
+        else:   # the aggregation and the end are every client's gates
+            for own in gates if c < 0 else [gates[c]]:
+                own.append(i)
+    place = group_clients(clients)   # client index -> (its group, its members by row)
+    ran, uploads, failed = [0] * cfg.n_clients, {}, {}   # failed: plan position -> error
 
-    def push(t, kind, subject, payload=None):
-        nonlocal seq
-        # `_value_`/`_name_`: plain attributes, not the Python-level `.value`/`.name`
-        heapq.heappush(queue, (t, kind._value_, subject, seq, kind, payload))
-        seq += 1
+    def train(i, group, members):
+        """In stacked calls: the local round of each member whose model is back,
+        and each member's async steps before the group's next gate after i."""
+        local = [row for row, c in enumerate(members)
+                 if clients[c].phase is Phase.LOCAL_TRAINING and ops[c][ran[c]] < end]
+        for row, msg in (group.local_rounds(local) if local else {}).items():
+            uploads[members[row]] = msg
+            settle(members[row], [msg])
+        until = min(gates[c][bisect(gates[c], i)] for c in members)
+        steps = {row: k for row, c in enumerate(members)
+                 if (k := bisect_left(ops[c], until, ran[c]) - ran[c])}
+        for row, losses in (group.async_steps(steps) if steps else {}).items():
+            settle(members[row], losses)
 
-    d = cfg.async_step_duration
-    first_round = [client.fed_round for client in clients]
-    wait_start = [0] * cfg.n_clients
-    async_count = [0] * cfg.n_clients
-    # dispatches carry client ids, which need not equal list positions
-    index_of = {client.client_id: i for i, client in enumerate(clients)}
+    def settle(c, out):
+        """Count the ops of c that ran; an error keeps its op's place, and c runs no more."""
+        if isinstance(out[-1], DivergenceError):
+            failed[ops[c][ran[c] + len(out) - 1]], ran[c] = out[-1], len(ops[c]) - 1
+        else:
+            ran[c] += len(out)
 
-    place = group_clients(clients)   # client index -> (its group, its row)
-    # client index -> its result for the (tick, kind) being handled, not yet popped
-    stash = {}
-
-    def async_due(c, round_index):
-        # a chain from an earlier round stops even if its client waits again
-        return clients[c].phase is Phase.WAITING and clients[c].fed_round == round_index
-
-    def train(t, kind, subject):
-        """The result of subject's training event at t, trained together with
-        every event of its group queued for the same tick and kind."""
-        local = kind is EventKind.LOCAL_ROUND_DONE
-        if subject not in stash:
-            group = place[subject][0]
-            due = {subject} | {
-                c for (t_, _, c, _, kind_, payload) in queue
-                if t_ == t and kind_ is kind and place[c][0] is group
-                and c not in stash and (local or async_due(c, payload))}
-            subject_at = {place[c][1]: c for c in due}
-            step = group.local_rounds if local else group.async_steps
-            for row, result in step(sorted(subject_at)).items():
-                stash[subject_at[row]] = result
-        return _raise_diverged(stash.pop(subject))
-
-    def start_round(c, t):
-        client = clients[c]
-        dur = cfg.local_step_duration[c] * client.local_epochs * client.n_batches()
-        push(t + dur, EventKind.LOCAL_ROUND_DONE, c)
-
-    for c in range(cfg.n_clients):
-        start_round(c, 0)
-
-    while queue:
-        t, _, subject, _, kind, payload = heapq.heappop(queue)
-
-        if kind is EventKind.LOCAL_ROUND_DONE:
-            client = clients[subject]
-            msg = train(t, kind, subject)
-            log.append(TimelineRecord(t, kind._name_, subject, client.fed_round))
-            wait_start[subject] = t
-            async_count[subject] = 0
-            if server is None:
-                # ranks before LOCAL_ROUND_DONE: handled before any other round ending now
-                push(t, EventKind.MODEL_RETURNED, subject, msg.params)
-            else:
-                push(t + cfg.upload_latency[subject], EventKind.UPLOAD_ARRIVED,
-                     subject, msg)
-                if d is not None:
-                    push(t + d, EventKind.ASYNC_STEP_DUE, subject, client.fed_round)
-
-        elif kind is EventKind.UPLOAD_ARRIVED:
-            handle_upload(server, payload)
-            log.append(TimelineRecord(t, kind._name_, -1, server.round))
-            if server.ready:
-                push(t + cfg.server_compute_time, EventKind.AGGREGATION_DONE, -1)
-
-        elif kind is EventKind.AGGREGATION_DONE:
-            dispatches = run_aggregation(server)
-            log.append(TimelineRecord(t, kind._name_, -1, server.round - 1))
-            for msg in dispatches:
-                c = index_of[msg.client_id]
-                push(t + cfg.download_latency[c], EventKind.MODEL_RETURNED, c,
-                     msg.params)
-
-        elif kind is EventKind.ASYNC_STEP_DUE:
-            if async_due(subject, payload):
-                train(t, kind, subject)
-                async_count[subject] += 1
-                log.append(TimelineRecord(t, kind._name_, subject, payload))
-                push(t + d, EventKind.ASYNC_STEP_DUE, subject, payload)
-
-        elif kind is EventKind.MODEL_RETURNED:
-            client = clients[subject]
-            round_index = client.fed_round
-            client.adopt_global(payload)
-            steps = async_count[subject]
-            idle = t - wait_start[subject] - steps * (d or 0)
-            log.append(TimelineRecord(t, kind._name_, subject, round_index,
-                                      async_steps=steps, idle=idle))
+    for i, (c, rec) in enumerate(events):
+        if rec.kind in TRAINING:
+            if ops[c][ran[c]] == i:
+                train(i, *place[c])
+            if i in failed:
+                raise failed[i]
+        elif rec.kind == EventKind.UPLOAD_ARRIVED.name:
+            handle_upload(server, uploads.pop(c))
+        elif rec.kind == EventKind.AGGREGATION_DONE.name:
+            returned = {msg.client_id: msg.params for msg in run_aggregation(server)}
+        elif rec.kind == EventKind.MODEL_RETURNED.name:
+            client = clients[c]
+            client.adopt_global(uploads.pop(c).params if server is None
+                                else returned[client.client_id])
             if on_round_complete is not None:
-                on_round_complete(client, round_index, t)
-            if client.fed_round - first_round[subject] < cfg.rounds:
-                start_round(subject, t)
-            else:
+                on_round_complete(client, rec.round, rec.t)
+            if ops[c][ran[c]] == end:   # its last round
                 client.finish()
-
-    end_time = log.records[-1].t if log.records else 0
-    log.append(TimelineRecord(end_time, EventKind.EXPERIMENT_END.name, -1,
-                              cfg.rounds))
-    return log, clients, server
+    return TimelineLog([rec for _, rec in events]), clients, server

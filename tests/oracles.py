@@ -4,16 +4,20 @@ and `fedsim.aggregation`; these are written one vector (or one full row) at a
 time so a test can compare the two. The open-set scoring references recompute
 every pair mask, the impostor subsample and the threshold search on each call,
 read EER and TAR off the whole threshold sweep, and repr every row of a ROC
-trace. The batch-kernel references below are the kernels as first written,
-with the same arithmetic and none of the shortcuts: the fast kernels must
-match them byte for byte. So must the convergence harness's gaps those of its
-per-client loop below, at dim >= 2.
+trace. The timeline reference is the event loop that ran the schedule before
+it was planned, with the training taken out. The batch-kernel references
+below are the kernels as first written, with the same arithmetic and none of
+the shortcuts: the fast kernels must match them byte for byte. So must the
+convergence harness's gaps those of its per-client loop below, at dim >= 2.
 """
+
+import itertools
 
 import numpy as np
 
 from fedsim.errors import DomainError, ShapeError
 from fedsim.metrics import IMPOSTOR_PAIR_CAP, ScoreSet
+from fedsim.simulation import EventKind, TimelineRecord
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -285,3 +289,63 @@ def run_fedavg_convergence(problem, rounds: int, local_steps: int,
                 raise DomainError(f"divergence at round {r}: gap {gap:.3g}")
             gaps[rep, r + 1] = gap
     return gaps.mean(axis=0), gaps.std(axis=0)
+
+
+def event_timeline(cfg, steps_per_round, solo=False, first_rounds=None) -> list:
+    """`simulation.plan` as an event loop: of the queued events, the one of least
+    (tick, kind rank, subject, queue order) runs next, and an async step runs
+    only while its client waits in the round that queued it. Every client and
+    the server start at first_rounds[0] unless `solo`."""
+    n, d = cfg.n_clients, cfg.async_step_duration
+    rounds = list(first_rounds or [0] * n)
+    last, server_round = [r + cfg.rounds - 1 for r in rounds], rounds[0]
+    waiting, done_at, steps = [False] * n, [0] * n, [0] * n
+    queue, out, uploads, seq = [], [], 0, itertools.count()
+
+    def push(t, kind, c, r=None):
+        queue.append((t, kind.value, c, next(seq), kind, r))
+
+    def start(c, t):
+        push(t + cfg.local_step_duration[c] * steps_per_round[c],
+             EventKind.LOCAL_ROUND_DONE, c)
+
+    for c in range(n):
+        start(c, 0)
+    while queue:
+        event = min(queue)
+        queue.remove(event)
+        t, _, c, _, kind, r = event
+        if kind is EventKind.LOCAL_ROUND_DONE:
+            out.append((c, TimelineRecord(t, kind.name, c, rounds[c])))
+            waiting[c], done_at[c], steps[c] = True, t, 0
+            if solo:
+                push(t, EventKind.MODEL_RETURNED, c)
+            else:
+                push(t + cfg.upload_latency[c], EventKind.UPLOAD_ARRIVED, c)
+                if d is not None:
+                    push(t + d, EventKind.ASYNC_STEP_DUE, c, rounds[c])
+        elif kind is EventKind.ASYNC_STEP_DUE:
+            if waiting[c] and rounds[c] == r:
+                steps[c] += 1
+                out.append((c, TimelineRecord(t, kind.name, c, r)))
+                push(t + d, kind, c, r)
+        elif kind is EventKind.UPLOAD_ARRIVED:
+            out.append((c, TimelineRecord(t, kind.name, -1, server_round)))
+            uploads += 1
+            if uploads == n:
+                uploads = 0
+                push(t + cfg.server_compute_time, EventKind.AGGREGATION_DONE, -1)
+        elif kind is EventKind.AGGREGATION_DONE:
+            out.append((-1, TimelineRecord(t, kind.name, -1, server_round)))
+            server_round += 1
+            for c in range(n):
+                push(t + cfg.download_latency[c], EventKind.MODEL_RETURNED, c)
+        else:
+            idle = t - done_at[c] - steps[c] * (d or 0)
+            out.append((c, TimelineRecord(t, kind.name, c, rounds[c], steps[c], idle)))
+            waiting[c] = False
+            rounds[c] += 1
+            if rounds[c] <= last[c]:
+                start(c, t)
+    end = out[-1][1].t if out else 0
+    return out + [(-1, TimelineRecord(end, EventKind.EXPERIMENT_END.name, -1, cfg.rounds))]

@@ -190,6 +190,21 @@ class TestScorePairsOracle:
                 score()
             assert str(info.value) == "zero-norm embedding cannot be scored"
 
+    def test_positions_are_those_of_the_triu_masks(self):
+        # the upper-triangle mask `pair_positions` builds is np.triu's, at every size
+        rng = np.random.default_rng(0)
+        for n in [*range(2, 41), 640]:
+            labels = rng.integers(0, max(2, n // 4), n)
+            upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+            same = labels[:, None] == labels
+            genuine, impostor = np.flatnonzero(same & upper), np.flatnonzero(~same & upper)
+            if not (genuine.size and impostor.size):
+                with pytest.raises(DomainError):
+                    pair_positions(labels)
+                continue
+            got = pair_positions(labels, cap=impostor.size)
+            assert [p.tolist() for p in got] == [genuine.tolist(), impostor.tolist()], n
+
 
 # Scores of a (257, 16) input, a shape where OpenBLAS sums `unit @ unit.T`
 # in another order with two threads than with one.
