@@ -113,11 +113,23 @@ def async_loss_and_grads(local_channel, head1, x_batch, y_batch):
 
 
 def fused_embeddings(local_channel, fed_channel, fusion, inputs):
-    """(B, fuse_dim) fused representations of a (B, input_dim) batch."""
-    f_p, _ = forward_batch(local_channel, inputs)
-    f_g, _ = forward_batch(fed_channel, inputs)
-    z, _ = forward_batch(fusion, np.concatenate([f_p, f_g], axis=-1))
-    return z
+    """(B, fuse_dim) fused embeddings of a (B, input_dim) batch; no cache outlives its read."""
+    f_p = forward_batch(local_channel, inputs)[0]
+    f_g = forward_batch(fed_channel, inputs)[0]
+    return forward_batch(fusion, np.concatenate([f_p, f_g], axis=-1))[0]
+
+
+def stacked_embeddings(clients, inputs) -> np.ndarray:
+    """(G, B, fuse_dim) fused embeddings of (G, B, input_dim) inputs, GROUP_ROWS clients per
+    stacked forward: row g is bit for bit `clients[g].extract_embeddings(inputs[g])`."""
+    embs = np.empty((*inputs.shape[:2], clients[0].fusion.out_dim))
+    for lo in range(0, len(clients), GROUP_ROWS):
+        block = clients[lo:lo + GROUP_ROWS]   # its copied parts go with its forward
+        embs[lo:lo + GROUP_ROWS] = fused_embeddings(*[
+            MLP(getattr(block[0], attr).sizes, getattr(block[0], attr).out_act,
+                np.array([getattr(c, attr).params for c in block]))
+            for attr in ("local_channel", "fed_channel", "fusion")], inputs[lo:lo + GROUP_ROWS])
+    return embs
 
 
 # the ClientState fields of the trained parts, which also key their gradients

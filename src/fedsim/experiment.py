@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .aggregation import AggregationConfig
-from .client import TrainingParams, build_client
+from .client import TrainingParams, build_client, stacked_embeddings
 from .errors import ConfigError
 from .metrics import (MetricsRecord, ScoreSet, eer, operating_points, pair_positions,
                       score_pairs, tar_at_far)
@@ -132,23 +132,30 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     final_points = {}
     positions = {}   # client id -> pair_positions of its test split
 
-    def on_round_complete(client, round_index, t):
-        c = client.client_id
-        if c not in positions:   # at the first evaluation: setup stays short
-            positions[c] = pair_positions(test_of[c].labels, seed=cfg.seed * 1000 + c)
-        # every client ends at round cfg.rounds - 1, the one round swept
-        record, final_points[c] = evaluate_client(client, test_of[c], round_index,
-                                                  positions[c], round_index == cfg.rounds - 1)
-        metrics.append(record)
+    def on_round_complete(returns):
+        emb = {}   # client id -> fused test embeddings; no stacked input outlives its forward
+        for n in dict.fromkeys(len(test_of[cl.client_id].labels) for cl, _, _ in returns):
+            alike = [cl for cl, _, _ in returns if len(test_of[cl.client_id].labels) == n]
+            emb.update(zip([cl.client_id for cl in alike], stacked_embeddings(
+                alike, np.array([test_of[cl.client_id].inputs for cl in alike]))))
+        for client, round_index, _ in returns:
+            c = client.client_id
+            if c not in positions:   # at the first evaluation: setup stays short
+                positions[c] = pair_positions(test_of[c].labels, seed=cfg.seed * 1000 + c)
+            # every client ends at round cfg.rounds - 1, the one round swept
+            record, final_points[c] = evaluate_client(
+                client, emb[c], test_of[c], round_index, positions[c],
+                round_index == cfg.rounds - 1)
+            metrics.append(record)
 
     timeline, _, _ = run_simulation(sim_cfg, clients, server, on_round_complete)
     return RunResult(cfg, metrics, timeline, final_points)
 
 
-def evaluate_client(client, test, round_index, positions, sweep=False):
-    """Score the split's `pair_positions` once: EER and TAR from the sorted runs.
-    Returns (MetricsRecord, the `operating_points` sweep if `sweep`, else None)."""
-    scores = client_score_set(client, test, positions)
+def evaluate_client(client, emb, test, round_index, positions, sweep=False):
+    """Score the test pairs of embeddings `emb` at `positions` once: EER and TAR from
+    the sorted runs. Returns (MetricsRecord, the `operating_points` sweep or None)."""
+    scores = score_pairs(emb, test.labels, positions=positions)
     record = MetricsRecord(client.client_id, round_index, eer(scores), tar_at_far(scores, 0.01),
                            int(scores.genuine.size), int(scores.impostor.size))
     return record, operating_points(scores) if sweep else None

@@ -6,8 +6,8 @@ before model returns), then by subject id. `run_simulation` walks that order.
 A client's training runs ahead of its events, stacked with its group's
 (`client.ClientGroup`): its local round once its model is back, its async steps
 up to the group's next gate (a member's upload or model return, or the
-aggregation). A hook at an event may change that event's client, not another
-one. Rebinding a member's arrays raises `ProtocolError`.
+aggregation). The hook at a run of model returns may change those returns'
+clients, not another one. Rebinding a member's arrays raises `ProtocolError`.
 """
 
 import enum
@@ -156,7 +156,9 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
 
     Without a server a client's own upload returns on the tick its local round
     ends: no waiting, no async steps. Every round ends in its MODEL_RETURNED
-    event, which calls on_round_complete(client, round_index, t). A training
+    event. After the last adoption of a run of such events (no client trains
+    within it), on_round_complete(returns) gets their (client, round_index, t) in
+    plan order; then the clients that ran their last round finish. A training
     op's DivergenceError is raised at the op's place in `plan`.
 
     Returns (TimelineLog, clients, server).
@@ -179,7 +181,8 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
             for own in gates if c < 0 else [gates[c]]:
                 own.append(i)
     place = group_clients(clients)   # client index -> (its group, its members by row)
-    ran, uploads, failed = [0] * cfg.n_clients, {}, {}   # failed: plan position -> error
+    # failed: plan position -> error; run: the (c, record) of the returns walked in a row
+    ran, uploads, failed, run = [0] * cfg.n_clients, {}, {}, []
 
     def train(i, group, members):
         """In stacked calls: the local round of each member whose model is back,
@@ -213,11 +216,14 @@ def run_simulation(cfg: SimConfig, clients, server: ServerState = None,
         elif rec.kind == EventKind.AGGREGATION_DONE.name:
             returned = {msg.client_id: msg.params for msg in run_aggregation(server)}
         elif rec.kind == EventKind.MODEL_RETURNED.name:
-            client = clients[c]
-            client.adopt_global(uploads.pop(c).params if server is None
-                                else returned[client.client_id])
-            if on_round_complete is not None:
-                on_round_complete(client, rec.round, rec.t)
-            if ops[c][ran[c]] == end:   # its last round
-                client.finish()
+            clients[c].adopt_global(uploads.pop(c).params if server is None
+                                    else returned[clients[c].client_id])
+            run.append((c, rec))
+            if events[i + 1][1].kind != rec.kind:   # the last return of its run
+                if on_round_complete is not None:
+                    on_round_complete([(clients[c_], r.round, r.t) for c_, r in run])
+                for c_, _ in run:
+                    if ops[c_][ran[c_]] == end:   # its last round
+                        clients[c_].finish()
+                run = []
     return TimelineLog([rec for _, rec in events]), clients, server

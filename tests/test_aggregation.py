@@ -11,8 +11,10 @@ from fedsim.aggregation import (AggregationConfig, _stack_params,
                                 correlation_rows, correlation_weights,
                                 fedavg_aggregate, mix, personalized_aggregate,
                                 probe_embeddings)
+from fedsim.client import build_client, stacked_embeddings
 from fedsim.errors import DomainError, ShapeError
 from fedsim.nn import GROUP_ROWS, MLP, channel, forward_batch
+from fedsim.synth import LabeledDataset
 
 import oracles
 
@@ -163,6 +165,33 @@ class TestProbeEmbeddings:
         got = probe_embeddings(stacked(models), probes)
         expected = np.stack([forward_batch(m, probes)[0] for m in models])
         assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestStackedEmbeddings:
+    """A run embeds the test splits of the clients whose models return together
+    through stacked copies of their fused parts, GROUP_ROWS clients per forward;
+    every row must equal that client's lone `extract_embeddings` bit for bit."""
+
+    @given(st.one_of(st.integers(1, 20), st.just(64)), st.sampled_from([1, 4, 24, 640]),
+           st.integers(0, 2 ** 32 - 1))
+    @example(15, 4, 0)   # the GROUP_ROWS block edge
+    @example(16, 4, 0)
+    @example(17, 24, 0)
+    @example(64, 4, 0)   # `many_clients_agg`
+    @settings(max_examples=25, deadline=None)
+    def test_rows_match_lone_forwards(self, g, b, seed):
+        assert GROUP_ROWS == 16
+        rng = np.random.default_rng(seed)
+        train = LabeledDataset(rng.standard_normal((4, 32)), np.array([0, 0, 1, 1]), "train")
+        clients = [build_client(c, train, input_dim=32, seed=seed) for c in range(g)]
+        for client in clients:   # the fed channel starts shared: draw every row apart
+            for part in (client.local_channel, client.fed_channel, client.fusion):
+                part.params[...] = rng.uniform(-0.5, 0.5, part.params.shape)
+        inputs = 2.0 * rng.standard_normal((g, b, 32))
+        got = stacked_embeddings(clients, inputs)
+        expected = np.stack([c.extract_embeddings(x) for c, x in zip(clients, inputs)])
+        assert got.shape == expected.shape == (g, b, clients[0].fusion.out_dim)
         assert got.tobytes() == expected.tobytes()
 
 

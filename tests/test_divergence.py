@@ -45,10 +45,11 @@ def run_poisoned(cfg, k, case, poison_round=POISON_ROUND):
         if case == "lr_before_run":
             clients[k].lr = np.inf
 
-        def round_complete(client, round_index, t):
-            if case == "lr_after_round" and round_index == poison_round:
+        def round_complete(returns):
+            if case == "lr_after_round" and any(round_index == poison_round
+                                                for _, round_index, _ in returns):
                 clients[k].lr = np.inf
-            on_round_complete(client, round_index, t)
+            on_round_complete(returns)
         return run_simulation(cfg, clients, server, round_complete)
 
     def spy_upload(server, msg):

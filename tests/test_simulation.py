@@ -5,10 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedsim.client
+import fedsim.experiment
 from fedsim.aggregation import AggregationConfig
 from fedsim.client import Phase, TrainingParams, build_client
 from fedsim.errors import ConfigError, ProtocolError
@@ -193,6 +194,54 @@ class TestGroupedRunEquivalence:
         assert grouped == alone
 
 
+# the ROADMAP Baseline's out-of-lockstep schedule (test_out_of_lockstep_golden.py)
+OUT_OF_LOCKSTEP = ExperimentConfig(local_step_duration=(1, 2, 1, 3),
+                                   upload_latency=(25, 20, 30, 25))
+
+
+def one_client_per_forward(clients, inputs):
+    return np.stack([c.extract_embeddings(x) for c, x in zip(clients, inputs)])
+
+
+class TestRoundHook:
+    """The hook gets each run of consecutive MODEL_RETURNED events once, after
+    the run's adoptions; run_experiment evaluates the run in stacked forwards."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(cfg=small_experiments())
+    @example(cfg=OUT_OF_LOCKSTEP)
+    def test_hook_gets_each_run_of_returns(self, cfg, tmp_path_factory):
+        calls = []
+        run_simulation = fedsim.experiment.run_simulation
+
+        def spy_simulation(sim_cfg, clients, server, on_round_complete):
+            def hook(returns):
+                calls.append([(client.client_id, r, t) for client, r, t in returns])
+                for client, r, _ in returns:
+                    assert (client.fed_round, client.phase) == (r + 1, Phase.LOCAL_TRAINING)
+                on_round_complete(returns)
+            return run_simulation(sim_cfg, clients, server, hook)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fedsim.experiment, "run_simulation", spy_simulation)
+            result = run_experiment(cfg)
+        runs = [[]]   # the timeline's runs of consecutive MODEL_RETURNED records
+        for rec in result.timeline.records:
+            if rec.kind == EventKind.MODEL_RETURNED.name:
+                runs[-1].append((cfg.clients[rec.subject], rec.round, rec.t))
+            elif runs[-1]:
+                runs.append([])
+        assert calls == runs[:-1]
+        returned = [(c, r) for call in calls for c, r, _ in call]
+        assert sorted(returned) == [(c, r) for c in cfg.clients for r in range(cfg.rounds)]
+        assert [(m.client_id, m.round) for m in result.metrics] == returned
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fedsim.experiment, "stacked_embeddings", one_client_per_forward)
+            alone = run_experiment(cfg)
+        assert artifact_digest(result, tmp_path_factory.mktemp("s")) \
+            == artifact_digest(alone, tmp_path_factory.mktemp("a"))
+
+
 class TestConservation:
     def test_sim_time_conservation_every_round(self):
         cfg = SimConfig(n_clients=3, rounds=4, local_step_duration=(1, 2, 1),
@@ -358,9 +407,10 @@ class TestValidation:
 
     def test_rebinding_a_stacked_member_is_refused(self):
         # the hook detaches client 0 from its group's row after round 0
-        def rebind(client, round_index, t):
-            if client.client_id == 0 and round_index == 0:
-                client.head1.params = client.head1.params.copy()
+        def rebind(returns):
+            for client, round_index, _ in returns:
+                if client.client_id == 0 and round_index == 0:
+                    client.head1.params = client.head1.params.copy()
 
         with pytest.raises(ProtocolError, match="client 0 rebound"):
             run_simulation(sim_config(n_clients=2, rounds=3), make_clients(2),
@@ -369,9 +419,10 @@ class TestValidation:
     def test_changing_a_group_setting_is_refused(self):
         # the scheduler times a round by client.local_epochs; the group would
         # still train the epochs it read at construction
-        def more_epochs(client, round_index, t):
-            if round_index == 0:
-                client.local_epochs += 1
+        def more_epochs(returns):
+            for client, round_index, _ in returns:
+                if round_index == 0:
+                    client.local_epochs += 1
 
         with pytest.raises(ProtocolError, match="changed a setting of its group"):
             run_simulation(sim_config(n_clients=2, rounds=3), make_clients(2),
