@@ -23,7 +23,7 @@ from .config import (build_experiment_config, load_config, run_id,
 from .convergence import make_problem, run_fedavg_convergence, verify_simplex
 from .errors import ConfigError, DivergenceError, DomainError, FedSimError
 from .experiment import run_experiment, write_roc_csv
-from .metrics import ScoreSet, eer, tar_at_far, write_metrics_csv
+from .metrics import ScoreSet, eer, operating_points, tar_at_far, write_metrics_csv
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -65,9 +65,9 @@ def _execute_run(values, canonical, out_root):
         manifest["files"] = {"metrics": metrics_path, "timeline": timeline_path}
         os.makedirs(os.path.join(run_dir, "traces"), exist_ok=True)
         traces = {c: os.path.join(run_dir, "traces", f"roc_client{c}.npy")
-                  for c in sorted(result.final_points)}
-        for c, path in traces.items():
-            write_roc_csv(path, result.final_points[c])
+                  for c in sorted(result.final_scores)}
+        for c, path in traces.items():   # one sweep at a time: each dies with its write
+            write_roc_csv(path, operating_points(result.final_scores[c]))
         manifest["files"]["traces"] = list(traces.values())
         manifest["final_metrics"] = [vars(rec) for rec in result.final_metrics()]
         manifest["status"] = "ok"

@@ -8,8 +8,7 @@ import numpy as np
 from .aggregation import AggregationConfig
 from .client import TrainingParams, build_client, stacked_embeddings
 from .errors import ConfigError
-from .metrics import (MetricsRecord, ScoreSet, eer, operating_points, pair_positions,
-                      score_pairs, tar_at_far)
+from .metrics import MetricsRecord, ScoreSet, eer, pair_positions, score_pairs, tar_at_far
 from .server import ServerState, Strategy, load_probe_set
 from .simulation import SimConfig, run_simulation
 from .synth import PROBE_POOL_SIZE, SynthSpec, generate
@@ -91,7 +90,7 @@ class RunResult:
     config: ExperimentConfig
     metrics: list            # MetricsRecord, in event order
     timeline: object         # TimelineLog
-    final_points: dict       # client id -> operating_points of its last evaluation
+    final_scores: dict       # client id -> ScoreSet of its last evaluation, without runs
 
     def final_metrics(self):
         last = {}
@@ -129,7 +128,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         sim_cfg = replace(sim_cfg, async_step_duration=None)
 
     metrics = []
-    final_points = {}
+    final_scores = {}
     positions = {}   # client id -> pair_positions of its test split
 
     def on_round_complete(returns):
@@ -142,23 +141,24 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             c = client.client_id
             if c not in positions:   # at the first evaluation: setup stays short
                 positions[c] = pair_positions(test_of[c].labels, seed=cfg.seed * 1000 + c)
-            # every client ends at round cfg.rounds - 1, the one round swept
-            record, final_points[c] = evaluate_client(
-                client, emb[c], test_of[c], round_index, positions[c],
-                round_index == cfg.rounds - 1)
+            record, scores = evaluate_client(client, emb[c], test_of[c], round_index,
+                                             positions[c])
             metrics.append(record)
+            if round_index == cfg.rounds - 1:   # every client ends at this round
+                del scores.runs   # the trace's sweep sorts again; keep only the scores
+                final_scores[c] = scores
 
     timeline, _, _ = run_simulation(sim_cfg, clients, server, on_round_complete)
-    return RunResult(cfg, metrics, timeline, final_points)
+    return RunResult(cfg, metrics, timeline, final_scores)
 
 
-def evaluate_client(client, emb, test, round_index, positions, sweep=False):
+def evaluate_client(client, emb, test, round_index, positions):
     """Score the test pairs of embeddings `emb` at `positions` once: EER and TAR from
-    the sorted runs. Returns (MetricsRecord, the `operating_points` sweep or None)."""
+    the sorted runs. Returns (MetricsRecord, the ScoreSet)."""
     scores = score_pairs(emb, test.labels, positions=positions)
     record = MetricsRecord(client.client_id, round_index, eer(scores), tar_at_far(scores, 0.01),
                            int(scores.genuine.size), int(scores.impostor.size))
-    return record, operating_points(scores) if sweep else None
+    return record, scores
 
 
 def client_score_set(client, test, positions) -> ScoreSet:

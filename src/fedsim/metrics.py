@@ -89,7 +89,7 @@ def score_pairs(embeddings: np.ndarray, labels, *, positions) -> ScoreSet:
     unit = embeddings / norms[:, None]
     sims = (unit @ unit.T).ravel()
     genuine, impostor = positions
-    return ScoreSet(sims[genuine], sims[impostor])
+    return ScoreSet(sims.take(genuine), sims.take(impostor))
 
 
 def operating_points(scores: ScoreSet):
@@ -101,7 +101,7 @@ def operating_points(scores: ScoreSet):
     merged = np.concatenate(scores.runs)   # raises if either side is empty
     n_g, n_i = scores.genuine.size, scores.impostor.size
     # one stable sort of the two sorted runs merges them (temporaries are
-    # dropped once read: a run holds every client's last sweep)
+    # dropped once read, to keep the trace write's peak low)
     order = np.argsort(merged, kind="stable")
     is_imp, merged = order >= n_g, merged[order]
     del order

@@ -2,13 +2,15 @@
 the run's own process.
 
 Whatever the usable CPUs, no child process is started, every trace the
-manifest lists is written, the bench tracer sees every write, and a write
-error exits 1 with one `error:` line.
+manifest lists is written, each sweep is built from the run's final scores
+just before its write, the bench tracer sees every write, and a write error
+exits 1 with one `error:` line.
 """
 
 import hashlib
 import json
 import os
+import weakref
 
 import pytest
 
@@ -48,8 +50,7 @@ def test_run_starts_no_child_process(verb, config, tmp_path, capsys, monkeypatch
     assert got == DIGESTS
 
 
-def test_tracer_sees_every_trace_write(config, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def test_tracer_sees_every_trace_write(config, tmp_path, capsys):
     t = tracer.Tracer()
     t.install()
     try:
@@ -58,6 +59,43 @@ def test_tracer_sees_every_trace_write(config, tmp_path, capsys, monkeypatch):
         t.uninstall()
     assert code == EXIT_OK
     assert t.summary()["experiment.write_roc_csv"][0] == 2
+
+
+@pytest.mark.parametrize("verb", [["run"], ["sweep", "--grid", "experiment.rounds=2"]],
+                         ids=["run", "sweep"])
+def test_each_sweep_is_built_at_its_write_and_dies_with_it(verb, config, tmp_path, capsys,
+                                                          monkeypatch):
+    """The ROC sweeps are built from the run's final scores one client at a time,
+    each just before its write, and none outlives its write."""
+    results, events, alive = [], [], []
+    run_experiment, sweep, write = (fedsim.cli.run_experiment, fedsim.cli.operating_points,
+                                    fedsim.cli.write_roc_csv)
+
+    def spy_run(cfg):
+        results.append(run_experiment(cfg))
+        return results[-1]
+
+    def spy_sweep(scores):
+        assert not any(ref() is not None for ref in alive)   # the last sweep is gone
+        (c,) = [c for c, s in results[-1].final_scores.items() if s is scores]
+        points = sweep(scores)
+        alive.append(weakref.ref(points[0]))
+        events.append(("sweep", c))
+        return points
+
+    def spy_write(path, points):
+        events.append(("write", os.path.basename(path)))
+        write(path, points)
+
+    monkeypatch.setattr(fedsim.cli, "run_experiment", spy_run)
+    monkeypatch.setattr(fedsim.cli, "operating_points", spy_sweep)
+    monkeypatch.setattr(fedsim.cli, "write_roc_csv", spy_write)
+    out = tmp_path / "out"
+    assert fedsim.cli.main(verb + ["--config", str(config), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert len(results) == 1
+    assert events == [("sweep", 0), ("write", "roc_client0.npy"),
+                      ("sweep", 1), ("write", "roc_client1.npy")]
 
 
 def file_above_out(out):

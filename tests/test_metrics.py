@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fedsim import experiment
 from fedsim.errors import DomainError
 from fedsim.experiment import ExperimentConfig, run_experiment, write_roc_csv
 from fedsim.metrics import (MetricsRecord, ScoreSet, eer, operating_points,
@@ -317,22 +316,29 @@ class TestSortedRunsOracle:
                 assert str(info.value) == "both genuine and impostor scores are required"
 
 
-def test_run_sweeps_each_client_once(monkeypatch):
-    """Only a client's last-round evaluation builds the full sweep, and it is
-    the one `RunResult.final_points` keeps."""
+def test_run_keeps_final_scores_and_sweeps_none(monkeypatch):
+    """A library run builds no sweep. `RunResult.final_scores` keeps each client's
+    last scores without their sorted runs, and their sweep gives that client's
+    final EER and TAR."""
     swept = []
 
     def counting_sweep(scores):
         swept.append(scores)
         return operating_points(scores)
 
-    monkeypatch.setattr(experiment, "operating_points", counting_sweep)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fedsim" and hasattr(module, "operating_points"):
+            monkeypatch.setattr(module, "operating_points", counting_sweep)
     result = run_experiment(ExperimentConfig(rounds=3, synth=SynthSpec(n_clients=2)))
-    assert len(swept) == 2
+    assert swept == []
     final = result.final_metrics()
     assert [(r.client_id, r.round) for r in final] == [(0, 2), (1, 2)]
+    assert sorted(result.final_scores) == [0, 1]
     for rec in final:
-        points = result.final_points[rec.client_id]
+        scores = result.final_scores[rec.client_id]
+        assert vars(scores).keys() == {"genuine", "impostor"}   # no cached `runs`
+        assert (scores.genuine.size, scores.impostor.size) == (rec.n_genuine, rec.n_impostor)
+        points = operating_points(scores)
         assert (eer(points), tar_at_far(points, 0.01)) == (rec.eer, rec.tar_at_far01)
 
 
