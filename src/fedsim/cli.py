@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import __version__, losses
-from .config import (build_experiment_config, load_config, run_id,
-                     values_as_dict, write_manifest_atomic)
+from .config import (build_experiment_config, load_config, parse_config_text, read_config,
+                     run_id, values_as_dict, write_manifest_atomic)
 from .convergence import make_problem, run_fedavg_convergence, verify_simplex
 from .errors import ConfigError, DivergenceError, DomainError, FedSimError
 from .experiment import run_experiment, write_roc_csv
@@ -66,13 +66,14 @@ def _execute_run(values, canonical, out_root):
         os.makedirs(os.path.join(run_dir, "traces"), exist_ok=True)
         traces = {c: os.path.join(run_dir, "traces", f"roc_client{c}.npy")
                   for c in sorted(result.final_scores)}
-        for c, path in traces.items():   # one sweep at a time: each dies with its write
-            write_roc_csv(path, operating_points(result.final_scores[c]))
+        for c, path in traces.items():   # one sweep at a time; its scores die with it
+            write_roc_csv(path, operating_points(result.final_scores.pop(c)))
         manifest["files"]["traces"] = list(traces.values())
-        manifest["final_metrics"] = [vars(rec) for rec in result.final_metrics()]
+        final = result.final_metrics()
+        manifest["final_metrics"] = [vars(rec) for rec in final]
         manifest["status"] = "ok"
         write_manifest_atomic(manifest_path, manifest)
-        return result, run_dir
+        return final, run_dir
     except BaseException as exc:
         manifest["status"] = f"failed: {_describe(exc)}"
         write_manifest_atomic(manifest_path, manifest)
@@ -82,8 +83,8 @@ def _execute_run(values, canonical, out_root):
 def cmd_run(args) -> int:
     values, canonical = load_config(args.config, args.set)
     out_root = args.out or values[("experiment", "out")]
-    result, run_dir = _execute_run(values, canonical, out_root)
-    for rec in result.final_metrics():
+    final, run_dir = _execute_run(values, canonical, out_root)
+    for rec in final:
         print(f"client {rec.client_id}: eer={rec.eer:.4f} "
               f"tar@far0.01={rec.tar_at_far01:.4f}")
     print(f"artifacts: {run_dir}")
@@ -103,14 +104,15 @@ def _parse_grid(items):
 def cmd_sweep(args) -> int:
     """Check every grid point's config, then run each; a diverged point gets
     one `failed: ` row and the sweep goes on to the next, then exits 3."""
-    base_values, _ = load_config(args.config, args.set)
+    text = read_config(args.config)   # once: every point parses the same text
+    base_values, _ = parse_config_text(text, args.set)
     out_root = args.out or base_values[("experiment", "out")]
     axes = _parse_grid(args.grid)
     points = []
     for combo in itertools.product(*(choices for _, choices in axes)) if axes else ():
         overrides = [f"{p}={v}" for (p, _), v in zip(axes, combo)]
         try:
-            values, canonical = load_config(args.config, (args.set or []) + overrides)
+            values, canonical = parse_config_text(text, (args.set or []) + overrides)
             build_experiment_config(values)
         except ConfigError as exc:
             raise ConfigError(f"grid point {' '.join(overrides)}: {exc}") from exc
@@ -126,14 +128,14 @@ def cmd_sweep(args) -> int:
         for combo, values, canonical in points:
             rid = run_id(values, canonical)
             try:
-                result, _ = _execute_run(values, canonical, out_root)
+                final, _ = _execute_run(values, canonical, out_root)
             except DivergenceError as exc:
                 failed += 1
                 print(f"divergence: {_describe(exc)}", file=sys.stderr)
                 writer.writerow(list(combo) + [rid, "", "", "",
                                                f"failed: {_describe(exc)}"])
                 continue
-            for rec in result.final_metrics():
+            for rec in final:
                 writer.writerow(list(combo) + [rid, rec.client_id, repr(rec.eer),
                                                repr(rec.tar_at_far01), "ok"])
     print(f"summary: {summary_path}")

@@ -168,7 +168,7 @@ class ClientState:
 
     def async_train_step(self) -> float:
         """One waiting-time step of the local channel, as a group of one."""
-        return _raise_diverged(ClientGroup([self]).async_steps([0])[0])
+        return _raise_diverged(ClientGroup([self]).async_steps({0: 1})[0][0])
 
     def _diverged(self, message: str, phase: str, batch_index=None) -> DivergenceError:
         return DivergenceError(message, round_index=self.fed_round,
@@ -313,12 +313,10 @@ class ClientGroup:
         return results
 
     @np.errstate(over="ignore", invalid="ignore")   # see `_step`
-    def async_steps(self, steps) -> dict:
-        """steps[g] waiting-time steps of each member g (keys in row order), or one
-        of each of a sorted list of rows; step j is one call over the members that
-        take more than j, and draws only their batches. Returns {row: its losses,
-        then the DivergenceError that stopped it}; for a list, {row: its loss or error}."""
-        counts = steps if isinstance(steps, dict) else dict.fromkeys(steps, 1)
+    def async_steps(self, counts) -> dict:
+        """counts[g] waiting-time steps of each member g (keys in row order); step j
+        is one call over the members that take more than j, and draws only their
+        batches. Returns {row: its losses, then the DivergenceError that stopped it}."""
         self._check(counts, Phase.WAITING, "async_train_step")
         n, size = self.n_samples, min(self.batch_size, self.n_samples)
         idx = np.zeros((len(self.members), size), dtype=np.int64)
@@ -331,7 +329,7 @@ class ClientGroup:
             self._steps(due, "async", None, idx, losses, dead, lr)
             for g in dead.keys() & due:
                 losses[g][j:] = [dead[g]]   # in place of the loss of its last step
-        return losses if counts is steps else {g: losses[g][0] for g in counts}
+        return losses
 
     def _steps(self, rows, phase, batch_index, idx, losses, dead, lr):
         """Step the members in `rows` in one stacked call, or each as its own group

@@ -99,45 +99,44 @@ def parse_config_text(text: str, overrides=None):
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
-    values = default_values()
-    for section in parser.sections():
-        if section not in SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in SCHEMA[section]:
-                raise ConfigError(f"unknown config key {section}.{key}")
-            values[(section, key)] = _convert(section, key, raw)
+    def entries():   # the file's keys in file order, then the overrides
+        for section in parser.sections():
+            if section not in SCHEMA:
+                raise ConfigError(f"unknown config section [{section}]")
+            yield from ((section, key, raw) for key, raw in parser.items(section))
+        for item in overrides or []:
+            path, eq, raw = item.partition("=")
+            section, dot, key = path.partition(".")
+            if not eq:
+                raise ConfigError(f"override {item!r} is not section.key=value")
+            if not dot:
+                raise ConfigError(f"override key {path!r} is not section.key")
+            yield section, key, raw
 
-    for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not section.key=value")
-        path, raw = item.split("=", 1)
-        if "." not in path:
-            raise ConfigError(f"override key {path!r} is not section.key")
-        section, key = path.split(".", 1)
-        if section not in SCHEMA or key not in SCHEMA[section]:
+    values = default_values()
+    for section, key, raw in entries():
+        if key not in SCHEMA.get(section, ()):
             raise ConfigError(f"unknown config key {section}.{key}")
-        values[(section, key)] = _convert(section, key, raw)
+        parse = _PARSERS.get((section, key)) or type(SCHEMA[section][key])
+        try:
+            values[(section, key)] = parse(raw)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"invalid value for {section}.{key}: {raw!r} ({exc})") from exc
 
     canonical = "\n".join(f"{s}.{k}={values[(s, k)]!r}" for s, k in sorted(values))
     return values, canonical
 
 
-def _convert(section, key, raw):
-    parser_fn = _PARSERS.get((section, key)) or type(SCHEMA[section][key])
+def read_config(path) -> str:
     try:
-        return parser_fn(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid value for {section}.{key}: {raw!r} ({exc})") from exc
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 def load_config(path, overrides=None):
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text, overrides)
+    return parse_config_text(read_config(path), overrides)
 
 
 def build_experiment_config(values) -> ExperimentConfig:

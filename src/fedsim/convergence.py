@@ -42,12 +42,6 @@ class ConvexProblem:
         return float(sum(p * (0.5 * float(d @ a @ d))
                          for p, a, d in zip(self.weights, self.mats, w - self.targets)))
 
-    def grad(self, w) -> np.ndarray:
-        out = np.zeros(self.dim)
-        for p, g in zip(self.weights, self.client_grads(w)):
-            out += p * g
-        return out
-
 
 def make_problem(n_clients: int, dim: int, seed, heterogeneity: float = 1.0,
                  eig_range=(0.5, 2.0)) -> ConvexProblem:

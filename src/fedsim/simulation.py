@@ -13,7 +13,7 @@ clients, not another one. Rebinding a member's arrays raises `ProtocolError`.
 import enum
 import json
 from bisect import bisect, bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .client import Phase, group_clients
@@ -87,12 +87,7 @@ class TimelineRecord:
 
 @dataclass
 class TimelineLog:
-    records: list = field(default_factory=list)
-
-    def append(self, rec: TimelineRecord) -> None:
-        if self.records and rec.t < self.records[-1].t:
-            raise ConfigError("timeline timestamps must be nondecreasing")
-        self.records.append(rec)
+    records: list   # TimelineRecords in plan order
 
     def export(self, path) -> None:
         with open(path, "w") as fh:

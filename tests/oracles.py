@@ -259,6 +259,15 @@ def client_grad(problem, k, w):
     return problem.mats[k] @ (w - problem.targets[k])
 
 
+def centralized_grad(problem, w):
+    """Gradient of the weighted objective sum_k p_k F_k at w, one client at a
+    time: the centralized descent that noise-free FedAvg with one local step is."""
+    out = np.zeros(problem.dim)
+    for k, p in enumerate(problem.weights):
+        out += p * client_grad(problem, k, w)
+    return out
+
+
 def run_fedavg_convergence(problem, rounds: int, local_steps: int,
                            lr_scale: float, lr_offset: float, noise: float,
                            seed, replicates: int = 1, w0: np.ndarray = None):

@@ -24,8 +24,8 @@ from fedsim.nn import MLP, channel, forward_batch, fusion_head, linear_head
 from fedsim.server import ServerState, Strategy, handle_upload
 from fedsim.simulation import EventKind, SimConfig, run_simulation
 from fedsim.synth import LabeledDataset
-from oracles import (finite_difference_grad, finite_difference_grad_stacked,
-                     fv_cos_grad, fv_cos_loss)
+from oracles import (centralized_grad, finite_difference_grad,
+                     finite_difference_grad_stacked, fv_cos_grad, fv_cos_loss)
 from sim_defaults import by_kind, sim_config
 
 
@@ -322,13 +322,13 @@ def test_criterion_08_freeze_and_upload_isolation(monkeypatch):
     # the scheduler trains clients through these group steps
     async_steps, local_rounds = ClientGroup.async_steps, ClientGroup.local_rounds
 
-    def guarded_steps(group, rows):
+    def guarded_steps(group, counts):
         # every member, stepped or not: a stacked step must write no other row
         frozen = {(g, n): hashlib.sha256(getattr(member, n).params.tobytes())
                   .hexdigest()
                   for g, member in enumerate(group.members)
                   for n in ("fed_channel", "fusion", "head2")}
-        out = async_steps(group, rows)
+        out = async_steps(group, counts)
         for (g, n), digest in frozen.items():
             now = hashlib.sha256(
                 getattr(group.members[g], n).params.tobytes()).hexdigest()
@@ -378,7 +378,7 @@ def test_criterion_09_convergence_trend():
     w = np.zeros(4)
     worst = abs(trace2.mean_gap[0] - (p2.value(w) - p2.f_star))
     for t in range(20):
-        w = w - (0.5 / (t + 2.0)) * p2.grad(w)
+        w = w - (0.5 / (t + 2.0)) * centralized_grad(p2, w)
         worst = max(worst, abs(trace2.mean_gap[t + 1] - (p2.value(w) - p2.f_star)))
     elapsed = time.perf_counter() - start
     report(9, "noisy decaying-step gap shrinks; noise-free run matches "

@@ -3,7 +3,8 @@ the run's own process.
 
 Whatever the usable CPUs, no child process is started, every trace the
 manifest lists is written, each sweep is built from the run's final scores
-just before its write, the bench tracer sees every write, and a write error
+just before its write, those scores and each sweep point's run are dropped as
+soon as they are written, the bench tracer sees every write, and a write error
 exits 1 with one `error:` line.
 """
 
@@ -67,17 +68,18 @@ def test_each_sweep_is_built_at_its_write_and_dies_with_it(verb, config, tmp_pat
                                                           monkeypatch):
     """The ROC sweeps are built from the run's final scores one client at a time,
     each just before its write, and none outlives its write."""
-    results, events, alive = [], [], []
+    finals, events, alive = [], [], []
     run_experiment, sweep, write = (fedsim.cli.run_experiment, fedsim.cli.operating_points,
                                     fedsim.cli.write_roc_csv)
 
     def spy_run(cfg):
-        results.append(run_experiment(cfg))
-        return results[-1]
+        result = run_experiment(cfg)
+        finals.append(dict(result.final_scores))
+        return result
 
     def spy_sweep(scores):
         assert not any(ref() is not None for ref in alive)   # the last sweep is gone
-        (c,) = [c for c, s in results[-1].final_scores.items() if s is scores]
+        (c,) = [c for c, s in finals[-1].items() if s is scores]
         points = sweep(scores)
         alive.append(weakref.ref(points[0]))
         events.append(("sweep", c))
@@ -93,9 +95,53 @@ def test_each_sweep_is_built_at_its_write_and_dies_with_it(verb, config, tmp_pat
     out = tmp_path / "out"
     assert fedsim.cli.main(verb + ["--config", str(config), "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
-    assert len(results) == 1
+    assert len(finals) == 1
     assert events == [("sweep", 0), ("write", "roc_client0.npy"),
                       ("sweep", 1), ("write", "roc_client1.npy")]
+
+
+@pytest.mark.parametrize("verb", [["run"], ["sweep", "--grid", "experiment.rounds=2"]],
+                         ids=["run", "sweep"])
+def test_each_clients_scores_die_once_its_trace_is_written(verb, config, tmp_path, capsys,
+                                                           monkeypatch):
+    scores, written = {}, []
+    run_experiment, write = fedsim.cli.run_experiment, fedsim.cli.write_roc_csv
+
+    def spy_run(cfg):
+        result = run_experiment(cfg)
+        scores.update({c: weakref.ref(s) for c, s in result.final_scores.items()})
+        return result
+
+    def spy_write(path, points):
+        write(path, points)
+        written.append(int(os.path.basename(path)[len("roc_client"):-len(".npy")]))
+        assert [c for c, ref in scores.items() if ref() is not None] \
+            == [c for c in scores if c not in written]
+
+    monkeypatch.setattr(fedsim.cli, "run_experiment", spy_run)
+    monkeypatch.setattr(fedsim.cli, "write_roc_csv", spy_write)
+    assert fedsim.cli.main(verb + ["--config", str(config),
+                                   "--out", str(tmp_path / "out")]) == EXIT_OK
+    capsys.readouterr()
+    assert written == [0, 1]
+
+
+def test_sweep_drops_each_points_run_before_the_next_starts(config, tmp_path, capsys,
+                                                            monkeypatch):
+    runs = []
+    run_experiment = fedsim.cli.run_experiment
+
+    def spy_run(cfg):
+        assert all(ref() is None for ref in runs)   # no earlier point's RunResult
+        result = run_experiment(cfg)
+        runs.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(fedsim.cli, "run_experiment", spy_run)
+    assert fedsim.cli.main(["sweep", "--grid", "experiment.seed=0|1|2", "--config",
+                            str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+    capsys.readouterr()
+    assert len(runs) == 3 and all(ref() is None for ref in runs)
 
 
 def file_above_out(out):

@@ -361,21 +361,29 @@ class TestClientGroup:
         grouped = alike_clients(lrs, weights, batch, seed)
         alone = alike_clients(lrs, weights, batch, seed)
         group = ClientGroup(grouped)
+
+        def assert_members_equal_alone():
+            for a, b in zip(grouped, alone):
+                for part in PARTS:
+                    assert np.array_equal(getattr(a, part).params,
+                                          getattr(b, part).params)
+                assert np.array_equal(a.center_bank.centers, b.center_bank.centers)
+
         rows = list(range(len(lrs)))
         msgs = group.local_rounds(rows)
         for g, c in enumerate(alone):
             assert np.array_equal(msgs[g].params, c.local_train_round().params)
-        steps = data.draw(st.lists(st.sets(st.sampled_from(rows), min_size=1),
-                                   max_size=4))
-        for stepped in steps:   # any subset of the members, as the scheduler asks
-            losses = group.async_steps(sorted(stepped))
-            for g in stepped:
-                assert losses[g] == alone[g].async_train_step()
-        for a, b in zip(grouped, alone):
-            for part in PARTS:
-                assert np.array_equal(getattr(a, part).params, getattr(b, part).params)
-            assert np.array_equal(a.center_bank.centers, b.center_bank.centers)
-            assert a.last_epoch_losses == b.last_epoch_losses
+        assert [a.last_epoch_losses for a in grouped] == [b.last_epoch_losses for b in alone]
+        assert_members_equal_alone()
+        requests = data.draw(st.lists(st.dictionaries(st.sampled_from(rows),
+                                                      st.integers(0, 3), min_size=1),
+                                      max_size=4))
+        for request in requests:   # any steps of any members, as the scheduler asks
+            counts = dict(sorted(request.items()))
+            losses = group.async_steps(counts)
+            for g, count in counts.items():
+                assert losses[g] == [alone[g].async_train_step() for _ in range(count)]
+            assert_members_equal_alone()
 
     def test_members_read_the_stacks(self):
         clients = alike_clients([0.05, 0.1])

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import fedsim.aggregation
+import fedsim.cli
 import fedsim.losses
 from fedsim.aggregation import AggregationConfig
 from fedsim.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_FAILURE, EXIT_OK, main)
@@ -157,6 +158,11 @@ class TestConfigParsing:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("[training]\nlr = fast\n")
+        # the file's error comes first, before a malformed override's
+        with pytest.raises(ConfigError) as info:
+            parse_config_text("[training]\nlr = fast\n", overrides=["lr=0.1"])
+        assert str(info.value) == ("invalid value for training.lr: 'fast' "
+                                   "(could not convert string to float: 'fast')")
 
     def test_malformed_override_rejected(self):
         with pytest.raises(ConfigError):
@@ -233,6 +239,10 @@ class TestConfigParsing:
             parse_config_text("", overrides=["training.LR=0.1"])
         with pytest.raises(ConfigError):
             parse_config_text("[Training]\nlr = 0.1\n")
+        # an override names the key, even when its section is unknown
+        with pytest.raises(ConfigError) as info:
+            parse_config_text("", overrides=["s.k=1"])
+        assert str(info.value) == "unknown config key s.k"
 
     def test_negative_seed_rejected_without_a_synth_spec(self):
         # ExperimentConfig(seed=-1) keeps the default SynthSpec, so it checks the
@@ -420,6 +430,24 @@ class TestSweepVerb:
         assert captured.err == ("config error: grid point training.lr=-1: "
                                 "lr and center_lr must be finite and >= 0\n")
         assert not out.exists()
+
+    def test_config_rewritten_mid_sweep_changes_no_run_id(self, small_config, tmp_path,
+                                                          monkeypatch):
+        run_experiment = fedsim.cli.run_experiment
+
+        def rewrite_after_first_point(cfg):
+            result = run_experiment(cfg)
+            Path(small_config).write_text(SMALL + "\n[training]\nlr = 0.01\n")
+            return result
+
+        monkeypatch.setattr(fedsim.cli, "run_experiment", rewrite_after_first_point)
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--config", small_config, "--out", out,
+                     "--grid", "experiment.seed=0|1|2"]) == EXIT_OK
+        with open(os.path.join(out, "summary.csv"), newline="") as fh:
+            rids = [row[1] for row in list(csv.reader(fh))[1:]]
+        assert rids == [run_id(*parse_config_text(SMALL, [f"experiment.seed={seed}"]))
+                        for seed in (0, 1, 2) for _ in range(3)]
 
     def test_client_subset_axis_row_counts(self, small_config, tmp_path):
         out = str(tmp_path / "out")

@@ -6,6 +6,7 @@ import pytest
 
 from fedsim.convergence import make_problem, run_fedavg_convergence, verify_simplex
 from fedsim.errors import ConfigError, DomainError
+from oracles import centralized_grad
 
 
 class TestMakeProblem:
@@ -28,7 +29,8 @@ class TestMakeProblem:
         assert p.value(np.array([3.0])) == pytest.approx(
             0.5 * (0.5 * 2 * 4 + 0.5 * 2 * 4) * 2 / 2)
         # gradient vanishes at the average target
-        np.testing.assert_allclose(p.grad(np.array([3.0])), [0.0], atol=1e-12)
+        np.testing.assert_allclose(centralized_grad(p, np.array([3.0])), [0.0],
+                                   atol=1e-12)
 
     def test_optimum_matches_normal_equations_oracle(self):
         for seed in range(10):
@@ -39,7 +41,8 @@ class TestMakeProblem:
                          zip(p.weights, p.mats, p.targets))
             np.testing.assert_allclose(p.w_star, np.linalg.solve(avg_a, avg_ab),
                                        atol=1e-9)
-            np.testing.assert_allclose(p.grad(p.w_star), np.zeros(6), atol=1e-9)
+            np.testing.assert_allclose(centralized_grad(p, p.w_star), np.zeros(6),
+                                       atol=1e-9)
             # f_star is the global minimum: random points are no better
             rng = np.random.default_rng(seed)
             for _ in range(20):
@@ -76,7 +79,7 @@ class TestRunFedavgConvergence:
         w = np.zeros(4)
         expected = [p.value(w) - p.f_star]
         for t in range(20):
-            w = w - (0.5 / (t + 2.0)) * p.grad(w)
+            w = w - (0.5 / (t + 2.0)) * centralized_grad(p, w)
             expected.append(p.value(w) - p.f_star)
         np.testing.assert_allclose(trace.mean_gap, expected, atol=1e-10)
 

@@ -79,10 +79,9 @@ def group_calls(monkeypatch):
         calls["local"].append(len(rows))
         return local_rounds(group, rows)
 
-    def counted_steps(group, steps):
-        counts = steps if isinstance(steps, dict) else dict.fromkeys(steps, 1)
+    def counted_steps(group, counts):
         calls["async"].append([max(counts.values(), default=0), 0])
-        return async_steps(group, steps)
+        return async_steps(group, counts)
 
     def counted_step(group, rows, phase, *args):
         if phase == "async":

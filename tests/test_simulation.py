@@ -16,8 +16,7 @@ from fedsim.errors import ConfigError, ProtocolError
 from fedsim.experiment import ExperimentConfig, run_experiment
 from fedsim.nn import channel
 from fedsim.server import ServerState, Strategy
-from fedsim.simulation import (EventKind, SimConfig, TimelineLog,
-                               TimelineRecord, run_simulation)
+from fedsim.simulation import EventKind, SimConfig, run_simulation
 from fedsim.synth import LabeledDataset, SynthSpec
 from sim_defaults import by_kind, sim_config
 from test_golden import artifact_digest
@@ -427,9 +426,3 @@ class TestValidation:
         with pytest.raises(ProtocolError, match="changed a setting of its group"):
             run_simulation(sim_config(n_clients=2, rounds=3), make_clients(2),
                            None, more_epochs)
-
-    def test_timeline_rejects_time_travel(self):
-        log = TimelineLog()
-        log.append(TimelineRecord(5, "X", 0, 0))
-        with pytest.raises(ConfigError):
-            log.append(TimelineRecord(4, "X", 0, 0))
