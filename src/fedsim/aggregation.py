@@ -3,12 +3,17 @@ gamma * sum_u W[n,u] * P[u] + (1 - gamma) * P[n]. Personalized mixing takes W
 from probe-set correlations, W[n,u] = R[n,u] / sum_{k!=n} R[n,k] with a zero
 diagonal. FedAvg is one row of weights with gamma = 1, sent to every client."""
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
 from .nn import GROUP_ROWS, MLP, forward_batch
+
+SPLIT_ROWS = 28   # below this many clients a thread costs more to start than it saves
 
 
 @dataclass(frozen=True)
@@ -28,14 +33,34 @@ def correlation_rows(embs: np.ndarray) -> np.ndarray:
     by rows: the (N, N, T, dim) product would dominate peak memory at large N. Each
     unordered pair is computed once, row i against clients i..N-1, and mirrored into
     column i; the products commute and both sums read the same layout, so R[j, i]
-    computed on its own would be the same number bit for bit."""
-    norms = np.linalg.norm(embs, axis=-1)
-    if np.any(norms == 0):
-        raise DomainError("zero-norm probe embedding")
-    entries = np.empty((len(embs), len(embs)))
-    for i, (e, n) in enumerate(zip(embs, norms)):
-        row = ((e * embs[i:]).sum(-1) / (n * norms[i:])).sum(-1)
-        entries[i, i:] = entries[i:, i] = row
+    computed on its own would be the same number bit for bit. From SPLIT_ROWS clients
+    on, the usable CPUs take the rows round-robin, through the same ufunc calls."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(embs, axis=-1)
+    if norms.size and not 0 < norms.min() <= norms.max() < np.inf:   # NaN fails each <
+        exc = DomainError("zero-norm or non-finite probe embedding")
+        exc.row = int(np.argmin(np.all((norms > 0) & (norms < np.inf), axis=-1)))
+        raise exc
+    n = len(embs)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, n) if n >= SPLIT_ROWS else 1
+    c, entries, errors = -(-n // workers), np.empty((n, n)), []   # c columns per chunk
+    def rows(first):
+        try:
+            for i, j in ((i, j) for i in range(first, n, workers) for j in range(i, n, c)):
+                entries[i, j:j + c] = entries[j:j + c, i] = (
+                    (embs[i] * embs[j:j + c]).sum(-1) / (norms[i] * norms[j:j + c])).sum(-1)
+        except BaseException as exc:   # raised again in the caller after the join
+            errors.append(exc)
+    helpers = []
+    for k in range(1, workers):   # in a copy of the caller's context, which holds np.errstate
+        helpers.append(threading.Thread(target=contextvars.copy_context().run, args=(rows, k)))
+        helpers[-1].start()
+    rows(0)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
     return entries
 
 

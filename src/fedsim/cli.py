@@ -40,9 +40,7 @@ def _describe(exc: BaseException) -> str:
             f"phase {exc.phase}{batch})")
 
 
-def _execute_run(values, canonical, out_root):
-    cfg = build_experiment_config(values)
-    rid = run_id(values, canonical)
+def _execute_run(cfg, rid, values, out_root):
     run_dir = os.path.join(out_root, rid)
     os.makedirs(run_dir, exist_ok=True)
 
@@ -82,8 +80,8 @@ def _execute_run(values, canonical, out_root):
 
 def cmd_run(args) -> int:
     values, canonical = load_config(args.config, args.set)
-    out_root = args.out or values[("experiment", "out")]
-    final, run_dir = _execute_run(values, canonical, out_root)
+    final, run_dir = _execute_run(build_experiment_config(values), run_id(values, canonical),
+                                  values, args.out or values[("experiment", "out")])
     for rec in final:
         print(f"client {rec.client_id}: eer={rec.eer:.4f} "
               f"tar@far0.01={rec.tar_at_far01:.4f}")
@@ -113,10 +111,10 @@ def cmd_sweep(args) -> int:
         overrides = [f"{p}={v}" for (p, _), v in zip(axes, combo)]
         try:
             values, canonical = parse_config_text(text, (args.set or []) + overrides)
-            build_experiment_config(values)
+            cfg = build_experiment_config(values)
         except ConfigError as exc:
             raise ConfigError(f"grid point {' '.join(overrides)}: {exc}") from exc
-        points.append((combo, values, canonical))
+        points.append((combo, cfg, run_id(values, canonical), values))
     os.makedirs(out_root, exist_ok=True)
     summary_path = os.path.join(out_root, "summary.csv")
     axis_names = [path for path, _ in axes]
@@ -125,10 +123,9 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(axis_names + ["run_id", "client_id", "eer", "tar_at_far01",
                                       "status"])
-        for combo, values, canonical in points:
-            rid = run_id(values, canonical)
+        for combo, cfg, rid, values in points:
             try:
-                final, _ = _execute_run(values, canonical, out_root)
+                final, _ = _execute_run(cfg, rid, values, out_root)
             except DivergenceError as exc:
                 failed += 1
                 print(f"divergence: {_describe(exc)}", file=sys.stderr)

@@ -11,6 +11,7 @@ class ShapeError(FedSimError):
 
 class DomainError(FedSimError):
     """Input is outside the mathematical domain of an operation."""
+    row = None   # the offending row of a stacked input, where one is to blame
 
 
 class ConfigError(FedSimError):
@@ -29,8 +30,8 @@ class DivergenceError(FedSimError):
     """Training produced a non-finite loss or non-finite parameters.
 
     phase names where it was caught: "local" or "async" (a client's own
-    training step), "upload" (the server's barrier) or "adopt" (a client
-    receiving its dispatched model).
+    training step), "upload" (the server's barrier), "aggregation" (its probe
+    embeddings) or "adopt" (a client receiving its dispatched model).
     """
 
     def __init__(self, message, round_index=None, batch_index=None,

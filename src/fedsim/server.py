@@ -10,8 +10,8 @@ import numpy as np
 
 from .aggregation import (AggregationConfig, build_correlation_matrix,
                           fedavg_aggregate, personalized_aggregate)
-from .errors import (ConfigError, DivergenceError, ProtocolError, ShapeError,
-                     StaleMessageError)
+from .errors import (ConfigError, DivergenceError, DomainError, ProtocolError,
+                     ShapeError, StaleMessageError)
 from .client import UploadMessage
 from .nn import MLP
 
@@ -77,7 +77,13 @@ def run_aggregation(server: ServerState):
     params = np.stack([server.received.pop(c) for c in server.client_ids])
     if server.strategy is Strategy.PERSONALIZED:
         uploads = MLP(server.fed_arch.sizes, server.fed_arch.out_act, params)
-        corr = build_correlation_matrix(uploads, server.probes, server.agg_cfg.clamp_epsilon)
+        try:
+            corr = build_correlation_matrix(uploads, server.probes, server.agg_cfg.clamp_epsilon)
+        except DomainError as exc:   # an upload whose probe embedding has no direction
+            if exc.row is None:
+                raise
+            raise DivergenceError(str(exc), round_index=server.round, phase="aggregation",
+                                  client_id=server.client_ids[exc.row]) from exc
         outs = personalized_aggregate(params, corr, server.agg_cfg)
     else:
         # one shared row: adopt_global copies it into each client's own array

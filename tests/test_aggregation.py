@@ -1,12 +1,18 @@
 """Tests for correlation-weighted personalized aggregation and the
 weighted-average baseline."""
 
+import contextlib
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedsim.aggregation import (AggregationConfig, _stack_params,
+import fedsim.aggregation
+from fedsim.aggregation import (SPLIT_ROWS, AggregationConfig, _stack_params,
                                 build_correlation_matrix, correlation_degree,
                                 correlation_rows, correlation_weights,
                                 fedavg_aggregate, mix, personalized_aggregate,
@@ -64,18 +70,55 @@ class TestCorrelationDegree:
             correlation_degree(a, b)
 
 
+CPU_COUNTS = (1, 2, 3, 5)
+
+
+@contextlib.contextmanager
+def usable_cpus(k):
+    """Make `correlation_rows` see k usable CPUs, as if the process were pinned."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+        yield
+
+
+class RaisesInHelpers(np.ndarray):
+    """Embeddings whose ufuncs fail in any thread but the main one."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("row computed in a helper thread")
+        inputs = [np.asarray(x) for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class RecordsUfuncs(np.ndarray):
+    """Embeddings whose ufuncs record the thread that runs them, numpy's errstate
+    there and the shapes of their inputs."""
+    calls = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.calls.append((threading.current_thread().name, np.geterr(),
+                           [np.shape(x) for x in inputs]))
+        inputs = [np.asarray(x) for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 class TestCorrelationRows:
     """Each unordered pair is computed once and mirrored; every entry must equal
-    the all-ordered-pairs oracle bit for bit, so R is exactly symmetric."""
+    the all-ordered-pairs oracle bit for bit, so R is exactly symmetric, at every
+    number of usable CPUs and on either side of the split."""
 
     @staticmethod
     def assert_matches_oracle(embs):
-        got = correlation_rows(embs)
-        assert np.array_equal(got, oracles.correlation_rows(embs))
-        assert np.array_equal(got, got.T)
+        want = oracles.correlation_rows(embs)
+        for k in CPU_COUNTS:
+            with usable_cpus(k):
+                got = correlation_rows(embs)
+            assert np.array_equal(got, want), k
+            assert np.array_equal(got, got.T)
 
-    # dim and T straddle numpy's 8-wide pairwise-summation block
-    @given(st.integers(1, 20), st.integers(1, 40), st.integers(1, 20),
+    # dim and T straddle numpy's 8-wide pairwise-summation block; N the split
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 20),
            st.integers(0, 2 ** 32 - 1), st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_oracle_bit_exact(self, n, t, dim, seed, data):
@@ -89,12 +132,70 @@ class TestCorrelationRows:
         embs = np.random.default_rng(13).standard_normal((64, 128, 16))
         self.assert_matches_oracle(embs)
 
+    def test_more_threads_than_cores_under_fast_switching(self):
+        # a row lost or written twice would leave np.empty garbage or another
+        # row's numbers; a short switch interval interleaves the threads finely
+        embs = np.random.default_rng(20).standard_normal((40, 16, 8))
+        want = oracles.correlation_rows(embs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with usable_cpus(5):
+                for _ in range(20):
+                    assert np.array_equal(correlation_rows(embs), want)
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("client", [0, 2])
     def test_zero_norm_embedding_raises(self, client):
         embs = np.random.default_rng(14).standard_normal((3, 4, 5))
         embs[client, 1] = 0.0
-        with pytest.raises(DomainError, match="zero-norm"):
+        with pytest.raises(DomainError, match="zero-norm") as info:
             correlation_rows(embs)
+        assert info.value.row == client
+
+    @pytest.mark.parametrize("bad", [1e300, np.inf, np.nan])
+    def test_non_finite_norm_raises_without_a_warning(self, bad):
+        # 1e300 overflows the norm: the tier-1 filter would turn its warning into an error
+        embs = np.random.default_rng(15).standard_normal((SPLIT_ROWS, 4, 5))
+        embs[7, 2] *= bad
+        with usable_cpus(2), pytest.raises(DomainError, match="non-finite") as info:
+            correlation_rows(embs)
+        assert info.value.row == 7
+
+    def test_below_the_split_no_thread_starts(self, monkeypatch):
+        monkeypatch.setattr(fedsim.aggregation, "threading", None)   # any use fails
+        embs = np.random.default_rng(16).standard_normal((SPLIT_ROWS - 1, 8, 4))
+        with usable_cpus(5):
+            assert np.array_equal(correlation_rows(embs), oracles.correlation_rows(embs))
+
+    def test_helpers_run_under_the_callers_errstate(self):
+        embs = np.random.default_rng(17).standard_normal((SPLIT_ROWS, 8, 4))
+        RecordsUfuncs.calls = []
+        with usable_cpus(3), np.errstate(over="raise", under="warn", divide="print"):
+            got = correlation_rows(embs.view(RecordsUfuncs))
+            want = np.geterr()
+        assert np.array_equal(got, oracles.correlation_rows(embs))
+        assert len({name for name, _, _ in RecordsUfuncs.calls}) == 3
+        assert all(state == want for _, state, _ in RecordsUfuncs.calls)
+
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_threads_multiply_no_more_than_one_product_at_once(self, cpus):
+        # each of k threads multiplies at most ceil(N / k) clients' embeddings at a time
+        n = SPLIT_ROWS + 3
+        embs = np.random.default_rng(19).standard_normal((n, 8, 4))
+        RecordsUfuncs.calls = []
+        with usable_cpus(cpus):
+            correlation_rows(embs.view(RecordsUfuncs))
+        assert max(shapes[1][0] for _, _, shapes in RecordsUfuncs.calls) == -(-n // cpus)
+
+    @pytest.mark.parametrize("cpus", [2, 3, 5])
+    def test_a_helpers_error_reaches_the_caller(self, cpus):
+        embs = np.random.default_rng(18).standard_normal((SPLIT_ROWS, 8, 4))
+        before = threading.active_count()
+        with usable_cpus(cpus), pytest.raises(MemoryError, match="helper thread"):
+            correlation_rows(embs.view(RaisesInHelpers))
+        assert threading.active_count() == before
 
 
 class TestBuildCorrelationMatrix:

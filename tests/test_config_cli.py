@@ -2,12 +2,15 @@
 (run / sweep / verify), including artifact layout and exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ import pytest
 import fedsim.aggregation
 import fedsim.cli
 import fedsim.losses
+import fedsim.simulation
 from fedsim.aggregation import AggregationConfig
 from fedsim.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_FAILURE, EXIT_OK, main)
 from fedsim.config import (build_experiment_config, default_values,
@@ -112,6 +116,29 @@ def small_config(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(SMALL)
     return str(path)
+
+
+def scale_upload(monkeypatch, scale, seeds=(0,)):
+    """Multiply client 1's round-1 upload by `scale` on its way to the server, in
+    the runs whose experiment seed is in `seeds`."""
+    handle_upload, run_experiment = fedsim.simulation.handle_upload, fedsim.cli.run_experiment
+    running = []
+
+    def spy_run(cfg):
+        running[:] = [cfg.seed]
+        return run_experiment(cfg)
+
+    def spy_upload(server, msg):
+        if running[0] in seeds and (msg.client_id, msg.fed_round) == (1, 1):
+            msg = dataclasses.replace(msg, params=msg.params * scale)
+        return handle_upload(server, msg)
+
+    monkeypatch.setattr(fedsim.cli, "run_experiment", spy_run)
+    monkeypatch.setattr(fedsim.simulation, "handle_upload", spy_upload)
+
+
+AGGREGATION_FAILURE = ("zero-norm or non-finite probe embedding "
+                       "(client 1, round 1, phase aggregation)")
 
 
 def read_manifest(run_dir):
@@ -367,6 +394,41 @@ class TestRunVerb:
         assert not os.path.exists(os.path.join(run_dir, "traces"))
         assert os.listdir(run_dir) == ["manifest.json"]
 
+    # no RuntimeWarning filter: the server must stop these before numpy warns
+    @pytest.mark.parametrize("scale", [0.0, 1e300], ids=["zero", "huge"])
+    def test_upload_without_direction_fails_at_aggregation(
+            self, small_config, tmp_path, capsys, monkeypatch, scale):
+        scale_upload(monkeypatch, scale)
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", small_config, "--out", out]) == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == f"divergence: {AGGREGATION_FAILURE}\n"
+        manifest = read_manifest(only_run_dir(out))
+        assert (manifest["status"], manifest["files"]) == (f"failed: {AGGREGATION_FAILURE}", {})
+
+    def test_artifacts_do_not_depend_on_usable_cpus(self, small_config, tmp_path,
+                                                    monkeypatch):
+        # enough clients that correlation_rows deals its rows to helper threads
+        started = []
+
+        def counted_thread(*args, **kwargs):
+            started.append(kwargs["args"][1])
+            return threading.Thread(*args, **kwargs)
+
+        monkeypatch.setattr(fedsim.aggregation, "threading",
+                            SimpleNamespace(Thread=counted_thread))
+        artifacts = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = str(tmp_path / f"cpus{cpus}")
+            assert main(["run", "--config", small_config, "--out", out,
+                         "--set", f"data.n_clients={fedsim.aggregation.SPLIT_ROWS + 4}"]) \
+                == EXIT_OK
+            artifacts[cpus] = [Path(only_run_dir(out), name).read_bytes()
+                               for name in ("metrics.csv", "timeline.log")]
+            # none at 1 CPU; at 2, one helper per aggregation (2 rounds) takes share 1
+            assert started == [1] * 2 * (cpus - 1)
+        assert artifacts[1] == artifacts[2]
+
     def test_divergence_prints_one_stderr_line(self, small_config, tmp_path):
         # as a program, numpy's RuntimeWarnings would reach stderr
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -419,6 +481,34 @@ class TestSweepVerb:
         assert "(client 0, round 0, phase local" in status
         run_dirs = {d for d in os.listdir(out) if os.path.isdir(os.path.join(out, d))}
         assert {r[1] for r in rows} == run_dirs and len(run_dirs) == 3
+
+    @pytest.mark.parametrize("scale", [0.0, 1e300], ids=["zero", "huge"])
+    def test_upload_without_direction_fails_its_point_and_the_rest_run(
+            self, small_config, tmp_path, capsys, monkeypatch, scale):
+        scale_upload(monkeypatch, scale, seeds=(1,))
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--config", small_config, "--out", out,
+                     "--grid", "experiment.seed=0|1|2"]) == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == f"divergence: {AGGREGATION_FAILURE}\n"
+        with open(os.path.join(out, "summary.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(r[0], r[-1]) for r in rows] == (
+            [("0", "ok")] * 3 + [("1", f"failed: {AGGREGATION_FAILURE}")] + [("2", "ok")] * 3)
+
+    @pytest.mark.parametrize("verb, points", [(["run"], 1),
+                                              (["sweep", "--grid", "experiment.seed=0|1|2"], 3)],
+                             ids=["run", "sweep"])
+    def test_each_run_builds_one_config_and_one_run_id(self, small_config, tmp_path,
+                                                       monkeypatch, verb, points):
+        calls = []
+        for name in ("build_experiment_config", "run_id"):
+            def counted(*args, _name=name, _real=getattr(fedsim.cli, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(fedsim.cli, name, counted)
+        assert main(verb + ["--config", small_config, "--out", str(tmp_path / "out")]) \
+            == EXIT_OK
+        assert sorted(calls) == ["build_experiment_config"] * points + ["run_id"] * points
 
     def test_bad_grid_value_stops_the_sweep_before_any_run(
             self, small_config, tmp_path, capsys):

@@ -4,9 +4,11 @@ that names it, and leaves every other client's parameters finite.
 Each run case poisons client k from outside the library: it sets the client's
 learning rate, or tampers with a message on its way through the scheduler's
 bindings of `handle_upload` and `run_aggregation`. The fixed cases poison each
-client of a 4-client default run; the drawn cases poison a drawn client of a
-drawn schedule, whose unequal step durations step members both alone and
-together with their group. The group cases poison one member of a
+client of a 4-client default run; the aggregation cases send a finite upload
+the server cannot embed on its probes, which it must name before any
+dispatch; the drawn cases poison a drawn client of a drawn schedule, whose
+unequal step durations step members both alone and together with their
+group. The group cases poison one member of a
 `ClientGroup`, or two members in different ways in one stacked step, and
 check that the stacked step fails each poisoned member alone.
 """
@@ -28,6 +30,9 @@ from fedsim.synth import SynthSpec
 from test_client import PARTS, alike_clients
 
 POISON_ROUND = 1
+# uploads that pass the barrier, finite, but whose probe embeddings have no
+# direction: all zero, or too large for their norm
+UPLOAD_SCALES = {"zero_upload": 0.0, "huge_upload": 1e300}
 
 
 def run_poisoned(cfg, k, case, poison_round=POISON_ROUND):
@@ -60,6 +65,8 @@ def run_poisoned(cfg, k, case, poison_round=POISON_ROUND):
                 params = msg.params.copy()
                 params[3] = np.nan
                 msg = dataclasses.replace(msg, params=params)
+            elif case in UPLOAD_SCALES:
+                msg = dataclasses.replace(msg, params=msg.params * UPLOAD_SCALES[case])
         return handle_upload(server, msg)
 
     def spy_aggregation(server):
@@ -110,6 +117,20 @@ def assert_named_alone(err, clients, k, case, poison_round):
 def test_divergence_names_the_poisoned_client_alone(case, k):
     err, clients = run_poisoned(ExperimentConfig(), k, case)
     assert_named_alone(err, clients, k, case, POISON_ROUND)
+
+
+# no RuntimeWarning filter: the server must stop these before numpy warns
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("case", sorted(UPLOAD_SCALES))
+def test_aggregation_names_the_uploader_of_a_directionless_model(case, k):
+    err, clients = run_poisoned(ExperimentConfig(), k, case)
+    assert (str(err), err.client_id, err.round_index, err.phase, err.batch_index) == (
+        "zero-norm or non-finite probe embedding", k, POISON_ROUND, "aggregation", None)
+    # no client adopted anything from the failed aggregation
+    assert [client.fed_round for client in clients] == [POISON_ROUND] * 4
+    for client in clients:
+        if client.client_id != k:
+            assert np.isfinite(client.fed_channel.params).all()
 
 
 @st.composite
