@@ -3,9 +3,9 @@ gamma * sum_u W[n,u] * P[u] + (1 - gamma) * P[n]. Personalized mixing takes W
 from probe-set correlations, W[n,u] = R[n,u] / sum_{k!=n} R[n,k] with a zero
 diagonal. FedAvg is one row of weights with gamma = 1, sent to every client."""
 
-import contextvars
 import os
 import threading
+from contextvars import copy_context
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .nn import GROUP_ROWS, MLP, forward_batch
 
-SPLIT_ROWS = 28   # below this many clients a thread costs more to start than it saves
+SPLIT_ROWS = 28   # from this many clients on, a second thread pays for its start (at 2 CPUs)
 
 
 @dataclass(frozen=True)
@@ -32,19 +32,19 @@ def correlation_rows(embs: np.ndarray) -> np.ndarray:
     """R[i, j] = sum_t cos(embs[i, t], embs[j, t]) for (N, T, dim) embeddings, built
     by rows: the (N, N, T, dim) product would dominate peak memory at large N. Each
     unordered pair is computed once, row i against clients i..N-1, and mirrored into
-    column i; the products commute and both sums read the same layout, so R[j, i]
-    computed on its own would be the same number bit for bit. From SPLIT_ROWS clients
-    on, the usable CPUs take the rows round-robin, through the same ufunc calls."""
+    column i; the products commute and both sums read the same layout, so R[j, i] on
+    its own, or in another thread, would be the same bits. Norms must lie within
+    (sqrt(tiny), sqrt(max)), where no product of two overflows or vanishes to 0."""
+    lo, hi = np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(embs, axis=-1)
-    if norms.size and not 0 < norms.min() <= norms.max() < np.inf:   # NaN fails each <
-        exc = DomainError("zero-norm or non-finite probe embedding")
-        exc.row = int(np.argmin(np.all((norms > 0) & (norms < np.inf), axis=-1)))
+    if norms.size and not lo < norms.min() <= norms.max() < hi:   # NaN fails each <
+        exc = DomainError("zero-norm, non-finite or out-of-range probe embedding")
+        exc.row = int(np.argmin(np.all((norms > lo) & (norms < hi), axis=-1)))
         raise exc
-    n = len(embs)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, n) if n >= SPLIT_ROWS else 1
-    c, entries, errors = -(-n // workers), np.empty((n, n)), []   # c columns per chunk
+    n, cpus = len(embs), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = max(1, min(cpus, 2 * n // SPLIT_ROWS))   # round-robin, >= SPLIT_ROWS / 2 rows each
+    c, entries, errors, helpers = -(-n // workers), np.empty((n, n)), [], []   # c: chunk width
     def rows(first):
         try:
             for i, j in ((i, j) for i in range(first, n, workers) for j in range(i, n, c)):
@@ -52,13 +52,14 @@ def correlation_rows(embs: np.ndarray) -> np.ndarray:
                     (embs[i] * embs[j:j + c]).sum(-1) / (norms[i] * norms[j:j + c])).sum(-1)
         except BaseException as exc:   # raised again in the caller after the join
             errors.append(exc)
-    helpers = []
-    for k in range(1, workers):   # in a copy of the caller's context, which holds np.errstate
-        helpers.append(threading.Thread(target=contextvars.copy_context().run, args=(rows, k)))
-        helpers[-1].start()
-    rows(0)
-    for helper in helpers:
-        helper.join()
+    try:   # each helper runs in a copy of the caller's context, which holds np.errstate
+        for k in range(1, workers):
+            (helper := threading.Thread(target=copy_context().run, args=(rows, k))).start()
+            helpers.append(helper)
+        rows(0)
+    finally:   # also when a start fails: every started helper is joined
+        for helper in helpers:
+            helper.join()
     if errors:
         raise errors[0]
     return entries

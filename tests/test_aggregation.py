@@ -5,6 +5,8 @@ import contextlib
 import os
 import sys
 import threading
+import time
+import types
 
 import numpy as np
 import pytest
@@ -135,7 +137,7 @@ class TestCorrelationRows:
     def test_more_threads_than_cores_under_fast_switching(self):
         # a row lost or written twice would leave np.empty garbage or another
         # row's numbers; a short switch interval interleaves the threads finely
-        embs = np.random.default_rng(20).standard_normal((40, 16, 8))
+        embs = np.random.default_rng(20).standard_normal((5 * SPLIT_ROWS // 2, 16, 8))
         want = oracles.correlation_rows(embs)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -154,14 +156,35 @@ class TestCorrelationRows:
             correlation_rows(embs)
         assert info.value.row == client
 
-    @pytest.mark.parametrize("bad", [1e300, np.inf, np.nan])
-    def test_non_finite_norm_raises_without_a_warning(self, bad):
-        # 1e300 overflows the norm: the tier-1 filter would turn its warning into an error
+    @pytest.mark.parametrize("bad", [1e300, 1e200, 1e-200, 1e-160, np.inf, np.nan])
+    def test_norm_out_of_range_raises_without_a_warning(self, bad):
+        # squares past the float range overflow the norm (the tier-1 filter would turn
+        # its warning into an error) or zero it; squares in the subnormals give a
+        # finite nonzero norm whose cosines are off by up to 1e-2
         embs = np.random.default_rng(15).standard_normal((SPLIT_ROWS, 4, 5))
         embs[7, 2] *= bad
-        with usable_cpus(2), pytest.raises(DomainError, match="non-finite") as info:
+        with usable_cpus(2), pytest.raises(DomainError, match="out-of-range") as info:
             correlation_rows(embs)
         assert info.value.row == 7
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_norms_just_inside_the_range_match_the_oracle(self, scale):
+        embs = np.random.default_rng(22).standard_normal((SPLIT_ROWS, 4, 5))
+        embs[[3, 11]] *= scale
+        self.assert_matches_oracle(embs)
+
+    @pytest.mark.parametrize("n, cpus, threads", [
+        (27, 64, 1), (28, 64, 2), (41, 64, 2), (42, 64, 3), (64, 64, 4), (64, 3, 3),
+        (64, 1, 1)])
+    def test_each_thread_takes_at_least_half_the_split(self, n, cpus, threads):
+        # one start pays for itself from SPLIT_ROWS / 2 rows a thread (measured at 2 CPUs),
+        # so many CPUs, or an affinity mask wider than a CPU quota, start no more threads
+        embs = np.random.default_rng(23).standard_normal((n, 4, 3))
+        RecordsUfuncs.calls = []
+        with usable_cpus(cpus):
+            got = correlation_rows(embs.view(RecordsUfuncs))
+        assert np.array_equal(got, oracles.correlation_rows(embs))
+        assert len({name for name, _, _ in RecordsUfuncs.calls}) == threads
 
     def test_below_the_split_no_thread_starts(self, monkeypatch):
         monkeypatch.setattr(fedsim.aggregation, "threading", None)   # any use fails
@@ -170,7 +193,7 @@ class TestCorrelationRows:
             assert np.array_equal(correlation_rows(embs), oracles.correlation_rows(embs))
 
     def test_helpers_run_under_the_callers_errstate(self):
-        embs = np.random.default_rng(17).standard_normal((SPLIT_ROWS, 8, 4))
+        embs = np.random.default_rng(17).standard_normal((3 * SPLIT_ROWS // 2, 8, 4))
         RecordsUfuncs.calls = []
         with usable_cpus(3), np.errstate(over="raise", under="warn", divide="print"):
             got = correlation_rows(embs.view(RecordsUfuncs))
@@ -182,7 +205,7 @@ class TestCorrelationRows:
     @pytest.mark.parametrize("cpus", CPU_COUNTS)
     def test_threads_multiply_no_more_than_one_product_at_once(self, cpus):
         # each of k threads multiplies at most ceil(N / k) clients' embeddings at a time
-        n = SPLIT_ROWS + 3
+        n = 5 * SPLIT_ROWS // 2 + 3   # enough rows for 5 threads
         embs = np.random.default_rng(19).standard_normal((n, 8, 4))
         RecordsUfuncs.calls = []
         with usable_cpus(cpus):
@@ -191,10 +214,33 @@ class TestCorrelationRows:
 
     @pytest.mark.parametrize("cpus", [2, 3, 5])
     def test_a_helpers_error_reaches_the_caller(self, cpus):
-        embs = np.random.default_rng(18).standard_normal((SPLIT_ROWS, 8, 4))
+        embs = np.random.default_rng(18).standard_normal((5 * SPLIT_ROWS // 2, 8, 4))
         before = threading.active_count()
         with usable_cpus(cpus), pytest.raises(MemoryError, match="helper thread"):
             correlation_rows(embs.view(RaisesInHelpers))
+        assert threading.active_count() == before
+
+    def test_a_refused_start_joins_the_helpers_already_started(self, monkeypatch):
+        started = []
+
+        class SlowThenRefused(threading.Thread):
+            def start(self):
+                if started:
+                    raise RuntimeError("can't start new thread")
+                started.append(self)
+                super().start()
+
+            def run(self):
+                time.sleep(0.05)   # still at work when the caller sees the refusal
+                super().run()
+
+        monkeypatch.setattr(fedsim.aggregation, "threading",
+                            types.SimpleNamespace(Thread=SlowThenRefused))
+        embs = np.random.default_rng(24).standard_normal((3 * SPLIT_ROWS // 2, 8, 4))
+        before = threading.active_count()
+        with usable_cpus(3), pytest.raises(RuntimeError, match="can't start new thread"):
+            correlation_rows(embs)
+        assert len(started) == 1 and not started[0].is_alive()
         assert threading.active_count() == before
 
 

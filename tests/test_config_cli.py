@@ -137,7 +137,7 @@ def scale_upload(monkeypatch, scale, seeds=(0,)):
     monkeypatch.setattr(fedsim.simulation, "handle_upload", spy_upload)
 
 
-AGGREGATION_FAILURE = ("zero-norm or non-finite probe embedding "
+AGGREGATION_FAILURE = ("zero-norm, non-finite or out-of-range probe embedding "
                        "(client 1, round 1, phase aggregation)")
 
 
@@ -395,7 +395,8 @@ class TestRunVerb:
         assert os.listdir(run_dir) == ["manifest.json"]
 
     # no RuntimeWarning filter: the server must stop these before numpy warns
-    @pytest.mark.parametrize("scale", [0.0, 1e300], ids=["zero", "huge"])
+    @pytest.mark.parametrize("scale", [0.0, 1e300, 1e200, 1e-200, 1e-160],
+                             ids=["zero", "huge", "large", "tiny", "subnormal"])
     def test_upload_without_direction_fails_at_aggregation(
             self, small_config, tmp_path, capsys, monkeypatch, scale):
         scale_upload(monkeypatch, scale)
@@ -482,7 +483,8 @@ class TestSweepVerb:
         run_dirs = {d for d in os.listdir(out) if os.path.isdir(os.path.join(out, d))}
         assert {r[1] for r in rows} == run_dirs and len(run_dirs) == 3
 
-    @pytest.mark.parametrize("scale", [0.0, 1e300], ids=["zero", "huge"])
+    @pytest.mark.parametrize("scale", [0.0, 1e300, 1e200, 1e-200, 1e-160],
+                             ids=["zero", "huge", "large", "tiny", "subnormal"])
     def test_upload_without_direction_fails_its_point_and_the_rest_run(
             self, small_config, tmp_path, capsys, monkeypatch, scale):
         scale_upload(monkeypatch, scale, seeds=(1,))

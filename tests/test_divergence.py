@@ -30,9 +30,12 @@ from fedsim.synth import SynthSpec
 from test_client import PARTS, alike_clients
 
 POISON_ROUND = 1
-# uploads that pass the barrier, finite, but whose probe embeddings have no
-# direction: all zero, or too large for their norm
-UPLOAD_SCALES = {"zero_upload": 0.0, "huge_upload": 1e300}
+# uploads that pass the barrier, finite, but whose probe embeddings cannot be
+# correlated: all zero, with squares past the float range (1e300, 1e200, 1e-200:
+# an infinite or zero norm), or with squares in the subnormals (1e-160: a finite
+# nonzero norm, but cosines off by up to 1e-2)
+UPLOAD_SCALES = {"zero_upload": 0.0, "huge_upload": 1e300, "large_upload": 1e200,
+                 "tiny_upload": 1e-200, "subnormal_upload": 1e-160}
 
 
 def run_poisoned(cfg, k, case, poison_round=POISON_ROUND):
@@ -125,7 +128,7 @@ def test_divergence_names_the_poisoned_client_alone(case, k):
 def test_aggregation_names_the_uploader_of_a_directionless_model(case, k):
     err, clients = run_poisoned(ExperimentConfig(), k, case)
     assert (str(err), err.client_id, err.round_index, err.phase, err.batch_index) == (
-        "zero-norm or non-finite probe embedding", k, POISON_ROUND, "aggregation", None)
+        "zero-norm, non-finite or out-of-range probe embedding", k, POISON_ROUND, "aggregation", None)
     # no client adopted anything from the failed aggregation
     assert [client.fed_round for client in clients] == [POISON_ROUND] * 4
     for client in clients:
