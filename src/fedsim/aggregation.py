@@ -28,6 +28,29 @@ class AggregationConfig:
             raise DomainError("clamp_epsilon must be finite and positive")
 
 
+def _share_rows(n: int, rows) -> list:
+    """[rows(k, workers, ceil(n / workers)) for k < workers], a worker per usable CPU with
+    SPLIT_ROWS / 2 of the n rows or more: k = 0 here and the rest in helper threads."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers, shares, errors, helpers = max(1, min(cpus, 2 * n // SPLIT_ROWS)), {}, [], []
+    def run(k):
+        try:
+            shares[k] = rows(k, workers, -(-n // workers))
+        except BaseException as exc:   # raised again in the caller after the join
+            errors.append(exc)
+    try:   # each helper runs in a copy of the caller's context, which holds np.errstate
+        for k in range(1, workers):
+            (helper := threading.Thread(target=copy_context().run, args=(run, k))).start()
+            helpers.append(helper)
+        run(0)
+    finally:   # also when a start fails: every started helper is joined
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return [shares[k] for k in range(workers)]
+
+
 def correlation_rows(embs: np.ndarray) -> np.ndarray:
     """R[i, j] = sum_t cos(embs[i, t], embs[j, t]) for (N, T, dim) embeddings, built
     by rows: the (N, N, T, dim) product would dominate peak memory at large N. Each
@@ -42,26 +65,12 @@ def correlation_rows(embs: np.ndarray) -> np.ndarray:
         exc = DomainError("zero-norm, non-finite or out-of-range probe embedding")
         exc.row = int(np.argmin(np.all((norms > lo) & (norms < hi), axis=-1)))
         raise exc
-    n, cpus = len(embs), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = max(1, min(cpus, 2 * n // SPLIT_ROWS))   # round-robin, >= SPLIT_ROWS / 2 rows each
-    c, entries, errors, helpers = -(-n // workers), np.empty((n, n)), [], []   # c: chunk width
-    def rows(first):
-        try:
-            for i, j in ((i, j) for i in range(first, n, workers) for j in range(i, n, c)):
-                entries[i, j:j + c] = entries[j:j + c, i] = (
-                    (embs[i] * embs[j:j + c]).sum(-1) / (norms[i] * norms[j:j + c])).sum(-1)
-        except BaseException as exc:   # raised again in the caller after the join
-            errors.append(exc)
-    try:   # each helper runs in a copy of the caller's context, which holds np.errstate
-        for k in range(1, workers):
-            (helper := threading.Thread(target=copy_context().run, args=(rows, k))).start()
-            helpers.append(helper)
-        rows(0)
-    finally:   # also when a start fails: every started helper is joined
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
+    n, entries = len(embs), np.empty((len(embs),) * 2)
+    def rows(first, workers, c):   # round-robin; c: chunk width
+        for i, j in ((i, j) for i in range(first, n, workers) for j in range(i, n, c)):
+            entries[i, j:j + c] = entries[j:j + c, i] = (
+                (embs[i] * embs[j:j + c]).sum(-1) / (norms[i] * norms[j:j + c])).sum(-1)
+    _share_rows(n, rows)
     return entries
 
 
@@ -108,14 +117,18 @@ def correlation_weights(entries: np.ndarray) -> np.ndarray:
 
 def mix(params: np.ndarray, weights: np.ndarray, gamma: float) -> np.ndarray:
     """Rows gamma * sum_u weights[n, u] * params[u] + (1 - gamma) * params[n] of an
-    (N, L) stack. The einsum (no BLAS) runs n, u ascending, then l, so each entry
-    rounds as in one axpy per u: see test_aggregation.py::TestMixMatchesAxpyBytes.
-    A lone column would put u innermost, summed in another order: it is doubled."""
+    (N, L) stack, in blocks of rows dealt over the usable CPUs like correlation_rows'.
+    Each block's einsum (no BLAS) runs n, u ascending, then l, so each entry rounds
+    as in one axpy per u: see test_aggregation.py::TestMixMatchesAxpyBytes. A lone
+    column would put u innermost, summed in another order: it is doubled."""
     wide = params if params.shape[1] > 1 else np.repeat(params, 2, axis=1)
-    acc = np.einsum("nu,ul->nl", weights, wide)[:, :params.shape[1]]
-    acc *= gamma
-    acc += (1.0 - gamma) * params[:len(acc)]
-    return acc
+    def rows(k, workers, c):   # one contiguous block of c rows each
+        acc = np.einsum("nu,ul->nl", weights[k * c:(k + 1) * c], wide)[:, :params.shape[1]]
+        acc *= gamma
+        acc += (1.0 - gamma) * params[k * c:(k + 1) * c]
+        return acc
+    parts = _share_rows(len(weights), rows)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _stack_params(params_list) -> np.ndarray:

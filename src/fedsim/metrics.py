@@ -37,6 +37,13 @@ class ScoreSet:
             raise DomainError("both genuine and impostor scores are required")
         return np.sort(self.genuine), np.sort(self.impostor)
 
+    def rows(self):
+        """Each row of a (G, k) set as a ScoreSet, checked and sorted with the whole set."""
+        for genuine, impostor, *runs in zip(self.genuine, self.impostor, *self.runs):
+            row = object.__new__(ScoreSet)   # checked already, as a row of this set
+            vars(row).update(genuine=genuine, impostor=impostor, runs=tuple(runs))
+            yield row
+
 
 @dataclass
 class MetricsRecord:
@@ -78,18 +85,20 @@ def pair_positions(labels, cap: int = IMPOSTOR_PAIR_CAP, seed: int = 0):
 
 def score_pairs(embeddings: np.ndarray, labels, *, positions) -> ScoreSet:
     """Cosine similarities of the genuine and impostor embedding pairs at
-    `positions`, a `pair_positions(labels, cap, seed)`."""
+    `positions`, a `pair_positions(labels, cap, seed)`, of ([G,] n, dim) embeddings
+    whose rows share the (n,) labels: a ScoreSet of ([G,] k) arrays. Each row's
+    `unit @ unit.T` is a syrk of its own, so it scores as it would alone."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
-    if embeddings.ndim != 2 or labels.shape != (embeddings.shape[0],):
-        raise ShapeError("expect (n, dim) embeddings and (n,) labels")
-    norms = np.linalg.norm(embeddings, axis=1)
+    if embeddings.ndim not in (2, 3) or labels.shape != embeddings.shape[-2:-1]:
+        raise ShapeError("expect ([G,] n, dim) embeddings and (n,) labels")
+    norms = np.linalg.norm(embeddings, axis=-1, keepdims=True)
     if np.any(norms == 0):
         raise DomainError("zero-norm embedding cannot be scored")
-    unit = embeddings / norms[:, None]
-    sims = (unit @ unit.T).ravel()
+    unit = embeddings / norms
+    sims = (unit @ unit.swapaxes(-1, -2)).reshape(*embeddings.shape[:-2], -1)
     genuine, impostor = positions
-    return ScoreSet(sims.take(genuine), sims.take(impostor))
+    return ScoreSet(sims.take(genuine, axis=-1), sims.take(impostor, axis=-1))
 
 
 def operating_points(scores: ScoreSet):

@@ -77,7 +77,7 @@ CPU_COUNTS = (1, 2, 3, 5)
 
 @contextlib.contextmanager
 def usable_cpus(k):
-    """Make `correlation_rows` see k usable CPUs, as if the process were pinned."""
+    """Make `correlation_rows` and `mix` see k usable CPUs, as if the process were pinned."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
         yield
@@ -343,9 +343,10 @@ class TestStackedEmbeddings:
 
 
 class TestMixMatchesAxpyBytes:
-    """`mix` is one einsum over the (N, L) stack; each entry must round as in the
-    axpy loop it replaced (`oracles.mix`), for correlation weights and for the
-    uniform FedAvg matrix and row, one column (L = 1) included."""
+    """`mix` is one einsum per block of rows of the (N, L) stack; each entry must round
+    as in the axpy loop it replaced (`oracles.mix`), for correlation weights and for
+    the uniform FedAvg matrix and row, one column (L = 1) included, at every number
+    of usable CPUs."""
 
     @given(st.integers(1, 70), st.one_of(st.just(1), st.integers(1, 2000)),
            st.sampled_from(["correlation", "uniform", "fedavg_row"]),
@@ -364,9 +365,23 @@ class TestMixMatchesAxpyBytes:
             w = np.zeros((1, 1))
         else:
             w = np.full((1 if weights == "fedavg_row" else n, n), 1.0 / n)
-        got = mix(params, w, gamma)
-        assert got.shape == (len(w), length)
-        assert got.tobytes() == oracles.mix(params, w, gamma).tobytes()
+        want = oracles.mix(params, w, gamma).tobytes()
+        for k in CPU_COUNTS:   # from SPLIT_ROWS rows on, blocks of rows go to helper threads
+            with usable_cpus(k):
+                got = mix(params, w, gamma)
+            assert got.shape == (len(w), length)
+            assert got.tobytes() == want, k
+
+    @pytest.mark.parametrize("cpus", [2, 3, 5])
+    def test_a_helpers_error_reaches_the_caller(self, cpus):
+        params = np.random.default_rng(25).standard_normal((5 * SPLIT_ROWS // 2, 6))
+        w = np.full((len(params),) * 2, 1.0 / len(params))
+        before = threading.active_count()
+        with usable_cpus(cpus), pytest.raises(MemoryError, match="helper thread"):
+            mix(params.view(RaisesInHelpers), w, 0.5)
+        assert threading.active_count() == before
+        with usable_cpus(1):   # the caller alone: no helper to fail
+            assert mix(params.view(RaisesInHelpers), w, 0.5).shape == params.shape
 
 
 class TestPersonalizedAggregate:

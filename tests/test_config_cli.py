@@ -408,15 +408,24 @@ class TestRunVerb:
 
     def test_artifacts_do_not_depend_on_usable_cpus(self, small_config, tmp_path,
                                                     monkeypatch):
-        # enough clients that correlation_rows deals its rows to helper threads
-        started = []
+        # enough clients that correlation_rows and mix deal their rows to helper threads
+        started, mixing = [], []
+        mix = fedsim.aggregation.mix
 
         def counted_thread(*args, **kwargs):
             started.append(kwargs["args"][1])
             return threading.Thread(*args, **kwargs)
 
+        def counted_mix(*args, **kwargs):
+            before = len(started)
+            try:
+                return mix(*args, **kwargs)
+            finally:
+                mixing.extend(started[before:])
+
         monkeypatch.setattr(fedsim.aggregation, "threading",
                             SimpleNamespace(Thread=counted_thread))
+        monkeypatch.setattr(fedsim.aggregation, "mix", counted_mix)
         artifacts = {}
         for cpus in (1, 2):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -426,8 +435,10 @@ class TestRunVerb:
                 == EXIT_OK
             artifacts[cpus] = [Path(only_run_dir(out), name).read_bytes()
                                for name in ("metrics.csv", "timeline.log")]
-            # none at 1 CPU; at 2, one helper per aggregation (2 rounds) takes share 1
-            assert started == [1] * 2 * (cpus - 1)
+            # none at 1 CPU; at 2, one helper per kernel and aggregation (2 rounds) takes
+            # share 1: one in correlation_rows, then one in mix
+            assert started == [1] * 4 * (cpus - 1)
+            assert mixing == [1] * 2 * (cpus - 1)
         assert artifacts[1] == artifacts[2]
 
     def test_divergence_prints_one_stderr_line(self, small_config, tmp_path):

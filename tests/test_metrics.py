@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fedsim.errors import DomainError
+from fedsim.errors import DomainError, ShapeError
 from fedsim.experiment import ExperimentConfig, run_experiment, write_roc_csv
 from fedsim.metrics import (MetricsRecord, ScoreSet, eer, operating_points,
                             pair_positions, score_pairs, tar_at_far, write_metrics_csv)
@@ -203,6 +203,94 @@ class TestScorePairsOracle:
                 continue
             got = pair_positions(labels, cap=impostor.size)
             assert [p.tolist() for p in got] == [genuine.tolist(), impostor.tolist()], n
+
+
+class TestStackedScoring:
+    """`score_pairs` on (G, n, dim) embeddings that share their labels and pair
+    positions scores each row as the lone reference scores it alone, byte for byte,
+    and each row's EER and TAR are those of the lone scores. At n = 4, 33 and 257 a
+    `gemm` sums other bits than the `syrk` each row must run: see
+    `test_gemm_would_change_the_bits`."""
+
+    @staticmethod
+    def draw_labels(rng, n, layout):
+        if layout == "blocks":   # the synthetic test splits: each identity's samples in a row
+            m = max(2, n // 4)
+            return np.arange(n) // m
+        return rng.integers(0, 1 + n // 3 if layout == "few" else max(2, n // 2), n)
+
+    @given(st.integers(1, 70), st.one_of(st.integers(2, 40), st.just(257)),
+           st.integers(1, 16), st.sampled_from(["blocks", "few", "many"]),
+           st.integers(-3, 3), st.integers(0, 2 ** 32 - 1))
+    @example(5, 4, 16, "blocks", 0, 0)
+    @example(5, 33, 16, "blocks", 0, 1)
+    @example(3, 257, 16, "blocks", 0, 2)
+    @example(70, 257, 16, "few", -3, 3)   # subsampled: the rows share one seed
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_lone_oracle(self, g, n, dim, layout, cap_offset, seed):
+        rng = np.random.default_rng(seed)
+        emb = rng.standard_normal((g, n, dim)) * np.exp(rng.uniform(-3, 3, (g, n, 1)))
+        labels = self.draw_labels(rng, n, layout)
+        counts = np.bincount(labels)
+        impostors = n * (n - 1) // 2 - int((counts * (counts - 1) // 2).sum())
+        cap = max(1, impostors + cap_offset)   # both sides of the cap; every row shares it
+        try:
+            positions = pair_positions(labels, cap, seed)
+        except DomainError:
+            return   # TestScorePairsOracle checks that these labels are refused
+        stacked = score_pairs(emb, labels, positions=positions)
+        assert stacked.genuine.shape == (g, positions[0].size)
+        assert stacked.impostor.shape == (g, positions[1].size)
+        rows = list(stacked.rows())
+        assert len(rows) == g
+        for row, e in zip(rows, emb):
+            lone = oracles.score_pairs(e, labels, cap, seed)
+            assert row.genuine.tobytes() == lone.genuine.tobytes()
+            assert row.impostor.tobytes() == lone.impostor.tobytes()
+            assert [r.tobytes() for r in row.runs] == [r.tobytes() for r in lone.runs]
+            assert bits(eer(row)) == bits(eer(lone))
+            for target in (0.01, 0.1, 0.5):
+                assert bits(tar_at_far(row, target)) == bits(tar_at_far(lone, target))
+
+    def test_gemm_would_change_the_bits(self):
+        # the examples above would catch a stacked product that lost `syrk`
+        rng = np.random.default_rng(0)
+        for n in (4, 33, 257):
+            unit = rng.standard_normal((5, n, 16))
+            unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+            gemm = unit @ np.ascontiguousarray(unit.swapaxes(-1, -2))
+            assert any((u @ u.T).tobytes() != m.tobytes() for u, m in zip(unit, gemm)), n
+
+    def test_a_lone_client_is_a_block_of_one(self):
+        rng = np.random.default_rng(4)
+        emb, labels = rng.standard_normal((6, 3)), [0, 0, 1, 1, 2, 2]
+        positions = pair_positions(labels)
+        lone, block = (score_pairs(e, labels, positions=positions) for e in (emb, emb[None]))
+        assert (lone.genuine.shape, block.genuine.shape) == ((3,), (1, 3))
+        assert lone.genuine.tobytes() + lone.impostor.tobytes() \
+            == block.genuine.tobytes() + block.impostor.tobytes()
+
+    def test_rows_share_the_set_checks_and_sorts(self):
+        s = ScoreSet([[0.5, -0.25], [0.0, 1.0]], [[0.75, 0.1, -0.5], [-1.0, 0.25, 0.0]])
+        rows = list(s.rows())
+        for row, genuine, impostor in zip(rows, s.genuine, s.impostor):
+            assert vars(row).keys() == {"genuine", "impostor", "runs"}
+            assert np.shares_memory(row.genuine, s.genuine)
+            alone = ScoreSet(genuine.copy(), impostor.copy())
+            assert [r.tolist() for r in row.runs] == [r.tolist() for r in alone.runs]
+        with pytest.raises(DomainError, match="finite"):
+            ScoreSet([[0.5], [np.nan]], [[0.1], [0.2]])
+
+    def test_shapes_and_zero_norms_are_refused(self):
+        labels = [0, 0, 1]
+        positions = pair_positions(labels)
+        emb = np.ones((2, 3, 2))
+        for bad, shape_labels in ((emb[0, 0], labels), (emb[None], labels), (emb, [0, 0])):
+            with pytest.raises(ShapeError):
+                score_pairs(bad, shape_labels, positions=positions)
+        emb[1, 2] = 0.0
+        with pytest.raises(DomainError, match="zero-norm embedding cannot be scored"):
+            score_pairs(emb, labels, positions=positions)
 
 
 # Scores of a (257, 16) input, a shape where OpenBLAS sums `unit @ unit.T`

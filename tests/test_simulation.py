@@ -1,6 +1,7 @@
 """Tests for the discrete-event protocol schedule: async-step budgets,
 tie-breaking, sim-time conservation, and determinism."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,8 @@ import fedsim.experiment
 from fedsim.aggregation import AggregationConfig
 from fedsim.client import Phase, TrainingParams, build_client
 from fedsim.errors import ConfigError, ProtocolError
-from fedsim.experiment import ExperimentConfig, run_experiment
+from fedsim.experiment import ExperimentConfig, Toggles, run_experiment
+from fedsim.metrics import IMPOSTOR_PAIR_CAP
 from fedsim.nn import channel
 from fedsim.server import ServerState, Strategy
 from fedsim.simulation import EventKind, SimConfig, run_simulation
@@ -234,11 +236,85 @@ class TestRoundHook:
         returned = [(c, r) for call in calls for c, r, _ in call]
         assert sorted(returned) == [(c, r) for c in cfg.clients for r in range(cfg.rounds)]
         assert [(m.client_id, m.round) for m in result.metrics] == returned
-        with pytest.MonkeyPatch.context() as patch:
+        with pytest.MonkeyPatch.context() as patch:   # one client per forward and per score
             patch.setattr(fedsim.experiment, "stacked_embeddings", one_client_per_forward)
+            patch.setattr(fedsim.experiment, "SCORE_ENTRIES", 0)
             alone = run_experiment(cfg)
         assert artifact_digest(result, tmp_path_factory.mktemp("s")) \
             == artifact_digest(alone, tmp_path_factory.mktemp("a"))
+
+
+def scored_blocks(patch):
+    """The (client ids, n) of each `score_pairs` call a run makes: a spy on the kernel
+    sees its (G, n, dim) embeddings, and one on `evaluate_client` the block's clients."""
+    blocks, kernel = [], []
+    evaluate_client, score_pairs = fedsim.experiment.evaluate_client, fedsim.experiment.score_pairs
+
+    def spy_evaluate(returns, emb, test, positions):
+        calls = len(kernel)
+        out = evaluate_client(returns, emb, test, positions)
+        assert kernel[calls:] == [(len(returns), len(test.labels))]   # one call a block
+        blocks.append(([client.client_id for client, _, _ in returns], len(test.labels)))
+        return out
+
+    def spy_kernel(embeddings, labels, *, positions):
+        kernel.append(np.shape(embeddings)[:2])
+        return score_pairs(embeddings, labels, positions=positions)
+
+    patch.setattr(fedsim.experiment, "evaluate_client", spy_evaluate)
+    patch.setattr(fedsim.experiment, "score_pairs", spy_kernel)
+    return blocks
+
+
+class TestScoringBlocks:
+    """run_experiment scores each run of returns in blocks: clients that share their
+    test labels, so their pair positions, with at most SCORE_ENTRIES similarities
+    (n² each) in a block of two or more; metrics.csv keeps the plan order."""
+
+    def test_a_client_past_the_impostor_cap_is_scored_alone(self):
+        # n * (n - 1) / 2 pairs first pass the cap at n = 317; two such clients never fit
+        n = next(n for n in itertools.count(2) if n * (n - 1) // 2 > IMPOSTOR_PAIR_CAP)
+        assert 2 * n * n > fedsim.experiment.SCORE_ENTRIES
+
+    def test_open_set_cli_clients_score_one_per_call(self):
+        # the open_set_cli workload's test splits: 16 identities x 40 samples = 640
+        cfg = ExperimentConfig(mode="fedavg", rounds=2, training=TrainingParams(epochs=1),
+                               synth=SynthSpec(n_clients=2, samples_per_class=40,
+                                               open_set_split=0.2))
+        with pytest.MonkeyPatch.context() as patch:
+            blocks = scored_blocks(patch)
+            run_experiment(cfg)
+        assert blocks == [([0], 640), ([1], 640)] * 2
+
+    def test_many_clients_agg_scores_one_call_per_round(self):
+        # the many_clients_agg workload: 64 clients of 2 identities x 2 test samples
+        cfg = ExperimentConfig(rounds=2, training=TrainingParams(epochs=1), probe_size=128,
+                               synth=SynthSpec(n_clients=64, classes_per_client=10,
+                                               samples_per_class=2),
+                               toggles=Toggles(async_enabled=False))
+        with pytest.MonkeyPatch.context() as patch:
+            blocks = scored_blocks(patch)
+            run_experiment(cfg)
+        assert blocks == [(list(range(64)), 4)] * 2
+
+    def test_mixed_sizes_write_metrics_in_plan_order(self, tmp_path_factory):
+        # test splits of 4, 6 and 8 samples in each run of returns; blocks of two 4s
+        cfg = ExperimentConfig(mode="fedavg", rounds=2, synth=SynthSpec(
+            n_clients=7, classes_per_client=10, samples_per_class=(2, 3, 2, 2, 4, 3, 2)))
+        runs = {}
+        for entries in (2 * 4 * 4, 0):   # the second scores every client alone
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fedsim.experiment, "SCORE_ENTRIES", entries)
+                blocks = scored_blocks(patch)
+                result = run_experiment(cfg)
+            returned = [(cfg.clients[r.subject], r.round) for r in result.timeline.records
+                        if r.kind == EventKind.MODEL_RETURNED.name]
+            assert [(m.client_id, m.round) for m in result.metrics] == returned
+            runs[entries] = blocks, artifact_digest(result, tmp_path_factory.mktemp("m"))
+        assert runs[32][0] == [([0, 2], 4), ([3, 6], 4), ([1], 6), ([5], 6), ([4], 8)] * 2
+        assert runs[0][0] == [([c], n) for c, n in
+                              [(0, 4), (2, 4), (3, 4), (6, 4), (1, 6), (5, 6), (4, 8)]] * 2
+        assert runs[32][1] == runs[0][1]
 
 
 class TestConservation:
