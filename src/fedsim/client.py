@@ -10,13 +10,14 @@ is a group of one over its own arrays, bit for bit its row of the group.
 """
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from operator import is_not
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, DomainError, ProtocolError, ShapeError
-from .losses import (CenterBank, LossWeights, center_loss_grad,
+from .losses import (CenterBank, LossWeights, _class_means, center_loss_grad,
                      cross_entropy_batch, fv_cos_batch, total_loss, update_centers)
 from .nn import (GROUP_ROWS, MLP, backward_batch, channel, forward_batch,
                  fusion_head, linear_head)
@@ -408,6 +409,13 @@ def group_clients(clients) -> list:
     return place
 
 
+@functools.lru_cache(maxsize=1)   # the current run's init, read-only: clients copy it
+def _fed_init(input_dim, fed_hidden, emb_dim, seed) -> np.ndarray:
+    params = channel(input_dim, fed_hidden, emb_dim, (seed, 2)).params
+    params.flags.writeable = False
+    return params
+
+
 def build_client(client_id: int, train: LabeledDataset, *, input_dim: int,
                  training: TrainingParams = TrainingParams(), seed: int = 0) -> ClientState:
     """Assemble a freshly initialized client for a training set."""
@@ -416,20 +424,21 @@ def build_client(client_id: int, train: LabeledDataset, *, input_dim: int,
     base = (seed, client_id)
     lc = channel(input_dim, tr.local_hidden, tr.emb_dim, (*base, 1))
     # Common init across clients: parameter averaging needs aligned neurons.
-    fc = channel(input_dim, tr.fed_hidden, tr.emb_dim, (seed, 2))
+    fc_sizes = (input_dim, tr.fed_hidden, tr.emb_dim)
+    fc = MLP(fc_sizes, "linear", _fed_init(*fc_sizes, seed).copy())
     h1 = linear_head(tr.emb_dim, n_classes, (*base, 3))
     fu = fusion_head(2 * tr.emb_dim, tr.fuse_dim, (*base, 4))
     h2 = linear_head(tr.fuse_dim, n_classes, (*base, 5))
     # Centers start at each class's initial embedding mean, not at zero:
     # a zero init drags every embedding toward the origin early in training.
     z = fused_embeddings(lc, fc, fu, train.inputs)
-    bank = CenterBank([z[train.labels == k].mean(axis=0) for k in range(n_classes)],
-                      lr=tr.center_lr)
+    touched, means = _class_means(z, train.labels.astype(np.intp, copy=False), n_classes)
+    if touched.size < n_classes:   # the top label has samples: a missing class is below it
+        raise DomainError(f"client {client_id} has no training sample of class "
+                          f"{np.argmax(touched != np.arange(touched.size))}")
     return ClientState(
-        client_id=client_id, local_channel=lc, fed_channel=fc, head1=h1,
-        head2=h2, fusion=fu, center_bank=bank, dataset=train,
-        loss_weights=tr.loss_weights(), lr=tr.lr, local_epochs=tr.epochs,
-        batch_size=tr.batch,
+        client_id=client_id, local_channel=lc, fed_channel=fc, head1=h1, head2=h2, fusion=fu,
+        center_bank=CenterBank(means, tr.center_lr), dataset=train,
+        loss_weights=tr.loss_weights(), lr=tr.lr, local_epochs=tr.epochs, batch_size=tr.batch,
         _batch_rng=np.random.default_rng((*base, 11)),
-        _async_rng=np.random.default_rng((*base, 13)),
-    )
+        _async_rng=np.random.default_rng((*base, 13)))

@@ -127,25 +127,28 @@ def center_loss_grad(embeddings: np.ndarray, labels, bank: CenterBank):
     return loss, diffs
 
 
-def update_centers(bank: CenterBank, embeddings: np.ndarray, labels) -> None:
-    """Move each touched center toward its class's batch mean by bank.lr.
+def _class_means(embeddings: np.ndarray, rows: np.ndarray, n_rows: int):
+    """(bins with a row, their means) of (..., dim) `embeddings` binned by intp `rows` into
+    `n_rows`; an empty bin is never divided. Each sum adds its rows in order from +0.0: numpy's
+    `mean(axis=0)` bit for bit at dim >= 2, where at dim == 1 eight or more rows sum pairwise."""
+    dim = embeddings.shape[-1]
+    # entry j of a row goes to bin row * dim + j, in sample order
+    bins = (rows[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(bins, embeddings.ravel(), n_rows * dim).reshape(n_rows, dim)
+    counts = np.bincount(rows, minlength=n_rows)
+    touched = np.flatnonzero(counts)
+    return touched, sums[touched] / counts[touched, None]
 
-    Each class sum accumulates its rows in order from +0.0. That equals
-    numpy's per-class `mean(axis=0)` bit for bit when dim >= 2; for dim == 1
-    numpy sums pairwise, so eight or more same-class rows may round differently.
-    """
+
+def update_centers(bank: CenterBank, embeddings: np.ndarray, labels) -> None:
+    """Move each touched center toward its class's batch mean by bank.lr: the
+    `_class_means` that also start a client's centers (dim == 1 caveat there)."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     # intp: a label times dim may not fit the labels' own integer type
     rows = _center_rows(embeddings, labels, bank).ravel().astype(np.intp)
-    dim = embeddings.shape[-1]
-    centers = bank.centers.reshape(-1, dim)
-    # entry j of a row goes to bin center_row * dim + j, in sample order
-    bins = (rows[:, None] * dim + np.arange(dim)).ravel()
-    sums = np.bincount(bins, embeddings.ravel(), centers.size).reshape(centers.shape)
-    counts = np.bincount(rows, minlength=centers.shape[0])
-    touched = np.flatnonzero(counts)
+    centers = bank.centers.reshape(-1, embeddings.shape[-1])
+    touched, batch_mean = _class_means(embeddings, rows, centers.shape[0])
     c = centers[touched]
-    batch_mean = sums[touched] / counts[touched, None]
     # written through the bank's own shape: a reshape may be a copy
     at = np.unravel_index(touched, bank.centers.shape[:-1])
     bank.centers[at] = c + bank.lr * (batch_mean - c)

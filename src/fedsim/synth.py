@@ -113,11 +113,9 @@ def rotation_matrix(dim: int, angle_deg: float) -> np.ndarray:
     theta = math.radians(angle_deg)
     c, s = math.cos(theta), math.sin(theta)
     mat = np.eye(dim)
-    for i in range(0, dim - 1, 2):
-        mat[i, i] = c
-        mat[i, i + 1] = -s
-        mat[i + 1, i] = s
-        mat[i + 1, i + 1] = c
+    i = np.arange(0, dim - 1, 2)   # the first coordinate of each pair
+    mat[i, i] = mat[i + 1, i + 1] = c
+    mat[i, i + 1], mat[i + 1, i] = -s, s
     return mat
 
 

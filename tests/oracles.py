@@ -9,14 +9,21 @@ it was planned, with the training taken out. The batch-kernel references
 below are the kernels as first written, with the same arithmetic and none of
 the shortcuts: the fast kernels must match them byte for byte. So must the
 convergence harness's gaps those of its per-client loop below, at dim >= 2.
+So must a fresh client those of the build below, which draws the common
+federated init again per client and takes each class center's mean by mask,
+and the rotation matrix that of its loop over coordinate pairs.
 """
 
 import itertools
+import math
 
 import numpy as np
 
+from fedsim.client import ClientState, fused_embeddings
 from fedsim.errors import DomainError, ShapeError
+from fedsim.losses import CenterBank
 from fedsim.metrics import IMPOSTOR_PAIR_CAP, ScoreSet
+from fedsim.nn import channel, fusion_head, linear_head
 from fedsim.simulation import EventKind, TimelineRecord
 
 
@@ -76,6 +83,44 @@ def update_centers(bank, embeddings: np.ndarray, labels) -> None:
     batch_mean = sums[touched] / counts[touched, None]
     at = np.unravel_index(touched, bank.centers.shape[:-1])
     bank.centers[at] = c + bank.lr * (batch_mean - c)
+
+
+def build_client(client_id, train, *, input_dim, training, seed=0) -> ClientState:
+    """A fresh client as first built: its own draw of the federated channel's
+    common init, and each class center a boolean-mask `mean(axis=0)` of its
+    initial embeddings, which `fedsim.client.build_client` matches at fuse_dim >= 2."""
+    tr = training
+    n_classes = train.n_classes
+    base = (seed, client_id)
+    lc = channel(input_dim, tr.local_hidden, tr.emb_dim, (*base, 1))
+    fc = channel(input_dim, tr.fed_hidden, tr.emb_dim, (seed, 2))
+    h1 = linear_head(tr.emb_dim, n_classes, (*base, 3))
+    fu = fusion_head(2 * tr.emb_dim, tr.fuse_dim, (*base, 4))
+    h2 = linear_head(tr.fuse_dim, n_classes, (*base, 5))
+    z = fused_embeddings(lc, fc, fu, train.inputs)
+    bank = CenterBank([z[train.labels == k].mean(axis=0) for k in range(n_classes)],
+                      lr=tr.center_lr)
+    return ClientState(
+        client_id=client_id, local_channel=lc, fed_channel=fc, head1=h1,
+        head2=h2, fusion=fu, center_bank=bank, dataset=train,
+        loss_weights=tr.loss_weights(), lr=tr.lr, local_epochs=tr.epochs,
+        batch_size=tr.batch,
+        _batch_rng=np.random.default_rng((*base, 11)),
+        _async_rng=np.random.default_rng((*base, 13)),
+    )
+
+
+def rotation_matrix(dim: int, angle_deg: float) -> np.ndarray:
+    """Block-diagonal planar rotation, filled one coordinate pair at a time."""
+    theta = math.radians(angle_deg)
+    c, s = math.cos(theta), math.sin(theta)
+    mat = np.eye(dim)
+    for i in range(0, dim - 1, 2):
+        mat[i, i] = c
+        mat[i, i + 1] = -s
+        mat[i + 1, i] = s
+        mat[i + 1, i + 1] = c
+    return mat
 
 
 def backward_batch(model, cache, dy: np.ndarray):

@@ -2,20 +2,25 @@
 adoption, loss gradients of the combined objective, and groups of clients
 trained as one stack."""
 
+import collections
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedsim.client
 from fedsim.client import (ClientGroup, ClientState, Phase, TrainingParams,
                            UploadMessage, build_client, async_loss_and_grads,
                            local_loss_and_grads)
-from fedsim.errors import DivergenceError, ProtocolError, ShapeError
+from fedsim.errors import DivergenceError, DomainError, ProtocolError, ShapeError
+from fedsim.experiment import ExperimentConfig, run_experiment
 from fedsim.losses import CenterBank, LossWeights
 from fedsim.nn import MLP, channel, fusion_head, linear_head
 from fedsim.synth import LabeledDataset, SynthSpec, generate
+import oracles
 from oracles import finite_difference_grad
 
 
@@ -451,3 +456,91 @@ class TestClientGroup:
         b, = alike_clients([0.05], batch=7)
         with pytest.raises(ShapeError):
             ClientGroup([a, b])
+
+
+def same_client(a: ClientState, b: ClientState) -> bool:
+    """Byte for byte: the five parts, the centers and both RNG states."""
+    return (all(getattr(a, p).params.tobytes() == getattr(b, p).params.tobytes()
+                for p in PARTS)
+            and a.center_bank.centers.tobytes() == b.center_bank.centers.tobytes()
+            and a._batch_rng.bit_generator.state == b._batch_rng.bit_generator.state
+            and a._async_rng.bit_generator.state == b._async_rng.bit_generator.state)
+
+
+class TestBuildClient:
+    """A client is built from one federated init per run and its class centers from
+    one `bincount`; it must equal the build that did neither, `oracles.build_client`.
+    That holds at fuse_dim >= 2 only: at fuse_dim == 1 numpy's mask `mean` sums
+    pairwise, so a class of eight or more samples may round differently (the caveat
+    `losses._class_means` states for `update_centers` too)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(sizes=st.lists(st.tuples(st.integers(3, 12), st.integers(2, 9)),
+                          min_size=1, max_size=4),
+           synth_seed=st.integers(0, 2 ** 16), seed=st.integers(0, 2 ** 16),
+           fuse_dim=st.integers(2, 6), order_seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_per_client_build(self, sizes, synth_seed, seed, fuse_dim,
+                                          order_seed):
+        classes, samples = zip(*sizes)
+        spec = SynthSpec(n_clients=len(sizes), classes_per_client=classes,
+                         samples_per_class=samples, input_dim=10, latent_dim=4,
+                         seed=synth_seed)
+        training = TrainingParams(local_hidden=12, fed_hidden=8, emb_dim=6,
+                                  fuse_dim=fuse_dim)
+        order = np.random.default_rng(order_seed)
+        for c, (train, _) in enumerate(generate(spec)[0]):
+            # shuffled, and some samples dropped so that class sizes differ
+            keep = order.random(train.labels.size) < 0.7
+            keep[np.unique(train.labels, return_index=True)[1]] = True
+            kept = order.permutation(np.flatnonzero(keep))
+            train = LabeledDataset(train.inputs[kept], train.labels[kept], "train")
+            built = build_client(c, train, input_dim=10, training=training, seed=seed)
+            assert same_client(built, oracles.build_client(
+                c, train, input_dim=10, training=training, seed=seed))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("labels, empty", [((0, 0, 2, 2), 1), ((1, 1, 2), 0),
+                                               ((0, 3, 3, 0, 1), 2)])
+    def test_a_class_without_a_sample_is_named(self, labels, empty):
+        rng = np.random.default_rng(0)
+        train = LabeledDataset(rng.standard_normal((len(labels), 3)), np.array(labels),
+                               "train")
+        with pytest.raises(DomainError,
+                           match=f"client 7 has no training sample of class {empty}$"):
+            build_client(7, train, input_dim=3, seed=0)
+
+    def test_clients_share_no_federated_memory(self):
+        fedsim.client._fed_init.cache_clear()
+        trains = [train for train, _ in generate(SynthSpec())[0]]
+        clients = [build_client(c, train, input_dim=32, seed=3) for c, train in enumerate(trains)]
+        tr = TrainingParams()
+        shared = fedsim.client._fed_init(32, tr.fed_hidden, tr.emb_dim, 3)
+        assert not shared.flags.writeable
+        for a, b in itertools.combinations(clients, 2):
+            assert not np.shares_memory(a.fed_channel.params, b.fed_channel.params)
+        for c in clients:
+            assert not np.shares_memory(c.fed_channel.params, shared)
+            assert np.array_equal(c.fed_channel.params, shared)
+        # train one client and adopt a dispatch: neither reaches a later build
+        msg = clients[0].local_train_round()
+        clients[0].adopt_global(msg.params + 1.0)
+        assert np.array_equal(clients[0].fed_channel.params, msg.params + 1.0)
+        assert same_client(build_client(0, trains[0], input_dim=32, seed=3),
+                           oracles.build_client(0, trains[0], input_dim=32, training=tr, seed=3))
+
+    def test_one_federated_init_per_run(self, monkeypatch):
+        # counted, not timed: a build that draws the common init per client fails here
+        calls = collections.Counter()
+        for name in ("channel", "linear_head", "fusion_head"):
+            def spy(*args, _init=getattr(fedsim.client, name)):
+                seed = args[-1]
+                calls["federated" if len(seed) == 2 else ("part", seed[1])] += 1
+                return _init(*args)
+            monkeypatch.setattr(fedsim.client, name, spy)
+        fedsim.client._fed_init.cache_clear()
+        cfg = ExperimentConfig(mode="fedavg", rounds=1, seed=5,
+                               synth=SynthSpec(n_clients=16, classes_per_client=10,
+                                               samples_per_class=2),
+                               training=TrainingParams(epochs=1))
+        run_experiment(cfg)
+        assert calls == {"federated": 1, **{("part", c): 4 for c in range(16)}}

@@ -7,6 +7,7 @@ import pytest
 
 from fedsim.errors import ConfigError, DomainError, ShapeError
 from fedsim.synth import LabeledDataset, SynthSpec, generate, rotation_matrix
+from oracles import rotation_matrix as rotation_matrix_loop
 
 
 class TestSpecValidation:
@@ -65,6 +66,14 @@ class TestRotationMatrix:
     def test_orthogonal(self):
         m = rotation_matrix(6, 37.0)
         np.testing.assert_allclose(m @ m.T, np.eye(6), atol=1e-12)
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    @pytest.mark.parametrize("angle", [0.0, 37.0, 90.0, -135.5, 180.0])
+    def test_matches_the_pair_loop_bit_for_bit(self, dim, angle):
+        m = rotation_matrix(dim, angle)
+        assert m.tobytes() == rotation_matrix_loop(dim, angle).tobytes()
+        if dim % 2:   # the last coordinate has no pair
+            assert m[-1, -1] == 1.0 and not m[-1, :-1].any() and not m[:-1, -1].any()
 
     def test_ninety_degrees_planar(self):
         m = rotation_matrix(2, 90.0)
