@@ -236,9 +236,10 @@ class ClientGroup:
     group of one views its member's own arrays with a leading axis of 1 and
     steps itself. A member of a larger group stepped alone is stepped by its
     own group of one, built once and kept, bit for bit its row of the full
-    step. A member that rebinds one of
-    its arrays or changes one of its `_settings` is refused at its next step.
-    Members keep their own learning rate and RNG streams."""
+    step; any two or more step in one call, the other rows unchanged. A
+    member that rebinds one of its arrays or changes one of its `_settings`
+    is refused at its next step. Members keep their own learning rate and RNG
+    streams."""
 
     def __init__(self, members):
         self.members = list(members)
@@ -289,7 +290,7 @@ class ClientGroup:
         """
         self._check(rows, Phase.LOCAL_TRAINING, "local_train_round")
         n, size = self.n_samples, self.batch_size
-        order = np.empty((len(self.members), n), dtype=np.int64)
+        order = np.zeros((len(self.members), n), dtype=np.int64)   # rows not stepped: sample 0
         lr = np.array([c.lr for c in self.members], dtype=np.float64)[:, None]
         dead = {}
         for g in rows:
@@ -333,33 +334,26 @@ class ClientGroup:
         return losses
 
     def _steps(self, rows, phase, batch_index, idx, losses, dead, lr):
-        """Step the members in `rows` in one stacked call, or each as its own group
-        of one: a lone member, or some of a local step (its center update takes
-        the whole stack). The `DomainError` of a member alone is its DivergenceError."""
-        if len(rows) > 1 and (len(rows) == len(self.members) or phase == "async"):
-            try:
-                return self._step(rows, phase, batch_index, idx, losses, dead, lr)
-            except DomainError:
-                pass   # non-finite activations from exploded parameters: find whose
-        for g in rows:
-            if len(self.members) > 1 and g not in self._alone:
+        """Step the members in `rows` in one stacked call; a lone member of a larger
+        group is stepped by its own group of one, built once and kept."""
+        if len(rows) == 1 and len(self.members) > 1:
+            g, = rows
+            if g not in self._alone:
                 self._alone[g] = ClientGroup([self.members[g]])
-            try:
-                self._alone.get(g, self)._step((g,), phase, batch_index, idx[g:g + 1],
-                                               losses, dead, lr[g:g + 1])
-            except DomainError as exc:
-                dead[g] = self.members[g]._diverged(
-                    f"{phase} training diverged: {exc}", phase, batch_index)
-                dead[g].__cause__ = exc
+            self._alone[g]._step(rows, phase, batch_index, idx[g:g + 1], losses, dead,
+                                 lr[g:g + 1])
+        elif rows:
+            self._step(rows, phase, batch_index, idx, losses, dead, lr)
 
     # the callers ignore overflow and invalid results: the finite checks below
     # report them once, as a DivergenceError, where numpy would warn each time
     def _step(self, rows, phase, batch_index, idx, losses, dead, lr):
         """One SGD step of the stack, member i on its training rows idx[i] at lr[i],
-        which updates only the members in `rows` (not at lr = 0: -0.0 - -0.0 is
-        +0.0). Each appends its loss to losses[row]; one whose loss or an updated
-        part is non-finite gets its first error in dead[row], as a step of it
-        alone would raise. A `DomainError` is raised before any update."""
+        which updates only the parts and centers of the members in `rows` (not at
+        lr = 0: -0.0 - -0.0 is +0.0). Each appends its loss to losses[row]; one
+        whose loss or an updated part is non-finite gets its first error in
+        dead[row], as a step of it alone would. A `DomainError` is raised before
+        any update."""
         models, bank = self.models, self.bank
         stack = len(self.members)
         due = True if len(rows) == stack else np.bincount(rows, minlength=stack)[:, None] > 0
@@ -388,7 +382,10 @@ class ClientGroup:
                     dead.setdefault(ids[i], self.members[i]._diverged(
                         f"non-finite {phase} training {what}", phase, batch_index))
         if phase == "local" and self.loss_weights.alpha3 > 0:
+            kept = None if due is True else bank.centers.copy()
             update_centers(bank, out[2], yb)
+            if kept is not None:   # the members not in `rows` keep their centers
+                np.copyto(bank.centers, kept, where=~due[..., None])
         for row, value in zip(rows, (loss if due is True else loss[list(rows)]).tolist()):
             losses[row].append(value)
 

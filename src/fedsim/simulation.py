@@ -48,8 +48,7 @@ class SimConfig:
     async_step_duration: object     # None disables async training
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
+        object.__setattr__(self, "rounds", _ticks("rounds", self.rounds, 1))
         if self.n_clients < 1:
             raise ConfigError("n_clients must be >= 1")
         for name in ("local_step_duration", "upload_latency", "download_latency"):
@@ -63,13 +62,14 @@ class SimConfig:
 
 
 def _ticks(name, value, least=0) -> int:
-    """`value` as an int number of ticks >= least; a fraction, NaN or inf is refused."""
+    """`value` as an int >= least (a count or a number of ticks); a fraction, NaN or
+    inf is refused."""
     try:
         if int(value) == value and value >= least:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigError(f"{name} must be a whole number of ticks >= {least}, got {value!r}")
+    raise ConfigError(f"{name} must be a whole number >= {least}, got {value!r}")
 
 
 @dataclass

@@ -39,7 +39,6 @@ class SynthSpec:
     noise_scale: object = 0.8
     seed: int = 0
     open_set_split: float = 0.8
-    client_seeds: object = None         # default: derived from seed + index
 
     def __post_init__(self):
         if self.n_clients < 1:
@@ -58,14 +57,6 @@ class SynthSpec:
             object.__setattr__(self, name, _per_client(getattr(self, name), n, name))
         if not np.isfinite(self.rotation_deg + self.offset_scale + self.noise_scale).all():
             raise ConfigError("rotation_deg, offset_scale and noise_scale must be finite")
-        seeds = self.client_seeds
-        if seeds is None:
-            seeds = tuple((self.seed, c) for c in range(n))
-        else:
-            seeds = tuple(seeds)
-            if len(seeds) != n:
-                raise ConfigError("client_seeds needs one entry per client")
-        object.__setattr__(self, "client_seeds", seeds)
         for c in range(n):
             k_train, k_test = self.class_split(c)
             if k_train < 2 or k_test < 1:
@@ -134,12 +125,12 @@ def generate(spec: SynthSpec):
     for c in range(spec.n_clients):
         k = spec.classes_per_client[c]
         m = spec.samples_per_class[c]
-        rng = np.random.default_rng(spec.client_seeds[c])
+        rng = np.random.default_rng((spec.seed, c))
         protos = PROTO_SCALE * rng.standard_normal((k, spec.latent_dim)) @ basis.T
         raw = protos[:, None, :] + spec.noise_scale[c] * rng.standard_normal((k, m, dim))
 
         rot = rotation_matrix(dim, spec.rotation_deg[c])
-        offset_rng = np.random.default_rng((*spec.client_seeds[c], 7))
+        offset_rng = np.random.default_rng((spec.seed, c, 7))
         offset = spec.offset_scale[c] * offset_rng.standard_normal(dim)
         transformed = raw.reshape(-1, dim) @ rot.T + offset
 

@@ -390,6 +390,99 @@ class TestClientGroup:
                 assert losses[g] == [alone[g].async_train_step() for _ in range(count)]
             assert_members_equal_alone()
 
+    @settings(max_examples=30, deadline=None)
+    @given(lrs=st.lists(st.floats(0.0, 0.3), min_size=4, max_size=6),
+           batch=st.sampled_from([3, 6, 7, 8]), seed=st.integers(0, 2 ** 16),
+           data=st.data())
+    def test_steps_of_some_members_equal_each_alone(self, lrs, batch, seed, data):
+        # one member dies mid-round (lr 1e200) in a local round of some members, two
+        # or more of which train on; then drawn local rounds, async steps and
+        # adoptions of any live members, each stepped member as its lone run and
+        # every other member's rows bit-unchanged
+        rows = range(len(lrs))
+        doomed = data.draw(st.sampled_from(rows))
+        lrs[doomed] = 1e200
+        first = data.draw(st.sets(st.sampled_from([g for g in rows if g != doomed]),
+                                  min_size=2, max_size=len(lrs) - 2)) | {doomed}
+        requests = [("local", first, 1)] + data.draw(st.lists(st.tuples(
+            st.sampled_from(["local", "async", "adopt"]),
+            st.sets(st.sampled_from(rows), min_size=1), st.integers(1, 3)), max_size=6))
+        grouped, alone = alike_clients(lrs, batch=batch, seed=seed), \
+            alike_clients(lrs, batch=batch, seed=seed)
+        group = ClientGroup(grouped)
+        active, builds, stacked = [], [], []   # `active`: rows of the group's running step
+        steps, init, step = ClientGroup._steps, ClientGroup.__init__, ClientGroup._step
+
+        def spy_steps(self, step_rows, *args):
+            active.append(len(step_rows) if self is group else 0)
+            try:
+                return steps(self, step_rows, *args)
+            finally:
+                active.pop()
+
+        def spy_init(self, members):
+            if active and active[-1]:
+                builds.append(active[-1])
+            init(self, members)
+
+        def spy_step(self, step_rows, *args):
+            if active and active[-1] > 1:
+                stacked.append((self is group, len(step_rows)))
+            return step(self, step_rows, *args)
+
+        def state(c):
+            return ([getattr(c, part).params.tobytes() for part in PARTS],
+                    c.center_bank.centers.tobytes(), repr(c.last_epoch_losses))
+
+        def described(out):
+            if isinstance(out, DivergenceError):
+                return str(out), out.client_id, out.round_index, out.phase, out.batch_index
+            return out.params.tobytes() if isinstance(out, UploadMessage) else repr(out)
+
+        def lone(call):
+            try:
+                return described(call())
+            except DivergenceError as exc:
+                return described(exc)
+
+        dead = set()
+        phase = {"local": Phase.LOCAL_TRAINING, "async": Phase.WAITING,
+                 "adopt": Phase.WAITING}
+        with pytest.MonkeyPatch.context() as patch:
+            for name, spy in (("_steps", spy_steps), ("__init__", spy_init),
+                              ("_step", spy_step)):
+                patch.setattr(ClientGroup, name, spy)
+            for kind, chosen, count in requests:
+                due = sorted(g for g in chosen
+                             if g not in dead and grouped[g].phase is phase[kind])
+                before = [state(c) for c in grouped]
+                if kind == "local" and due:
+                    out = group.local_rounds(due)
+                    for g in due:
+                        assert described(out[g]) == lone(alone[g].local_train_round)
+                        if isinstance(out[g], DivergenceError):
+                            dead.add(g)
+                elif kind == "async" and due:
+                    out = group.async_steps(dict.fromkeys(due, count))
+                    for g in due:
+                        expected = []
+                        for _ in range(count):
+                            expected.append(lone(alone[g].async_train_step))
+                            if isinstance(expected[-1], tuple):   # an error ends its run
+                                dead.add(g)
+                                break
+                        assert [described(x) for x in out[g]] == expected
+                for g in due if kind == "adopt" else ():
+                    dispatch = alone[g].fed_channel.params[::-1].copy()
+                    grouped[g].adopt_global(dispatch)
+                    alone[g].adopt_global(dispatch)
+                for g, c in enumerate(grouped):
+                    assert state(c) == (state(alone[g]) if g in due else before[g])
+                if kind == "local" and chosen is first:
+                    assert doomed in dead and out[doomed].batch_index > 0
+        assert set(builds) <= {1}   # a group of one only for a step of one member
+        assert stacked and all(on_stack and n > 1 for on_stack, n in stacked)
+
     def test_members_read_the_stacks(self):
         clients = alike_clients([0.05, 0.1])
         group = ClientGroup(clients)

@@ -461,6 +461,18 @@ class TestValidation:
         assert type(cfg.server_compute_time) is int and cfg.server_compute_time == 5
         assert type(cfg.async_step_duration) is int
 
+    @pytest.mark.parametrize("rounds", [2.5, float("nan"), float("inf")])
+    def test_fractional_rounds_rejected(self, rounds):
+        # a count, checked as the durations are: 2.5 would run 3 rounds
+        with pytest.raises(ConfigError, match="rounds must be a whole number >= 1"):
+            ExperimentConfig(synth=SynthSpec(n_clients=2), rounds=rounds)
+
+    def test_whole_float_rounds_run_as_the_int(self, tmp_path):
+        assert type(sim_config(n_clients=1, rounds=2.0).rounds) is int
+        digests = [artifact_digest(run_experiment(ExperimentConfig(rounds=rounds)), tmp_path)
+                   for rounds in (2.0, 2)]
+        assert digests[0] == digests[1]
+
     def test_client_count_mismatch_rejected(self):
         cfg = sim_config(n_clients=3, rounds=1)
         with pytest.raises(ConfigError):

@@ -119,20 +119,20 @@ class TestGenerate:
             np.testing.assert_allclose(rows[0], rows[1], atol=0)
 
     def test_rotation_relates_clients_exactly(self):
-        base = dict(n_clients=2, classes_per_client=6, samples_per_class=3,
-                    noise_scale=0.0, offset_scale=0.0, seed=3,
-                    client_seeds=((3, 0), (3, 0)))  # same class draws
-        spec = SynthSpec(rotation_deg=(0.0, 90.0), **base)
-        clients, _ = generate(spec)
-        rot = rotation_matrix(spec.input_dim, 90.0)
-        a = clients[0][0].inputs
-        b = clients[1][0].inputs
+        # one-client specs that share a seed draw the same classes
+        base = dict(n_clients=1, classes_per_client=6, samples_per_class=3,
+                    noise_scale=0.0, offset_scale=0.0, seed=3)
+        (a, _), = generate(SynthSpec(rotation_deg=0.0, **base))[0]
+        (b, _), = generate(SynthSpec(rotation_deg=90.0, **base))[0]
+        rot = rotation_matrix(SynthSpec().input_dim, 90.0)
+        a, b = a.inputs, b.inputs
         np.testing.assert_allclose(b, a @ rot.T, atol=1e-12)
 
     def test_transforms_separate_client_means(self):
-        flat = SynthSpec(rotation_deg=0.0, offset_scale=0.0, seed=1,
-                         client_seeds=((1, 0),) * 4, noise_scale=0.0)
-        clients, _ = generate(flat)
+        # one-client specs that share a seed draw the same classes
+        flat = SynthSpec(n_clients=1, rotation_deg=0.0, offset_scale=0.0, seed=1,
+                         noise_scale=0.0)
+        clients = [generate(flat)[0][0] for _ in range(4)]
         m0 = clients[0][0].inputs.mean(axis=0)
         for train, _ in clients[1:]:
             np.testing.assert_allclose(train.inputs.mean(axis=0), m0, atol=1e-12)
