@@ -236,10 +236,10 @@ class ClientGroup:
     group of one views its member's own arrays with a leading axis of 1 and
     steps itself. A member of a larger group stepped alone is stepped by its
     own group of one, built once and kept, bit for bit its row of the full
-    step; any two or more step in one call, the other rows unchanged. A
-    member that rebinds one of its arrays or changes one of its `_settings`
-    is refused at its next step. Members keep their own learning rate and RNG
-    streams."""
+    step; two or more step in one call, the other rows unchanged, when over a
+    third of the stack is due (`_steps`). A member that rebinds one of its
+    arrays or changes one of its `_settings` is refused at its next step.
+    Members keep their own learning rate and RNG streams."""
 
     def __init__(self, members):
         self.members = list(members)
@@ -334,16 +334,18 @@ class ClientGroup:
         return losses
 
     def _steps(self, rows, phase, batch_index, idx, losses, dead, lr):
-        """Step the members in `rows` in one stacked call; a lone member of a larger
-        group is stepped by its own group of one, built once and kept."""
-        if len(rows) == 1 and len(self.members) > 1:
-            g, = rows
-            if g not in self._alone:
+        """Step the members in `rows` in one stacked call if two or more and over a
+        third of the stack are due, else each by its own group of one, built once
+        and kept. A stacked step costs about the same however few rows are due
+        (timeit, 16 members: 2 of them took 3x longer stacked than alone, 6 as
+        long, 12 half as long in a local step; an async step breaks even at 8)."""
+        if len(rows) > 1 and 3 * len(rows) > len(self.members):
+            return self._step(rows, phase, batch_index, idx, losses, dead, lr)
+        for g in rows:
+            if len(self.members) > 1 and g not in self._alone:
                 self._alone[g] = ClientGroup([self.members[g]])
-            self._alone[g]._step(rows, phase, batch_index, idx[g:g + 1], losses, dead,
-                                 lr[g:g + 1])
-        elif rows:
-            self._step(rows, phase, batch_index, idx, losses, dead, lr)
+            self._alone.get(g, self)._step((g,), phase, batch_index, idx[g:g + 1],
+                                           losses, dead, lr[g:g + 1])
 
     # the callers ignore overflow and invalid results: the finite checks below
     # report them once, as a DivergenceError, where numpy would warn each time

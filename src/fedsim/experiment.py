@@ -69,7 +69,7 @@ class ExperimentConfig:
             if not subset or any(c < 0 or c >= self.synth.n_clients for c in subset):
                 raise ConfigError("client_subset must index the synthetic clients")
             object.__setattr__(self, "client_subset", subset)
-        self.schedule()  # SimConfig checks the rounds and every duration
+        object.__setattr__(self, "rounds", self.schedule().rounds)   # checked, 2.0 kept as 2
         if not 1 <= self.probe_size <= PROBE_POOL_SIZE:
             raise ConfigError(f"probe_size must be in [1, {PROBE_POOL_SIZE}]")
         for c in self.clients:

@@ -410,24 +410,26 @@ class TestClientGroup:
         grouped, alone = alike_clients(lrs, batch=batch, seed=seed), \
             alike_clients(lrs, batch=batch, seed=seed)
         group = ClientGroup(grouped)
-        active, builds, stacked = [], [], []   # `active`: rows of the group's running step
+        calls, builds = [], []   # per step of `group`: its rows, then each _step within it
         steps, init, step = ClientGroup._steps, ClientGroup.__init__, ClientGroup._step
 
         def spy_steps(self, step_rows, *args):
-            active.append(len(step_rows) if self is group else 0)
+            if self is not group:
+                return steps(self, step_rows, *args)
+            calls.append((len(step_rows), []))
             try:
                 return steps(self, step_rows, *args)
             finally:
-                active.pop()
+                calls[-1] = calls[-1][0], tuple(calls[-1][1])   # closed
 
         def spy_init(self, members):
-            if active and active[-1]:
-                builds.append(active[-1])
+            if calls and isinstance(calls[-1][1], list):
+                builds.append(len(members))
             init(self, members)
 
         def spy_step(self, step_rows, *args):
-            if active and active[-1] > 1:
-                stacked.append((self is group, len(step_rows)))
+            if calls and isinstance(calls[-1][1], list):
+                calls[-1][1].append((self is group, len(step_rows)))
             return step(self, step_rows, *args)
 
         def state(c):
@@ -480,8 +482,13 @@ class TestClientGroup:
                     assert state(c) == (state(alone[g]) if g in due else before[g])
                 if kind == "local" and chosen is first:
                     assert doomed in dead and out[doomed].batch_index > 0
-        assert set(builds) <= {1}   # a group of one only for a step of one member
-        assert stacked and all(on_stack and n > 1 for on_stack, n in stacked)
+        # two or more members, over a third of the stack, step in one call on it;
+        # the others each through a group of one, built at most once a member
+        for n, inner in calls:
+            stacked = n > 1 and 3 * n > len(lrs)
+            assert list(inner) == ([(True, n)] if stacked else [(False, 1)] * n)
+        assert calls[0][1][0] == (True, len(first))
+        assert set(builds) <= {1} and len(builds) <= len(lrs)
 
     def test_members_read_the_stacks(self):
         clients = alike_clients([0.05, 0.1])

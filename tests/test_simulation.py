@@ -469,6 +469,7 @@ class TestValidation:
 
     def test_whole_float_rounds_run_as_the_int(self, tmp_path):
         assert type(sim_config(n_clients=1, rounds=2.0).rounds) is int
+        assert type(ExperimentConfig(rounds=2.0).rounds) is int
         digests = [artifact_digest(run_experiment(ExperimentConfig(rounds=rounds)), tmp_path)
                    for rounds in (2.0, 2)]
         assert digests[0] == digests[1]

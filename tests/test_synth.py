@@ -129,14 +129,19 @@ class TestGenerate:
         np.testing.assert_allclose(b, a @ rot.T, atol=1e-12)
 
     def test_transforms_separate_client_means(self):
-        # one-client specs that share a seed draw the same classes
-        flat = SynthSpec(n_clients=1, rotation_deg=0.0, offset_scale=0.0, seed=1,
-                         noise_scale=0.0)
-        clients = [generate(flat)[0][0] for _ in range(4)]
-        m0 = clients[0][0].inputs.mean(axis=0)
-        for train, _ in clients[1:]:
-            np.testing.assert_allclose(train.inputs.mean(axis=0), m0, atol=1e-12)
+        # one-client specs that share a seed draw the same classes, so with the
+        # transforms off their means agree and any client's transforms move them
         hetero = SynthSpec(seed=1)
+
+        def train_mean(rotation_deg, offset_scale):
+            spec = SynthSpec(n_clients=1, rotation_deg=rotation_deg,
+                             offset_scale=offset_scale, seed=1, noise_scale=0.0)
+            return generate(spec)[0][0][0].inputs.mean(axis=0)
+
+        m0 = train_mean(0.0, 0.0)
+        np.testing.assert_allclose(train_mean(0.0, 0.0), m0, atol=1e-12)
+        for rotation, offset in zip(hetero.rotation_deg, hetero.offset_scale):
+            assert np.linalg.norm(train_mean(rotation, offset) - m0) > 0.1
         clients, _ = generate(hetero)
         m0 = clients[0][0].inputs.mean(axis=0)
         for train, _ in clients[1:]:
