@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .nn import GROUP_ROWS, MLP, forward_batch
 
 SPLIT_ROWS = 28   # from this many clients on, a second thread pays for its start (at 2 CPUs)
@@ -23,9 +23,9 @@ class AggregationConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
-            raise DomainError("gamma must be in [0, 1]")
+            raise ConfigError("gamma must be in [0, 1]")
         if not (np.isfinite(self.clamp_epsilon) and self.clamp_epsilon > 0):
-            raise DomainError("clamp_epsilon must be finite and positive")
+            raise ConfigError("clamp_epsilon must be finite and positive")
 
 
 def _share_rows(n: int, rows) -> list:
@@ -158,6 +158,6 @@ def fedavg_aggregate(params_list, weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(params),):
         raise ShapeError("one weight per model required")
-    if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-9:
-        raise DomainError("weights must be nonnegative and sum to 1")
+    if not np.all(weights >= 0) or abs(float(weights.sum()) - 1.0) > 1e-9:   # NaN fails >=
+        raise DomainError("weights must be finite, nonnegative and sum to 1")
     return mix(params, weights[None, :], 1.0)[0]

@@ -21,7 +21,7 @@ from . import __version__, losses
 from .config import (build_experiment_config, load_config, parse_config_text, read_config,
                      run_id, values_as_dict, write_manifest_atomic)
 from .convergence import make_problem, run_fedavg_convergence, verify_simplex
-from .errors import ConfigError, DivergenceError, DomainError, FedSimError
+from .errors import ConfigError, DivergenceError, DomainError, FedSimError, whole
 from .experiment import run_experiment, write_roc_csv
 from .metrics import ScoreSet, eer, operating_points, tar_at_far, write_metrics_csv
 
@@ -141,8 +141,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     """Fast cross-module invariant suite; prints one line per check."""
-    if args.seed < 0:
-        raise ConfigError("seed must be >= 0")
+    whole("seed", args.seed)
     failures = 0
 
     def report(name, ok, detail=""):

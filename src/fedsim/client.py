@@ -16,7 +16,7 @@ from operator import is_not
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, DomainError, ProtocolError, ShapeError
+from .errors import ConfigError, DivergenceError, DomainError, ProtocolError, ShapeError, whole
 from .losses import (CenterBank, LossWeights, _class_means, center_loss_grad,
                      cross_entropy_batch, fv_cos_batch, total_loss, update_centers)
 from .nn import (GROUP_ROWS, MLP, backward_batch, channel, forward_batch,
@@ -43,9 +43,8 @@ class TrainingParams:
     def __post_init__(self):
         if not (0 <= self.lr < np.inf and 0 <= self.center_lr < np.inf):
             raise ConfigError("lr and center_lr must be finite and >= 0")
-        if min(self.epochs, self.batch, self.local_hidden, self.fed_hidden,
-               self.emb_dim, self.fuse_dim) < 1:
-            raise ConfigError("epochs, batch and layer widths must be >= 1")
+        for name in ("epochs", "batch", "local_hidden", "fed_hidden", "emb_dim", "fuse_dim"):
+            object.__setattr__(self, name, whole(name, getattr(self, name), 1))
         self.loss_weights()  # checks the alphas
 
     def loss_weights(self) -> LossWeights:

@@ -11,7 +11,7 @@ import tempfile
 from dataclasses import fields
 
 from .aggregation import AggregationConfig
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError
 from .experiment import ExperimentConfig, Toggles, TrainingParams
 from .synth import SynthSpec
 
@@ -146,14 +146,11 @@ def build_experiment_config(values) -> ExperimentConfig:
     step, subset = data.pop("rotation_step"), data.pop("client_subset")
     rotation = None if step is None else tuple(c * step for c in range(data["n_clients"]))
     probe_size = agg.pop("probe_size")
-    try:
-        return ExperimentConfig(
-            **exp, **v["sim"], probe_size=probe_size, client_subset=subset,
-            synth=SynthSpec(**data, seed=exp["seed"], rotation_deg=rotation),
-            training=TrainingParams(**v["training"]), agg=AggregationConfig(**agg),
-            toggles=Toggles(**{_TOGGLE_FIELDS[k]: t for k, t in v["toggles"].items()}))
-    except (DomainError, ShapeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(
+        **exp, **v["sim"], probe_size=probe_size, client_subset=subset,
+        synth=SynthSpec(**data, seed=exp["seed"], rotation_deg=rotation),
+        training=TrainingParams(**v["training"]), agg=AggregationConfig(**agg),
+        toggles=Toggles(**{_TOGGLE_FIELDS[k]: t for k, t in v["toggles"].items()}))
 
 
 def run_id(values, canonical: str) -> str:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import AggregationConfig, fedavg_aggregate, personalized_aggregate
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, whole
 
 
 @dataclass
@@ -46,8 +46,7 @@ class ConvexProblem:
 def make_problem(n_clients: int, dim: int, seed, heterogeneity: float = 1.0,
                  eig_range=(0.5, 2.0)) -> ConvexProblem:
     """Seeded quadratic problem; optimum and constants in closed form."""
-    if dim < 1 or n_clients < 1:
-        raise ConfigError("dim and n_clients must be >= 1")
+    n_clients, dim = whole("n_clients", n_clients, 1), whole("dim", dim, 1)
     lo, hi = eig_range
     if not 0 < lo <= hi:
         raise ConfigError(f"eig_range must satisfy 0 < lo <= hi, got {eig_range}")
@@ -89,8 +88,8 @@ def run_fedavg_convergence(problem: ConvexProblem, rounds: int, local_steps: int
     step lr_scale / (t + lr_offset) at global step t, Gaussian gradient noise of
     scale `noise` per local step, and at each round's end every row set to the
     `fedavg_aggregate` of the stack under the problem weights."""
-    if rounds < 1 or local_steps < 1 or replicates < 1:
-        raise ConfigError("rounds, local_steps and replicates must be >= 1")
+    rounds, local_steps = whole("rounds", rounds, 1), whole("local_steps", local_steps, 1)
+    replicates = whole("replicates", replicates, 1)
     if not (lr_offset > 0 and lr_scale >= 0):
         raise ConfigError("need lr_offset > 0 and lr_scale >= 0")
     n, dim = problem.targets.shape

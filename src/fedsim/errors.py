@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the two checks every
+settings class runs on its counts."""
+
+import numpy as np
 
 
 class FedSimError(Exception):
@@ -16,6 +19,26 @@ class DomainError(FedSimError):
 
 class ConfigError(FedSimError):
     """Invalid or inconsistent configuration."""
+
+
+def whole(name, value, least=0) -> int:
+    """`value` as an int >= least (a count or a number of ticks): 2.0 and np.int64(2)
+    are 2; a fraction, NaN, inf or non-number is refused."""
+    try:
+        if int(value) == value and value >= least:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be a whole number >= {least}, got {value!r}")
+
+
+def per_client(value, n_clients, name, least=None) -> tuple:
+    """A scalar broadcast to n_clients entries, or a sequence of that length, as a tuple;
+    with `least`, each entry is `whole(name, entry, least)`."""
+    value = tuple(value for _ in range(n_clients)) if np.isscalar(value) else tuple(value)
+    if len(value) != n_clients:
+        raise ConfigError(f"{name} needs one value per client, got {len(value)}")
+    return value if least is None else tuple(whole(name, v, least) for v in value)
 
 
 class ProtocolError(FedSimError):

@@ -7,7 +7,7 @@ import numpy as np
 
 from .aggregation import AggregationConfig
 from .client import TrainingParams, build_client, stacked_embeddings
-from .errors import ConfigError
+from .errors import ConfigError, whole
 from .metrics import MetricsRecord, ScoreSet, eer, pair_positions, score_pairs, tar_at_far
 from .server import ServerState, Strategy, load_probe_set
 from .simulation import SimConfig, run_simulation
@@ -18,6 +18,10 @@ from .synth import PROBE_POOL_SIZE, SynthSpec, generate
 # 2 * 317**2, and 317 is the first n whose pairs can pass IMPOSTOR_PAIR_CAP, so a client whose
 # impostors its seed subsamples is scored alone: a block's clients share their labels' positions.
 SCORE_ENTRIES = 2 ** 16
+
+# the settings an `ExperimentConfig` hands its `SimConfig`, which checks them
+SCHEDULE = ("rounds", "local_step_duration", "upload_latency", "download_latency",
+            "server_compute_time", "async_step_duration")
 
 MODE_PRESETS = {
     # mode -> (async_enabled, use_total_loss, personalized_agg)
@@ -35,11 +39,15 @@ class Toggles:
     use_total_loss: object = None
     personalized_agg: object = None
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and not isinstance(value, bool):
+                raise ConfigError(f"{name} must be None, True or False, got {value!r}")
+
     def resolve(self, mode: str):
-        preset = MODE_PRESETS[mode]
-        return tuple(p if o is None else bool(o)
+        return tuple(p if o is None else o
                      for o, p in zip((self.async_enabled, self.use_total_loss,
-                                      self.personalized_agg), preset))
+                                      self.personalized_agg), MODE_PRESETS[mode]))
 
 
 @dataclass(frozen=True)
@@ -62,15 +70,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODE_PRESETS:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        object.__setattr__(self, "seed", whole("seed", self.seed))
         if self.client_subset is not None:
-            subset = tuple(sorted(set(int(c) for c in self.client_subset)))
-            if not subset or any(c < 0 or c >= self.synth.n_clients for c in subset):
+            subset = tuple(sorted(set(whole("client_subset", c) for c in self.client_subset)))
+            if not subset or subset[-1] >= self.synth.n_clients:
                 raise ConfigError("client_subset must index the synthetic clients")
             object.__setattr__(self, "client_subset", subset)
-        object.__setattr__(self, "rounds", self.schedule().rounds)   # checked, 2.0 kept as 2
-        if not 1 <= self.probe_size <= PROBE_POOL_SIZE:
+        sim = self.schedule()   # checks the schedule; a scalar setting keeps its one int
+        for name in SCHEDULE:
+            kept = getattr(sim, name)
+            one = isinstance(kept, tuple) and np.isscalar(getattr(self, name))
+            object.__setattr__(self, name, kept[0] if one else kept)
+        object.__setattr__(self, "probe_size", whole("probe_size", self.probe_size, 1))
+        if self.probe_size > PROBE_POOL_SIZE:
             raise ConfigError(f"probe_size must be in [1, {PROBE_POOL_SIZE}]")
         for c in self.clients:
             if self.synth.class_split(c)[1] < 2:
@@ -83,12 +95,7 @@ class ExperimentConfig:
 
     def schedule(self) -> SimConfig:
         """The run's schedule, with async training as configured."""
-        return SimConfig(
-            n_clients=len(self.clients), rounds=self.rounds,
-            local_step_duration=self.local_step_duration,
-            upload_latency=self.upload_latency, download_latency=self.download_latency,
-            server_compute_time=self.server_compute_time,
-            async_step_duration=self.async_step_duration)
+        return SimConfig(len(self.clients), **{name: getattr(self, name) for name in SCHEDULE})
 
 
 @dataclass

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -23,11 +23,11 @@ class LossWeights:
 
     def __post_init__(self):
         if not np.isfinite((self.alpha1, self.alpha2, self.alpha3)).all():
-            raise DomainError("loss weights must be finite")
+            raise ConfigError("loss weights must be finite")
         if self.alpha1 < 0 or self.alpha2 < 0 or self.alpha3 < 0:
-            raise DomainError("loss weights must be nonnegative")
+            raise ConfigError("loss weights must be nonnegative")
         if self.alpha1 == 0 and self.alpha2 == 0 and self.alpha3 == 0:
-            raise DomainError("at least one loss weight must be positive")
+            raise ConfigError("at least one loss weight must be positive")
 
 
 @dataclass

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, whole
 
 # Widest stack run at once: with 64 alike clients, groups of 16 trained a step faster
 # than one group of 64 and held a quarter of its temporaries (1.6 vs 6.4 MiB).
@@ -51,8 +51,8 @@ class MLP:
     _views_of: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.sizes = tuple(int(s) for s in self.sizes)
-        if len(self.sizes) < 2 or any(s < 1 for s in self.sizes):
+        self.sizes = tuple(whole("layer size", s, 1) for s in self.sizes)
+        if len(self.sizes) < 2:
             raise ShapeError(f"invalid layer sizes {self.sizes}")
         if self.out_act not in ("linear", "tanh"):
             raise ShapeError(f"unknown output activation {self.out_act!r}")

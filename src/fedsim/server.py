@@ -11,7 +11,7 @@ import numpy as np
 from .aggregation import (AggregationConfig, build_correlation_matrix,
                           fedavg_aggregate, personalized_aggregate)
 from .errors import (ConfigError, DivergenceError, DomainError, ProtocolError,
-                     ShapeError, StaleMessageError)
+                     ShapeError, StaleMessageError, whole)
 from .client import UploadMessage
 from .nn import MLP
 
@@ -96,8 +96,8 @@ def run_aggregation(server: ServerState):
 
 def load_probe_set(source: np.ndarray, t: int, seed) -> np.ndarray:
     """Deterministic seeded sample of T probe inputs from a source pool."""
-    source = np.asarray(source, dtype=np.float64)
-    if t < 1 or source.shape[0] < t:
+    source, t = np.asarray(source, dtype=np.float64), whole("t", t, 1)
+    if source.shape[0] < t:
         raise ConfigError(f"probe source has {source.shape[0]} items, need {t}")
     rng = np.random.default_rng(seed)
     idx = rng.choice(source.shape[0], size=t, replace=False)

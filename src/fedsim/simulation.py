@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .client import Phase, group_clients
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, per_client, whole
 from .server import ServerState, handle_upload, run_aggregation
-from .synth import _per_client
 
 
 class EventKind(enum.Enum):
@@ -48,28 +47,16 @@ class SimConfig:
     async_step_duration: object     # None disables async training
 
     def __post_init__(self):
-        object.__setattr__(self, "rounds", _ticks("rounds", self.rounds, 1))
-        if self.n_clients < 1:
-            raise ConfigError("n_clients must be >= 1")
+        object.__setattr__(self, "rounds", whole("rounds", self.rounds, 1))
+        object.__setattr__(self, "n_clients", whole("n_clients", self.n_clients, 1))
         for name in ("local_step_duration", "upload_latency", "download_latency"):
-            object.__setattr__(self, name, tuple(_ticks(name, v) for v in _per_client(
-                getattr(self, name), self.n_clients, name)))
+            object.__setattr__(self, name, per_client(getattr(self, name), self.n_clients,
+                                                      name, least=0))
         object.__setattr__(self, "server_compute_time",
-                           _ticks("server_compute_time", self.server_compute_time))
+                           whole("server_compute_time", self.server_compute_time))
         if self.async_step_duration is not None:
             object.__setattr__(self, "async_step_duration",
-                               _ticks("async_step_duration", self.async_step_duration, 1))
-
-
-def _ticks(name, value, least=0) -> int:
-    """`value` as an int >= least (a count or a number of ticks); a fraction, NaN or
-    inf is refused."""
-    try:
-        if int(value) == value and value >= least:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{name} must be a whole number >= {least}, got {value!r}")
+                               whole("async_step_duration", self.async_step_duration, 1))
 
 
 @dataclass

@@ -11,20 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError, per_client, whole
 
 PROTO_SCALE = 2.0
 PROBE_POOL_SIZE = 128   # rows of the server's probe source
-
-
-def _per_client(value, n_clients, name):
-    """Broadcast a scalar to a per-client tuple, or validate a sequence."""
-    if np.isscalar(value):
-        return tuple(value for _ in range(n_clients))
-    value = tuple(value)
-    if len(value) != n_clients:
-        raise ConfigError(f"{name} needs one value per client, got {len(value)}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -41,29 +31,25 @@ class SynthSpec:
     open_set_split: float = 0.8
 
     def __post_init__(self):
-        if self.n_clients < 1:
-            raise ConfigError("need at least one client")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        for name, least in (("n_clients", 1), ("seed", 0), ("input_dim", 1), ("latent_dim", 1)):
+            object.__setattr__(self, name, whole(name, getattr(self, name), least))
         if not 0.0 < self.open_set_split < 1.0:
             raise ConfigError("open_set_split must be in (0, 1)")
-        if not 1 <= self.latent_dim <= self.input_dim:
+        if self.latent_dim > self.input_dim:
             raise ConfigError("latent_dim must be in [1, input_dim]")
         n = self.n_clients
         if self.rotation_deg is None:
             object.__setattr__(self, "rotation_deg", tuple(c * 180.0 / n for c in range(n)))
-        for name in ("classes_per_client", "samples_per_class", "rotation_deg",
-                     "offset_scale", "noise_scale"):
-            object.__setattr__(self, name, _per_client(getattr(self, name), n, name))
+        for name, least in (("classes_per_client", 0), ("samples_per_class", 2),
+                            ("rotation_deg", None), ("offset_scale", None),
+                            ("noise_scale", None)):
+            object.__setattr__(self, name, per_client(getattr(self, name), n, name, least))
         if not np.isfinite(self.rotation_deg + self.offset_scale + self.noise_scale).all():
             raise ConfigError("rotation_deg, offset_scale and noise_scale must be finite")
         for c in range(n):
             k_train, k_test = self.class_split(c)
             if k_train < 2 or k_test < 1:
                 raise ConfigError("split leaves too few train or test classes")
-        for s in self.samples_per_class:
-            if s < 2:
-                raise ConfigError("samples_per_class must be >= 2")
 
     def class_split(self, c) -> tuple:
         """(train, test) identity counts of client c."""

@@ -20,7 +20,7 @@ from fedsim.aggregation import (SPLIT_ROWS, AggregationConfig, _stack_params,
                                 fedavg_aggregate, mix, personalized_aggregate,
                                 probe_embeddings)
 from fedsim.client import build_client, stacked_embeddings
-from fedsim.errors import DomainError, ShapeError
+from fedsim.errors import ConfigError, DomainError, ShapeError
 from fedsim.nn import GROUP_ROWS, MLP, channel, forward_batch
 from fedsim.synth import LabeledDataset
 
@@ -500,6 +500,12 @@ class TestFedavgAggregate:
         with pytest.raises(DomainError):
             fedavg_aggregate([np.zeros(2), np.zeros(2)], [0.6, 0.6])
 
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [1.0, np.nan], [np.inf, 0.0]])
+    def test_non_finite_weights_rejected(self, weights):
+        # NaN passes `weights < 0` and a NaN sum passes the sum test
+        with pytest.raises(DomainError, match="finite"):
+            fedavg_aggregate(np.ones((2, 3)), weights)
+
     def test_gamma_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             AggregationConfig(1.5)

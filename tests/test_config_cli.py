@@ -359,6 +359,15 @@ class TestRunVerb:
             assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # refused before any run directory
 
+    @pytest.mark.parametrize("bad", ["aggregation.gamma=2", "training.alpha1=-1"])
+    def test_refused_setting_is_one_config_error_line(self, small_config, tmp_path, capsys,
+                                                      bad):
+        # AggregationConfig and LossWeights raise ConfigError themselves
+        assert main(["run", "--config", small_config, "--out", str(tmp_path),
+                     "--set", bad]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
     def test_config_file_values_reach_the_run_literally(self, small_config, tmp_path,
                                                         capsys):
         out = tmp_path / "runs%x"

@@ -1,0 +1,108 @@
+"""Every count setting goes through `errors.whole`: a whole value of any number type
+is kept as its int, and a fraction, NaN, inf or non-number is a `ConfigError` that
+names the setting, raised when the setting is built."""
+
+import re
+from argparse import Namespace
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from fedsim.cli import cmd_verify
+from fedsim.client import TrainingParams
+from fedsim.convergence import make_problem, run_fedavg_convergence
+from fedsim.errors import ConfigError
+from fedsim.experiment import ExperimentConfig, Toggles, run_experiment
+from fedsim.nn import MLP
+from fedsim.server import load_probe_set
+from fedsim.simulation import SimConfig
+from fedsim.synth import SynthSpec
+from sim_defaults import SCHEDULE
+from test_golden import artifact_digest
+
+# SimConfig has no defaults: these stand in for them
+SIM_BASE = {"n_clients": 2, "rounds": 1, **SCHEDULE}
+
+
+def int_fields(cls):
+    """Names of the fields of `cls` typed or defaulting to int."""
+    return [f.name for f in fields(cls) if f.type is int or type(f.default) is int]
+
+
+@pytest.mark.parametrize("cls, name", [(cls, name) for cls in (
+    TrainingParams, SynthSpec, SimConfig, ExperimentConfig) for name in int_fields(cls)])
+def test_whole_float_stored_as_int(cls, name):
+    base = SIM_BASE if cls is SimConfig else {}
+    default = base.get(name, {f.name: f.default for f in fields(cls)}.get(name))
+    stored = getattr(cls(**{**base, name: float(default)}), name)
+    for value in stored if isinstance(stored, tuple) else (stored,):
+        assert type(value) is int and value == default
+
+
+def test_guard_sees_every_int_setting():
+    # the guard above reads the fields it checks off the classes: it must find these
+    assert {"epochs", "batch", "local_hidden", "fed_hidden", "emb_dim",
+            "fuse_dim"} <= set(int_fields(TrainingParams))
+    assert {"n_clients", "classes_per_client", "samples_per_class", "input_dim",
+            "latent_dim", "seed"} <= set(int_fields(SynthSpec))
+    assert {"n_clients", "rounds", "server_compute_time"} <= set(int_fields(SimConfig))
+    assert {"seed", "rounds", "probe_size", "local_step_duration",
+            "async_step_duration"} <= set(int_fields(ExperimentConfig))
+
+
+PROBLEM = make_problem(2, 2, seed=0)
+
+
+def converge(**counts):
+    return run_fedavg_convergence(PROBLEM, **{"rounds": 1, "local_steps": 1, **counts},
+                                  lr_scale=0.1, lr_offset=1.0, noise=0.0, seed=0)
+
+
+# (setting named in the error, a build that takes the count)
+COUNTS = [
+    ("n_clients", lambda v: SimConfig(**{**SIM_BASE, "n_clients": v})),
+    *((name, lambda v, name=name: TrainingParams(**{name: v}))
+      for name in ("epochs", "batch", "local_hidden", "fed_hidden", "emb_dim", "fuse_dim")),
+    *((name, lambda v, name=name: SynthSpec(**{name: v}))
+      for name in ("n_clients", "seed", "input_dim", "latent_dim", "classes_per_client",
+                   "samples_per_class")),
+    ("classes_per_client", lambda v: SynthSpec(classes_per_client=(20, v, 20, 20))),
+    ("samples_per_class", lambda v: SynthSpec(samples_per_class=(6, 6, v, 6))),
+    *((name, lambda v, name=name: ExperimentConfig(**{name: v})) for name in ("seed", "probe_size")),
+    ("client_subset", lambda v: ExperimentConfig(client_subset=(0, v))),
+    ("layer size", lambda v: MLP((4, v, 3))),
+    ("t", lambda v: load_probe_set(np.ones((10, 2)), v, seed=0)),
+    ("n_clients", lambda v: make_problem(v, 2, seed=0)),
+    ("dim", lambda v: make_problem(2, v, seed=0)),
+    *((name, lambda v, name=name: converge(**{name: v}))
+      for name in ("rounds", "local_steps", "replicates")),
+    ("seed", lambda v: cmd_verify(Namespace(seed=v))),
+]
+
+
+@pytest.mark.parametrize("value", [1.5, float("nan"), float("inf"), "3"])
+@pytest.mark.parametrize("name, build", COUNTS,
+                         ids=[f"{i}-{name}" for i, (name, _) in enumerate(COUNTS)])
+def test_non_whole_count_refused(name, build, value):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be a whole number >= \d"):
+        build(value)
+
+
+def test_whole_floats_run_as_their_ints(tmp_path):
+    def digest(epochs, samples, probes):
+        cfg = ExperimentConfig(rounds=1, probe_size=probes, training=TrainingParams(epochs=epochs),
+                               synth=SynthSpec(n_clients=2, samples_per_class=samples))
+        return artifact_digest(run_experiment(cfg), tmp_path)
+    assert digest(3.0, 6.0, 8.0) == digest(3, 6, 8)
+
+
+@pytest.mark.parametrize("value", ["off", 1, 0, np.float64(1.0)])
+def test_toggle_refuses_a_non_bool(value):
+    # bool("off") is True: only None, True or False say what a switch means
+    with pytest.raises(ConfigError, match="^async_enabled must be None, True or False"):
+        Toggles(async_enabled=value)
+
+
+def test_toggle_keeps_none_and_bools():
+    assert Toggles(False, None, True).resolve("full") == (False, True, True)

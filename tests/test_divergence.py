@@ -195,8 +195,8 @@ def test_group_async_step_fails_the_poisoned_member_alone(k):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the loss
 @pytest.mark.parametrize("k", range(4))
 def test_group_local_round_isolates_an_exploding_member(k):
-    # lr 1e200 keeps the parameters finite but makes a later loss NaN, which
-    # the loss kernels reject for the whole stack; the member alone must be named
+    # lr 1e200 keeps the parameters finite but makes a later loss NaN; `total_loss`
+    # lets that row through, and the stacked step names the member from its own row
     lrs = [0.05, 0.1, 0.02, 0.07]
     alone = alike_clients([1e200 if g == k else lr for g, lr in enumerate(lrs)])[k]
     with pytest.raises(DivergenceError) as info:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedsim.errors import DomainError, ShapeError
+from fedsim.errors import ConfigError, DomainError, ShapeError
 from fedsim.losses import (CenterBank, LossWeights, center_loss_grad,
                            cross_entropy_batch, fv_cos_batch, total_loss,
                            update_centers)
@@ -229,11 +229,11 @@ class TestTotalLoss:
         assert diff == pytest.approx(terms[2], rel=1e-9, abs=1e-9)
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             LossWeights(-0.1, 1.0, 0.0)
 
     def test_all_zero_weights_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             LossWeights(0.0, 0.0, 0.0)
 
     def test_negative_term_rejected(self):
