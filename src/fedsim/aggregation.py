@@ -28,11 +28,16 @@ class AggregationConfig:
             raise ConfigError("clamp_epsilon must be finite and positive")
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on, 1 where the platform cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _share_rows(n: int, rows) -> list:
     """[rows(k, workers, ceil(n / workers)) for k < workers], a worker per usable CPU with
     SPLIT_ROWS / 2 of the n rows or more: k = 0 here and the rest in helper threads."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers, shares, errors, helpers = max(1, min(cpus, 2 * n // SPLIT_ROWS)), {}, [], []
+    workers = max(1, min(usable_cpus(), 2 * n // SPLIT_ROWS))
+    shares, errors, helpers = {}, [], []
     def run(k):
         try:
             shares[k] = rows(k, workers, -(-n // workers))

@@ -119,17 +119,20 @@ def fused_embeddings(local_channel, fed_channel, fusion, inputs):
     return forward_batch(fusion, np.concatenate([f_p, f_g], axis=-1))[0]
 
 
-def stacked_embeddings(clients, inputs) -> np.ndarray:
-    """(G, B, fuse_dim) fused embeddings of (G, B, input_dim) inputs, GROUP_ROWS clients per
-    stacked forward: row g is bit for bit `clients[g].extract_embeddings(inputs[g])`."""
-    embs = np.empty((*inputs.shape[:2], clients[0].fusion.out_dim))
+def stacked_parts(clients):
+    """Copies of the local channel, federated channel and fusion of each GROUP_ROWS clients
+    as (G, L) stacks, which later training does not reach; each block made as it is read."""
     for lo in range(0, len(clients), GROUP_ROWS):
-        block = clients[lo:lo + GROUP_ROWS]   # its copied parts go with its forward
-        embs[lo:lo + GROUP_ROWS] = fused_embeddings(*[
-            MLP(getattr(block[0], attr).sizes, getattr(block[0], attr).out_act,
-                np.array([getattr(c, attr).params for c in block]))
-            for attr in ("local_channel", "fed_channel", "fusion")], inputs[lo:lo + GROUP_ROWS])
-    return embs
+        yield [MLP(getattr(clients[lo], attr).sizes, getattr(clients[lo], attr).out_act,
+                   np.array([getattr(c, attr).params for c in clients[lo:lo + GROUP_ROWS]]))
+               for attr in ("local_channel", "fed_channel", "fusion")]
+
+
+def stacked_embeddings(blocks, inputs) -> np.ndarray:
+    """(G, B, fuse_dim) fused embeddings of (G, B, input_dim) inputs, a forward per block of
+    `stacked_parts(clients)`: row g is bit for bit `clients[g].extract_embeddings(inputs[g])`."""
+    return np.concatenate([fused_embeddings(*parts, inputs[lo:lo + GROUP_ROWS])
+                           for lo, parts in zip(range(0, len(inputs), GROUP_ROWS), blocks)])
 
 
 # the ClientState fields of the trained parts, which also key their gradients
@@ -354,18 +357,22 @@ class ClientGroup:
         lr = 0: -0.0 - -0.0 is +0.0). Each appends its loss to losses[row]; one
         whose loss or an updated part is non-finite gets its first error in
         dead[row], as a step of it alone would. A `DomainError` is raised before
-        any update."""
+        any update; one that names a row, as that member's DivergenceError."""
         models, bank = self.models, self.bank
         stack = len(self.members)
         due = True if len(rows) == stack else np.bincount(rows, minlength=stack)[:, None] > 0
         at = idx + self._row_offset
         xb, yb = self._flat_inputs.take(at, axis=0), self._flat_labels.take(at)
-        if phase == "local":
-            out = local_loss_and_grads(
-                models["local_channel"], models["fed_channel"], models["fusion"],
-                models["head2"], bank, xb, yb, self.loss_weights)
-        else:
-            out = async_loss_and_grads(models["local_channel"], models["head1"], xb, yb)
+        try:
+            if phase == "local":
+                out = local_loss_and_grads(
+                    models["local_channel"], models["fed_channel"], models["fusion"],
+                    models["head2"], bank, xb, yb, self.loss_weights)
+            else:
+                out = async_loss_and_grads(models["local_channel"], models["head1"], xb, yb)
+        except DomainError as exc:   # a row to blame is its member's divergence
+            raise exc if exc.row is None else self.members[exc.row]._diverged(
+                str(exc), phase, batch_index)
         loss, grads = out[0], out[1]
         finite = np.isfinite(loss).all()
         for part, grad in grads.items():

@@ -23,9 +23,9 @@ class ConfigError(FedSimError):
 
 def whole(name, value, least=0) -> int:
     """`value` as an int >= least (a count or a number of ticks): 2.0 and np.int64(2)
-    are 2; a fraction, NaN, inf or non-number is refused."""
+    are 2; a bool, fraction, NaN, inf or non-number is refused."""
     try:
-        if int(value) == value and value >= least:
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value and value >= least:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -1,12 +1,14 @@
 """End-to-end experiment wiring: datasets, clients, server, event-driven
 schedule, and per-round verification metrics."""
 
+import threading
+from contextvars import copy_context
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .aggregation import AggregationConfig
-from .client import TrainingParams, build_client, stacked_embeddings
+from .aggregation import AggregationConfig, usable_cpus
+from .client import TrainingParams, build_client, stacked_embeddings, stacked_parts
 from .errors import ConfigError, whole
 from .metrics import MetricsRecord, ScoreSet, eer, pair_positions, score_pairs, tar_at_far
 from .server import ServerState, Strategy, load_probe_set
@@ -140,17 +142,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     if not async_on:
         sim_cfg = replace(sim_cfg, async_step_duration=None)
 
-    metrics = []
-    final_scores = {}
-    positions = {}   # client id -> pair_positions of its test split
+    metrics, final_scores, positions = [], {}, {}   # positions: id -> its test pair_positions
+    pending, errors = [], []   # the helper scoring the last round; what it raised
 
-    def on_round_complete(returns):
-        alike, records = {}, {}   # test labels -> the returns sharing them; id -> record
-        for ret in returns:
-            alike.setdefault(test_of[ret[0].client_id].labels.tobytes(), []).append(ret)
-        for run in alike.values():   # embedded together, then scored in blocks
+    def score(returns, alike):
+        """Score each run of returns sharing test labels, from its parts' copies, in blocks."""
+        records = {}
+        for run, blocks in alike:
             tests = [test_of[cl.client_id] for cl, _, _ in run]
-            emb = stacked_embeddings([cl for cl, _, _ in run], np.array([t.inputs for t in tests]))
+            emb = stacked_embeddings(blocks, np.array([t.inputs for t in tests]))
             size = max(1, SCORE_ENTRIES // len(tests[0].labels) ** 2)
             for lo in range(0, len(run), size):
                 if (c := run[lo][0].client_id) not in positions:   # at first: setup stays short
@@ -163,7 +163,39 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                         final_scores[record.client_id] = scores
         metrics.extend(records[cl.client_id] for cl, _, _ in returns)   # in plan order
 
-    timeline, _, _ = run_simulation(sim_cfg, clients, server, on_round_complete)
+    def in_helper(*args):
+        try:
+            score(*args)
+        except BaseException as exc:   # raised again in the caller at the join
+            errors.append(exc)
+
+    def join():   # the last round's helper; its error comes earlier in the plan than ours
+        while pending:
+            pending.pop().join()
+        if errors:
+            raise errors.pop()
+
+    def on_round_complete(returns):
+        """Score a round in which a client scores alone past SCORE_ENTRIES in a helper, if a
+        second CPU is usable, while the next round trains; copy its parts here."""
+        alike = {}   # test labels -> the returns sharing them
+        for ret in returns:
+            alike.setdefault(test_of[ret[0].client_id].labels.tobytes(), []).append(ret)
+        helper = max(len(test_of[cl.client_id].labels) for cl, _, _ in returns) ** 2 \
+            > SCORE_ENTRIES and usable_cpus() > 1
+        alike = [(run, (list if helper else iter)(stacked_parts([cl for cl, _, _ in run])))
+                 for run in alike.values()]   # a helper's copies are made here, now
+        join()   # one round in flight at most, so `metrics` grows in plan order
+        if not helper:
+            return score(returns, alike)
+        (thread := threading.Thread(target=copy_context().run,   # np.errstate goes along
+                                    args=(in_helper, returns, alike))).start()
+        pending.append(thread)
+
+    try:
+        timeline, _, _ = run_simulation(sim_cfg, clients, server, on_round_complete)
+    finally:
+        join()
     return RunResult(cfg, metrics, timeline, final_scores)
 
 

@@ -85,8 +85,10 @@ def fv_cos_batch(f_p: np.ndarray, f_g: np.ndarray):
     # the sum `np.linalg.norm` runs for real input, without its dispatch
     norm_p = np.sqrt(np.add.reduce(f_p * f_p, axis=-1))
     norm_g = np.sqrt(np.add.reduce(f_g * f_g, axis=-1))
-    if not (norm_p.all() and norm_g.all()):
-        raise DomainError("zero-norm embedding in cosine alignment loss")
+    if not (norm_p.all() and norm_g.all()):   # row: the first with a zero (0 for a lone batch)
+        exc = DomainError("zero-norm embedding in cosine alignment loss")
+        exc.row = int(np.argmin(np.minimum(norm_p, norm_g).all(axis=-1)))
+        raise exc
     norms = norm_p * norm_g
     cos = np.add.reduce(f_p * f_g, axis=-1) / norms
     b = f_p.shape[-2]

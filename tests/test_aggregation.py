@@ -19,7 +19,7 @@ from fedsim.aggregation import (SPLIT_ROWS, AggregationConfig, _stack_params,
                                 correlation_rows, correlation_weights,
                                 fedavg_aggregate, mix, personalized_aggregate,
                                 probe_embeddings)
-from fedsim.client import build_client, stacked_embeddings
+from fedsim.client import build_client, stacked_embeddings, stacked_parts
 from fedsim.errors import ConfigError, DomainError, ShapeError
 from fedsim.nn import GROUP_ROWS, MLP, channel, forward_batch
 from fedsim.synth import LabeledDataset
@@ -318,7 +318,8 @@ class TestProbeEmbeddings:
 class TestStackedEmbeddings:
     """A run embeds the test splits of the clients whose models return together
     through stacked copies of their fused parts, GROUP_ROWS clients per forward;
-    every row must equal that client's lone `extract_embeddings` bit for bit."""
+    every row must equal that client's lone `extract_embeddings` bit for bit, as
+    its parts were when the copies were listed."""
 
     @given(st.one_of(st.integers(1, 20), st.just(64)), st.sampled_from([1, 4, 24, 640]),
            st.integers(0, 2 ** 32 - 1))
@@ -336,10 +337,17 @@ class TestStackedEmbeddings:
             for part in (client.local_channel, client.fed_channel, client.fusion):
                 part.params[...] = rng.uniform(-0.5, 0.5, part.params.shape)
         inputs = 2.0 * rng.standard_normal((g, b, 32))
-        got = stacked_embeddings(clients, inputs)
+        blocks = list(stacked_parts(clients))
         expected = np.stack([c.extract_embeddings(x) for c, x in zip(clients, inputs)])
+        for client in clients:   # the copies are the parts as they were when listed
+            for part in (client.local_channel, client.fed_channel, client.fusion):
+                part.params *= 2.0
+        got = stacked_embeddings(blocks, inputs)
+        assert len(blocks) == -(-g // GROUP_ROWS)
         assert got.shape == expected.shape == (g, b, clients[0].fusion.out_dim)
         assert got.tobytes() == expected.tobytes()
+        assert stacked_embeddings(stacked_parts(clients), inputs).tobytes() == np.stack(
+            [c.extract_embeddings(x) for c, x in zip(clients, inputs)]).tobytes()
 
 
 class TestMixMatchesAxpyBytes:

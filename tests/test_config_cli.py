@@ -17,6 +17,7 @@ import pytest
 
 import fedsim.aggregation
 import fedsim.cli
+import fedsim.experiment
 import fedsim.losses
 import fedsim.simulation
 from fedsim.aggregation import AggregationConfig
@@ -450,6 +451,36 @@ class TestRunVerb:
             assert mixing == [1] * 2 * (cpus - 1)
         assert artifacts[1] == artifacts[2]
 
+    def test_open_set_artifacts_do_not_depend_on_usable_cpus(self, tmp_path, monkeypatch):
+        # open_set_cli's shape at 2 clients and 2 rounds: each client scores alone past
+        # SCORE_ENTRIES, so at 2 CPUs each round is scored in a helper thread
+        config = tmp_path / "open_set.ini"
+        config.write_text("[experiment]\nmode = fedavg\nrounds = 2\n[data]\nn_clients = 2\n"
+                          "samples_per_class = 40\nopen_set_split = 0.2\n"
+                          "[training]\nepochs = 1\n")
+        started = []
+
+        def counted_thread(*args, **kwargs):
+            started.append(kwargs["target"])
+            return threading.Thread(*args, **kwargs)
+
+        monkeypatch.setattr(fedsim.experiment, "threading",
+                            SimpleNamespace(Thread=counted_thread))
+        artifacts = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            started.clear()
+            out = str(tmp_path / f"cpus{cpus}")
+            assert main(["run", "--config", str(config), "--out", out]) == EXIT_OK
+            run_dir = Path(only_run_dir(out))
+            artifacts[cpus] = {str(path.relative_to(run_dir)): path.read_bytes()
+                               for path in sorted(run_dir.rglob("*")) if path.is_file()
+                               and path.name != "manifest.json"}
+            assert len(started) == 2 * (cpus - 1)   # one helper a round
+        assert sorted(artifacts[1]) == ["metrics.csv", "timeline.log",
+                                        "traces/roc_client0.npy", "traces/roc_client1.npy"]
+        assert artifacts[1] == artifacts[2]
+
     def test_divergence_prints_one_stderr_line(self, small_config, tmp_path):
         # as a program, numpy's RuntimeWarnings would reach stderr
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -516,6 +547,31 @@ class TestSweepVerb:
             rows = list(csv.reader(fh))[1:]
         assert [(r[0], r[-1]) for r in rows] == (
             [("0", "ok")] * 3 + [("1", f"failed: {AGGREGATION_FAILURE}")] + [("2", "ok")] * 3)
+
+    def test_zero_channel_output_fails_its_point_and_the_rest_run(
+            self, small_config, tmp_path, capsys, monkeypatch):
+        # in the seed-1 run, client 1's local channel outputs exact zeros: the alignment
+        # loss names its row, which is client 1's divergence, and the sweep goes on
+        build_client = fedsim.experiment.build_client
+
+        def zeroed(client_id, train, *, seed, **kwargs):
+            client = build_client(client_id, train, seed=seed, **kwargs)
+            if (seed, client_id) == (1, 1):
+                client.local_channel.params[...] = 0.0
+            return client
+
+        monkeypatch.setattr(fedsim.experiment, "build_client", zeroed)
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--config", small_config, "--out", out,
+                     "--grid", "experiment.seed=0|1|2"]) == EXIT_DIVERGENCE
+        failure = ("zero-norm embedding in cosine alignment loss "
+                   "(client 1, round 0, phase local, batch 0)")
+        assert capsys.readouterr().err == f"divergence: {failure}\n"
+        with open(os.path.join(out, "summary.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(r[0], r[-1]) for r in rows] == (
+            [("0", "ok")] * 3 + [("1", f"failed: {failure}")] + [("2", "ok")] * 3)
+        assert read_manifest(os.path.join(out, rows[3][1]))["status"] == f"failed: {failure}"
 
     @pytest.mark.parametrize("verb, points", [(["run"], 1),
                                               (["sweep", "--grid", "experiment.seed=0|1|2"], 3)],

@@ -1,6 +1,6 @@
 """Every count setting goes through `errors.whole`: a whole value of any number type
-is kept as its int, and a fraction, NaN, inf or non-number is a `ConfigError` that
-names the setting, raised when the setting is built."""
+is kept as its int, and a bool, fraction, NaN, inf or non-number is a `ConfigError`
+that names the setting, raised when the setting is built."""
 
 import re
 from argparse import Namespace
@@ -9,8 +9,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fedsim.cli import cmd_verify
+from fedsim.cli import EXIT_CONFIG, cmd_verify, main
 from fedsim.client import TrainingParams
+from fedsim.config import build_experiment_config, default_values
 from fedsim.convergence import make_problem, run_fedavg_convergence
 from fedsim.errors import ConfigError
 from fedsim.experiment import ExperimentConfig, Toggles, run_experiment
@@ -81,12 +82,30 @@ COUNTS = [
 ]
 
 
-@pytest.mark.parametrize("value", [1.5, float("nan"), float("inf"), "3"])
+@pytest.mark.parametrize("value", [1.5, float("nan"), float("inf"), "3", True, False,
+                                   np.True_])
 @pytest.mark.parametrize("name, build", COUNTS,
                          ids=[f"{i}-{name}" for i, (name, _) in enumerate(COUNTS)])
 def test_non_whole_count_refused(name, build, value):
     with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be a whole number >= \d"):
         build(value)
+
+
+def test_bool_count_refused_by_the_library_and_the_cli(tmp_path, capsys):
+    # int(True) == True: a bool used to run as the count 1
+    values = default_values()
+    values[("training", "epochs")] = True
+    with pytest.raises(ConfigError, match=r"^epochs must be a whole number >= 1, got True"):
+        build_experiment_config(values)
+    config = tmp_path / "exp.ini"
+    config.write_text("[experiment]\nrounds = 1\n")
+    for text in ("True", "true"):
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--set", f"training.epochs={text}"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid value for training.epochs: ")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_whole_floats_run_as_their_ints(tmp_path):

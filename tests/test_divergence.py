@@ -24,7 +24,7 @@ import fedsim.client
 import fedsim.experiment
 import fedsim.simulation
 from fedsim.client import ClientGroup
-from fedsim.errors import DivergenceError
+from fedsim.errors import DivergenceError, DomainError
 from fedsim.experiment import ExperimentConfig, run_experiment
 from fedsim.synth import SynthSpec
 from test_client import PARTS, alike_clients
@@ -212,6 +212,26 @@ def test_group_local_round_isolates_an_exploding_member(k):
     for g, msg in out.items():
         assert np.array_equal(msg.params, expected[g].params)
         assert clients[g].last_epoch_losses == reference[g].last_epoch_losses
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_zero_channel_output_is_its_members_divergence(k):
+    # a local channel of zeros outputs exact zeros, which the alignment loss cannot
+    # normalize: its DomainError names the member's row, raised as its DivergenceError
+    clients = alike_clients([0.05, 0.1, 0.02, 0.07])
+    clients[k].local_channel.params[...] = 0.0
+    with pytest.raises(DivergenceError) as info:
+        ClientGroup(clients).local_rounds([0, 1, 2, 3])
+    err = info.value
+    assert (str(err), err.client_id, err.round_index, err.phase, err.batch_index) == (
+        "zero-norm embedding in cosine alignment loss", k, 0, "local", 0)
+    assert isinstance(err.__context__, DomainError) and err.__context__.row == k
+    zeroed = alike_clients([0.05, 0.1, 0.02, 0.07])[k]
+    zeroed.local_channel.params[...] = 0.0
+    with pytest.raises(DivergenceError) as alone:   # a group of one names it the same way
+        zeroed.local_train_round()
+    assert (str(alone.value), alone.value.client_id, alone.value.batch_index) \
+        == (str(err), k, 0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * learning rate

@@ -145,6 +145,21 @@ class TestFvCosBatchMatchesOracle:
             np.testing.assert_allclose(b * d_p[i], o_p, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(b * d_g[i], o_g, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("side", ["f_p", "f_g", "both"])
+    @pytest.mark.parametrize("rows", [(0,), (2,), (1, 3)])
+    def test_zero_norm_names_its_first_group_row(self, side, rows):
+        f_p, f_g = np.random.default_rng(6).standard_normal((2, 4, 3, 5))
+        for row in rows:
+            for name, f in (("f_p", f_p), ("f_g", f_g)):
+                if side in (name, "both"):
+                    f[row, 1] = 0.0
+        with pytest.raises(DomainError, match="zero-norm") as info:
+            fv_cos_batch(f_p, f_g)
+        assert info.value.row == rows[0]
+        with pytest.raises(DomainError, match="zero-norm") as info:   # a lone batch
+            fv_cos_batch(f_p[rows[0]], f_g[rows[0]])
+        assert info.value.row == 0
+
 
 class TestCenterLoss:
     def test_zero_when_embeddings_equal_centers(self):

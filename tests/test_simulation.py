@@ -2,6 +2,8 @@
 tie-breaking, sim-time conservation, and determinism."""
 
 import itertools
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -12,15 +14,16 @@ from hypothesis import strategies as st
 import fedsim.client
 import fedsim.experiment
 from fedsim.aggregation import AggregationConfig
-from fedsim.client import Phase, TrainingParams, build_client
-from fedsim.errors import ConfigError, ProtocolError
+from fedsim.client import Phase, TrainingParams, build_client, fused_embeddings
+from fedsim.errors import ConfigError, DivergenceError, ProtocolError
 from fedsim.experiment import ExperimentConfig, Toggles, run_experiment
 from fedsim.metrics import IMPOSTOR_PAIR_CAP
-from fedsim.nn import channel
+from fedsim.nn import MLP, channel
 from fedsim.server import ServerState, Strategy
 from fedsim.simulation import EventKind, SimConfig, run_simulation
-from fedsim.synth import LabeledDataset, SynthSpec
+from fedsim.synth import LabeledDataset, SynthSpec, generate
 from sim_defaults import by_kind, sim_config
+from test_aggregation import usable_cpus
 from test_golden import artifact_digest
 
 
@@ -200,8 +203,11 @@ OUT_OF_LOCKSTEP = ExperimentConfig(local_step_duration=(1, 2, 1, 3),
                                    upload_latency=(25, 20, 30, 25))
 
 
-def one_client_per_forward(clients, inputs):
-    return np.stack([c.extract_embeddings(x) for c, x in zip(clients, inputs)])
+def one_client_per_forward(blocks, inputs):
+    """Each row of the `stacked_parts` copies through a forward of its own."""
+    lone = [[MLP(p.sizes, p.out_act, row) for p, row in zip(parts, rows)]
+            for parts in blocks for rows in zip(*(p.params for p in parts))]
+    return np.stack([fused_embeddings(*parts, x) for parts, x in zip(lone, inputs)])
 
 
 class TestRoundHook:
@@ -315,6 +321,107 @@ class TestScoringBlocks:
         assert runs[0][0] == [([c], n) for c, n in
                               [(0, 4), (2, 4), (3, 4), (6, 4), (1, 6), (5, 6), (4, 8)]] * 2
         assert runs[32][1] == runs[0][1]
+
+
+# the open_set_cli workload's shape at 2 clients and 2 rounds: 640 test samples a client
+OPEN_SET = ExperimentConfig(mode="fedavg", rounds=2, training=TrainingParams(epochs=1),
+                            synth=SynthSpec(n_clients=2, samples_per_class=40,
+                                            open_set_split=0.2))
+# the many_clients_agg workload's shape at 2 rounds: 64 clients of 4 test samples
+MANY_CLIENTS = ExperimentConfig(rounds=2, training=TrainingParams(epochs=1), probe_size=128,
+                                synth=SynthSpec(n_clients=64, classes_per_client=10,
+                                                samples_per_class=2),
+                                toggles=Toggles(async_enabled=False))
+
+
+class ScoringFailed(Exception):
+    pass
+
+
+class TestHelperScorer:
+    """A round in which a client scores alone past SCORE_ENTRIES is scored in a helper
+    thread while the next round trains, if a second CPU is usable; every other round
+    scores inline. Errors keep plan order, and the helper runs under the caller's
+    np.errstate."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    @pytest.mark.parametrize("cfg", [ExperimentConfig(), MANY_CLIENTS],
+                             ids=["default", "many_clients"])
+    def test_small_splits_score_inline(self, cfg, cpus):
+        assert max(len(t.labels) for _, t in generate(cfg.synth)[0]) ** 2 \
+            <= fedsim.experiment.SCORE_ENTRIES
+        with usable_cpus(cpus), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fedsim.experiment, "threading", None)   # any use fails
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_scoring_error_wins_over_a_later_divergence(self, cpus):
+        # round 0's scoring fails; the hook spy then sets every lr to 1e200, so round 1's
+        # local training diverges while a helper may still hold round 0's error
+        score_threads = []
+        run_simulation = fedsim.experiment.run_simulation
+
+        def failing_score_pairs(embeddings, labels, *, positions):
+            score_threads.append(threading.current_thread() is threading.main_thread())
+            raise ScoringFailed("round 0")
+
+        def spy_simulation(sim_cfg, clients, server, on_round_complete):
+            def hook(returns):
+                on_round_complete(returns)
+                for client in clients:
+                    client.lr = 1e200
+            return run_simulation(sim_cfg, clients, server, hook)
+
+        with usable_cpus(cpus), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fedsim.experiment, "score_pairs", failing_score_pairs)
+            patch.setattr(fedsim.experiment, "run_simulation", spy_simulation)
+            with pytest.raises(ScoringFailed, match="round 0") as info:
+                run_experiment(OPEN_SET)
+        assert score_threads == [cpus == 1]
+        if cpus > 1:   # the walk went on and diverged; the helper's error, earlier, wins
+            assert isinstance(info.value.__context__, DivergenceError)
+            assert (info.value.__context__.round_index, info.value.__context__.phase) \
+                == (1, "local")
+
+    def test_helpers_keep_plan_order_under_fast_switching(self, tmp_path_factory):
+        # a helper that overlapped the next one, or the walk's reads of what it writes,
+        # would reorder or lose metrics rows; a short switch interval interleaves finely
+        cfg = replace(OPEN_SET, rounds=4, download_latency=(25, 30))   # out of lockstep
+
+        def outputs(result):
+            return artifact_digest(result, tmp_path_factory.mktemp("a")), {
+                c: (s.genuine.tobytes(), s.impostor.tobytes())
+                for c, s in result.final_scores.items()}
+
+        with usable_cpus(1):
+            inline = outputs(run_experiment(cfg))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with usable_cpus(2):
+                result = run_experiment(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        returned = [(cfg.clients[r.subject], r.round) for r in result.timeline.records
+                    if r.kind == EventKind.MODEL_RETURNED.name]
+        assert [(m.client_id, m.round) for m in result.metrics] == returned
+        assert outputs(result) == inline and len(inline[1]) == 2
+
+    def test_the_callers_errstate_reaches_the_helper(self):
+        seen = []
+        score_pairs = fedsim.experiment.score_pairs
+
+        def spy_score_pairs(embeddings, labels, *, positions):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+            return score_pairs(embeddings, labels, positions=positions)
+
+        with usable_cpus(2), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fedsim.experiment, "score_pairs", spy_score_pairs)
+            with np.errstate(over="raise", under="warn", divide="print"):
+                want = np.geterr()
+                run_experiment(OPEN_SET)
+        assert want["over"] == "raise"
+        assert seen == [(False, want)] * 4   # 2 clients scored alone, 2 rounds
 
 
 class TestConservation:
