@@ -4,7 +4,7 @@ from probe-set correlations, W[n,u] = R[n,u] / sum_{k!=n} R[n,k] with a zero
 diagonal. FedAvg is one row of weights with gamma = 1, sent to every client."""
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass
 
@@ -35,25 +35,13 @@ def usable_cpus() -> int:
 
 def _share_rows(n: int, rows) -> list:
     """[rows(k, workers, ceil(n / workers)) for k < workers], a worker per usable CPU with
-    SPLIT_ROWS / 2 of the n rows or more: k = 0 here and the rest in helper threads."""
+    SPLIT_ROWS / 2 of the n rows or more: k = 0 here and the rest in helper threads, each
+    in a copy of the caller's context, which holds np.errstate. Errors come in share order."""
     workers = max(1, min(usable_cpus(), 2 * n // SPLIT_ROWS))
-    shares, errors, helpers = {}, [], []
-    def run(k):
-        try:
-            shares[k] = rows(k, workers, -(-n // workers))
-        except BaseException as exc:   # raised again in the caller after the join
-            errors.append(exc)
-    try:   # each helper runs in a copy of the caller's context, which holds np.errstate
-        for k in range(1, workers):
-            (helper := threading.Thread(target=copy_context().run, args=(run, k))).start()
-            helpers.append(helper)
-        run(0)
-    finally:   # also when a start fails: every started helper is joined
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
-    return [shares[k] for k in range(workers)]
+    shares = [(k, workers, -(-n // workers)) for k in range(workers)]
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:   # leaving it joins every helper
+        helpers = [pool.submit(copy_context().run, rows, *share) for share in shares[1:]]
+        return [rows(*shares[0])] + [helper.result() for helper in helpers]
 
 
 def correlation_rows(embs: np.ndarray) -> np.ndarray:

@@ -33,9 +33,9 @@ def whole(name, value, least=0) -> int:
 
 
 def per_client(value, n_clients, name, least=None) -> tuple:
-    """A scalar broadcast to n_clients entries, or a sequence of that length, as a tuple;
-    with `least`, each entry is `whole(name, entry, least)`."""
-    value = tuple(value for _ in range(n_clients)) if np.isscalar(value) else tuple(value)
+    """A scalar (a 0-d array too) broadcast to n_clients entries, or a sequence of that
+    length, as a tuple; with `least`, each entry is `whole(name, entry, least)`."""
+    value = tuple(value for _ in range(n_clients)) if np.ndim(value) == 0 else tuple(value)
     if len(value) != n_clients:
         raise ConfigError(f"{name} needs one value per client, got {len(value)}")
     return value if least is None else tuple(whole(name, v, least) for v in value)

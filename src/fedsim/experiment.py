@@ -1,7 +1,7 @@
 """End-to-end experiment wiring: datasets, clients, server, event-driven
 schedule, and per-round verification metrics."""
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass, field, replace
 
@@ -74,6 +74,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "seed", whole("seed", self.seed))
         if self.client_subset is not None:
+            if not np.iterable(self.client_subset):
+                raise ConfigError(f"client_subset must be a sequence of client indices, "
+                                  f"got {self.client_subset!r}")
             subset = tuple(sorted(set(whole("client_subset", c) for c in self.client_subset)))
             if not subset or subset[-1] >= self.synth.n_clients:
                 raise ConfigError("client_subset must index the synthetic clients")
@@ -81,7 +84,7 @@ class ExperimentConfig:
         sim = self.schedule()   # checks the schedule; a scalar setting keeps its one int
         for name in SCHEDULE:
             kept = getattr(sim, name)
-            one = isinstance(kept, tuple) and np.isscalar(getattr(self, name))
+            one = isinstance(kept, tuple) and np.ndim(getattr(self, name)) == 0
             object.__setattr__(self, name, kept[0] if one else kept)
         object.__setattr__(self, "probe_size", whole("probe_size", self.probe_size, 1))
         if self.probe_size > PROBE_POOL_SIZE:
@@ -143,7 +146,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         sim_cfg = replace(sim_cfg, async_step_duration=None)
 
     metrics, final_scores, positions = [], {}, {}   # positions: id -> its test pair_positions
-    pending, errors = [], []   # the helper scoring the last round; what it raised
+    pending = []   # the helper's future scoring the last round
 
     def score(returns, alike):
         """Score each run of returns sharing test labels, from its parts' copies, in blocks."""
@@ -163,17 +166,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                         final_scores[record.client_id] = scores
         metrics.extend(records[cl.client_id] for cl, _, _ in returns)   # in plan order
 
-    def in_helper(*args):
-        try:
-            score(*args)
-        except BaseException as exc:   # raised again in the caller at the join
-            errors.append(exc)
-
     def join():   # the last round's helper; its error comes earlier in the plan than ours
         while pending:
-            pending.pop().join()
-        if errors:
-            raise errors.pop()
+            pending.pop().result()
 
     def on_round_complete(returns):
         """Score a round in which a client scores alone past SCORE_ENTRIES in a helper, if a
@@ -188,14 +183,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         join()   # one round in flight at most, so `metrics` grows in plan order
         if not helper:
             return score(returns, alike)
-        (thread := threading.Thread(target=copy_context().run,   # np.errstate goes along
-                                    args=(in_helper, returns, alike))).start()
-        pending.append(thread)
+        pending.append(pool.submit(copy_context().run, score, returns, alike))   # np.errstate too
 
-    try:
-        timeline, _, _ = run_simulation(sim_cfg, clients, server, on_round_complete)
-    finally:
-        join()
+    with ThreadPoolExecutor(1) as pool:   # leaving it joins the helper
+        try:
+            timeline, _, _ = run_simulation(sim_cfg, clients, server, on_round_complete)
+        finally:
+            join()
     return RunResult(cfg, metrics, timeline, final_scores)
 
 

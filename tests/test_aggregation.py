@@ -6,7 +6,7 @@ import os
 import sys
 import threading
 import time
-import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -83,6 +83,22 @@ def usable_cpus(k):
         yield
 
 
+@contextlib.contextmanager
+def submitted(module):
+    """The argument tuples `module` submits to the executors of its helper threads, in a
+    list that grows while the block runs: `_share_rows` submits (rows, k, workers, c)."""
+    calls = []
+
+    class Counted(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            calls.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "ThreadPoolExecutor", Counted)
+        yield calls
+
+
 class RaisesInHelpers(np.ndarray):
     """Embeddings whose ufuncs fail in any thread but the main one."""
 
@@ -91,6 +107,21 @@ class RaisesInHelpers(np.ndarray):
             raise MemoryError("row computed in a helper thread")
         inputs = [np.asarray(x) for x in inputs]
         return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class ShareFailed(Exception):
+    pass
+
+
+class RaisesByShare(np.ndarray):
+    """Embeddings whose ufuncs fail at once in a helper thread, and after a wait in the
+    main one, where share 0 runs."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise ShareFailed("share 1")
+        time.sleep(0.05)
+        raise ShareFailed("share 0")
 
 
 class RecordsUfuncs(np.ndarray):
@@ -180,26 +211,27 @@ class TestCorrelationRows:
         # one start pays for itself from SPLIT_ROWS / 2 rows a thread (measured at 2 CPUs),
         # so many CPUs, or an affinity mask wider than a CPU quota, start no more threads
         embs = np.random.default_rng(23).standard_normal((n, 4, 3))
-        RecordsUfuncs.calls = []
-        with usable_cpus(cpus):
-            got = correlation_rows(embs.view(RecordsUfuncs))
+        with usable_cpus(cpus), submitted(fedsim.aggregation) as helpers:
+            got = correlation_rows(embs)
         assert np.array_equal(got, oracles.correlation_rows(embs))
-        assert len({name for name, _, _ in RecordsUfuncs.calls}) == threads
+        assert [k for _, k, _, _ in helpers] == list(range(1, threads))   # the caller: 0
 
-    def test_below_the_split_no_thread_starts(self, monkeypatch):
-        monkeypatch.setattr(fedsim.aggregation, "threading", None)   # any use fails
+    def test_below_the_split_no_thread_starts(self):
         embs = np.random.default_rng(16).standard_normal((SPLIT_ROWS - 1, 8, 4))
-        with usable_cpus(5):
+        with usable_cpus(5), submitted(fedsim.aggregation) as helpers:
             assert np.array_equal(correlation_rows(embs), oracles.correlation_rows(embs))
+        assert helpers == []
 
     def test_helpers_run_under_the_callers_errstate(self):
         embs = np.random.default_rng(17).standard_normal((3 * SPLIT_ROWS // 2, 8, 4))
         RecordsUfuncs.calls = []
-        with usable_cpus(3), np.errstate(over="raise", under="warn", divide="print"):
+        with usable_cpus(3), submitted(fedsim.aggregation) as helpers, \
+                np.errstate(over="raise", under="warn", divide="print"):
             got = correlation_rows(embs.view(RecordsUfuncs))
             want = np.geterr()
         assert np.array_equal(got, oracles.correlation_rows(embs))
-        assert len({name for name, _, _ in RecordsUfuncs.calls}) == 3
+        assert len(helpers) == 2   # an idle helper may take the next share: 2 or 3 threads
+        assert len({name for name, _, _ in RecordsUfuncs.calls}) > 1
         assert all(state == want for _, state, _ in RecordsUfuncs.calls)
 
     @pytest.mark.parametrize("cpus", CPU_COUNTS)
@@ -223,25 +255,43 @@ class TestCorrelationRows:
     def test_a_refused_start_joins_the_helpers_already_started(self, monkeypatch):
         started = []
 
-        class SlowThenRefused(threading.Thread):
-            def start(self):
+        def slow(fn, *args):
+            time.sleep(0.05)   # still at work when the caller sees the refusal
+            return fn(*args)
+
+        class SlowThenRefused(ThreadPoolExecutor):
+            def submit(self, fn, /, *args):
                 if started:
                     raise RuntimeError("can't start new thread")
-                started.append(self)
-                super().start()
+                started.append(super().submit(slow, fn, *args))
+                return started[-1]
 
-            def run(self):
-                time.sleep(0.05)   # still at work when the caller sees the refusal
-                super().run()
-
-        monkeypatch.setattr(fedsim.aggregation, "threading",
-                            types.SimpleNamespace(Thread=SlowThenRefused))
+        monkeypatch.setattr(fedsim.aggregation, "ThreadPoolExecutor", SlowThenRefused)
         embs = np.random.default_rng(24).standard_normal((3 * SPLIT_ROWS // 2, 8, 4))
         before = threading.active_count()
         with usable_cpus(3), pytest.raises(RuntimeError, match="can't start new thread"):
             correlation_rows(embs)
-        assert len(started) == 1 and not started[0].is_alive()
+        assert len(started) == 1 and started[0].done()
         assert threading.active_count() == before
+
+    def test_errors_come_back_in_share_order(self):
+        # share 1 fails first, while share 0 is still at work; the caller gets share 0's
+        embs = np.random.default_rng(26).standard_normal((64, 8, 4))
+        with usable_cpus(2), submitted(fedsim.aggregation) as helpers, \
+                pytest.raises(ShareFailed, match="share 0"):
+            correlation_rows(embs.view(RaisesByShare))
+        assert [k for _, k, _, _ in helpers] == [1]
+
+    def test_no_helper_outlives_its_caller(self):
+        embs = np.random.default_rng(27).standard_normal((64, 8, 4))
+        before = threading.active_count()
+        with usable_cpus(2), submitted(fedsim.aggregation) as helpers:
+            assert np.array_equal(correlation_rows(embs), oracles.correlation_rows(embs))
+            assert threading.active_count() == before
+            with pytest.raises(MemoryError, match="helper thread"):
+                correlation_rows(embs.view(RaisesInHelpers))
+            assert threading.active_count() == before
+        assert [k for _, k, _, _ in helpers] == [1, 1]
 
 
 class TestBuildCorrelationMatrix:

@@ -7,10 +7,8 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from dataclasses import fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +25,7 @@ from fedsim.config import (build_experiment_config, default_values,
 from fedsim.errors import ConfigError
 from fedsim.experiment import ExperimentConfig, Toggles, TrainingParams
 from fedsim.synth import SynthSpec
+from test_aggregation import submitted
 
 # deliberately tiny problem so every CLI test runs in well under a second
 SMALL = """
@@ -419,36 +418,30 @@ class TestRunVerb:
     def test_artifacts_do_not_depend_on_usable_cpus(self, small_config, tmp_path,
                                                     monkeypatch):
         # enough clients that correlation_rows and mix deal their rows to helper threads
-        started, mixing = [], []
+        mixing = []
         mix = fedsim.aggregation.mix
-
-        def counted_thread(*args, **kwargs):
-            started.append(kwargs["args"][1])
-            return threading.Thread(*args, **kwargs)
 
         def counted_mix(*args, **kwargs):
             before = len(started)
             try:
                 return mix(*args, **kwargs)
             finally:
-                mixing.extend(started[before:])
+                mixing.extend(k for _, k, _, _ in started[before:])
 
-        monkeypatch.setattr(fedsim.aggregation, "threading",
-                            SimpleNamespace(Thread=counted_thread))
         monkeypatch.setattr(fedsim.aggregation, "mix", counted_mix)
         artifacts = {}
-        for cpus in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            out = str(tmp_path / f"cpus{cpus}")
-            assert main(["run", "--config", small_config, "--out", out,
-                         "--set", f"data.n_clients={fedsim.aggregation.SPLIT_ROWS + 4}"]) \
-                == EXIT_OK
-            artifacts[cpus] = [Path(only_run_dir(out), name).read_bytes()
-                               for name in ("metrics.csv", "timeline.log")]
-            # none at 1 CPU; at 2, one helper per kernel and aggregation (2 rounds) takes
-            # share 1: one in correlation_rows, then one in mix
-            assert started == [1] * 4 * (cpus - 1)
-            assert mixing == [1] * 2 * (cpus - 1)
+        with submitted(fedsim.aggregation) as started:   # (rows, k, workers, c) a helper
+            for cpus in (1, 2):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+                out = str(tmp_path / f"cpus{cpus}")
+                assert main(["run", "--config", small_config, "--out", out, "--set",
+                             f"data.n_clients={fedsim.aggregation.SPLIT_ROWS + 4}"]) == EXIT_OK
+                artifacts[cpus] = [Path(only_run_dir(out), name).read_bytes()
+                                   for name in ("metrics.csv", "timeline.log")]
+                # none at 1 CPU; at 2, one helper per kernel and aggregation (2 rounds)
+                # takes share 1: one in correlation_rows, then one in mix
+                assert [k for _, k, _, _ in started] == [1] * 4 * (cpus - 1)
+                assert mixing == [1] * 2 * (cpus - 1)
         assert artifacts[1] == artifacts[2]
 
     def test_open_set_artifacts_do_not_depend_on_usable_cpus(self, tmp_path, monkeypatch):
@@ -458,25 +451,18 @@ class TestRunVerb:
         config.write_text("[experiment]\nmode = fedavg\nrounds = 2\n[data]\nn_clients = 2\n"
                           "samples_per_class = 40\nopen_set_split = 0.2\n"
                           "[training]\nepochs = 1\n")
-        started = []
-
-        def counted_thread(*args, **kwargs):
-            started.append(kwargs["target"])
-            return threading.Thread(*args, **kwargs)
-
-        monkeypatch.setattr(fedsim.experiment, "threading",
-                            SimpleNamespace(Thread=counted_thread))
         artifacts = {}
-        for cpus in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            started.clear()
-            out = str(tmp_path / f"cpus{cpus}")
-            assert main(["run", "--config", str(config), "--out", out]) == EXIT_OK
-            run_dir = Path(only_run_dir(out))
-            artifacts[cpus] = {str(path.relative_to(run_dir)): path.read_bytes()
-                               for path in sorted(run_dir.rglob("*")) if path.is_file()
-                               and path.name != "manifest.json"}
-            assert len(started) == 2 * (cpus - 1)   # one helper a round
+        with submitted(fedsim.experiment) as started:   # a round scored in the helper
+            for cpus in (1, 2):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+                started.clear()
+                out = str(tmp_path / f"cpus{cpus}")
+                assert main(["run", "--config", str(config), "--out", out]) == EXIT_OK
+                run_dir = Path(only_run_dir(out))
+                artifacts[cpus] = {str(path.relative_to(run_dir)): path.read_bytes()
+                                   for path in sorted(run_dir.rglob("*")) if path.is_file()
+                                   and path.name != "manifest.json"}
+                assert len(started) == 2 * (cpus - 1)   # one helper a round
         assert sorted(artifacts[1]) == ["metrics.csv", "timeline.log",
                                         "traces/roc_client0.npy", "traces/roc_client1.npy"]
         assert artifacts[1] == artifacts[2]

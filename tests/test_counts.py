@@ -125,3 +125,22 @@ def test_toggle_refuses_a_non_bool(value):
 
 def test_toggle_keeps_none_and_bools():
     assert Toggles(False, None, True).resolve("full") == (False, True, True)
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (SimConfig, "upload_latency", np.array(3)), (ExperimentConfig, "upload_latency", np.array(3)),
+    (ExperimentConfig, "local_step_duration", np.array(2.0)),
+    (SynthSpec, "samples_per_class", np.array(6)), (SynthSpec, "rotation_deg", np.array(5.0))])
+def test_zero_d_array_is_a_scalar(cls, name, value):
+    # np.isscalar is False for a 0-d array, whose tuple() raised a TypeError
+    base = SIM_BASE if cls is SimConfig else {}
+    got, want = (getattr(cls(**{**base, name: v}), name) for v in (value, value.item()))
+    assert got == want
+    assert type(got) is type(want)   # an ExperimentConfig keeps a scalar setting's one int
+
+
+@pytest.mark.parametrize("value", [5, np.int64(2), np.array(1)])
+def test_scalar_client_subset_refused(value):
+    # iterating an int raised a TypeError
+    with pytest.raises(ConfigError, match="^client_subset must be a sequence"):
+        ExperimentConfig(client_subset=value)

@@ -23,7 +23,7 @@ from fedsim.server import ServerState, Strategy
 from fedsim.simulation import EventKind, SimConfig, run_simulation
 from fedsim.synth import LabeledDataset, SynthSpec, generate
 from sim_defaults import by_kind, sim_config
-from test_aggregation import usable_cpus
+from test_aggregation import submitted, usable_cpus
 from test_golden import artifact_digest
 
 
@@ -338,6 +338,10 @@ class ScoringFailed(Exception):
     pass
 
 
+def failing_score_pairs(embeddings, labels, *, positions):
+    raise ScoringFailed("round 0")
+
+
 class TestHelperScorer:
     """A round in which a client scores alone past SCORE_ENTRIES is scored in a helper
     thread while the next round trains, if a second CPU is usable; every other round
@@ -350,9 +354,20 @@ class TestHelperScorer:
     def test_small_splits_score_inline(self, cfg, cpus):
         assert max(len(t.labels) for _, t in generate(cfg.synth)[0]) ** 2 \
             <= fedsim.experiment.SCORE_ENTRIES
-        with usable_cpus(cpus), pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fedsim.experiment, "threading", None)   # any use fails
+        with usable_cpus(cpus), submitted(fedsim.experiment) as helpers:
             run_experiment(cfg)
+        assert helpers == []
+
+    def test_no_helper_outlives_the_run(self):
+        before = threading.active_count()
+        with usable_cpus(2), submitted(fedsim.experiment) as helpers, \
+                pytest.MonkeyPatch.context() as patch:
+            run_experiment(OPEN_SET)
+            assert threading.active_count() == before and len(helpers) == 2
+            patch.setattr(fedsim.experiment, "score_pairs", failing_score_pairs)
+            with pytest.raises(ScoringFailed, match="round 0"):
+                run_experiment(OPEN_SET)
+            assert threading.active_count() == before and len(helpers) == 3
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_scoring_error_wins_over_a_later_divergence(self, cpus):
