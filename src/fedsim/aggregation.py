@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import DomainError, ShapeError, real
 from .nn import GROUP_ROWS, MLP, forward_batch
 
 SPLIT_ROWS = 28   # from this many clients on, a second thread pays for its start (at 2 CPUs)
@@ -22,10 +22,8 @@ class AggregationConfig:
     clamp_epsilon: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError("gamma must be in [0, 1]")
-        if not (np.isfinite(self.clamp_epsilon) and self.clamp_epsilon > 0):
-            raise ConfigError("clamp_epsilon must be finite and positive")
+        for name, high, closed in (("gamma", 1, True), ("clamp_epsilon", np.inf, False)):
+            object.__setattr__(self, name, real(name, getattr(self, name), 0, high, closed))
 
 
 def usable_cpus() -> int:

@@ -4,23 +4,22 @@ the returned personalized parameters.
 
 Clients train in groups: a `ClientGroup` stacks the trained parts, center
 banks and training sets of clients that share every shape and training
-setting, and each member's own arrays are row views of those stacks. Every
-step is one kernel call with a leading group axis; a member stepped alone
-is a group of one over its own arrays, bit for bit its row of the group.
+setting, and each member's own arrays are row views of those stacks, built
+there by `build_clients`. Every step is one kernel call with a leading group
+axis; a member stepped alone is a group of one over its own arrays, bit for
+bit its row of the group.
 """
 
 import enum
-import functools
 from dataclasses import dataclass, field
 from operator import is_not
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, DomainError, ProtocolError, ShapeError, whole
+from .errors import DivergenceError, DomainError, ProtocolError, ShapeError, real, whole
 from .losses import (CenterBank, LossWeights, _class_means, center_loss_grad,
                      cross_entropy_batch, fv_cos_batch, total_loss, update_centers)
-from .nn import (GROUP_ROWS, MLP, backward_batch, channel, forward_batch,
-                 fusion_head, linear_head)
+from .nn import GROUP_ROWS, MLP, backward_batch, forward_batch, init_params, param_count, seeded
 from .synth import LabeledDataset
 
 
@@ -41,11 +40,11 @@ class TrainingParams:
     fuse_dim: int = 16
 
     def __post_init__(self):
-        if not (0 <= self.lr < np.inf and 0 <= self.center_lr < np.inf):
-            raise ConfigError("lr and center_lr must be finite and >= 0")
+        for name in ("lr", "center_lr", "alpha1", "alpha2", "alpha3"):
+            object.__setattr__(self, name, real(name, getattr(self, name), 0))
         for name in ("epochs", "batch", "local_hidden", "fed_hidden", "emb_dim", "fuse_dim"):
             object.__setattr__(self, name, whole(name, getattr(self, name), 1))
-        self.loss_weights()  # checks the alphas
+        self.loss_weights()  # checks that an alpha is positive
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(self.alpha1, self.alpha2, self.alpha3)
@@ -119,13 +118,15 @@ def fused_embeddings(local_channel, fed_channel, fusion, inputs):
     return forward_batch(fusion, np.concatenate([f_p, f_g], axis=-1))[0]
 
 
-def stacked_parts(clients):
-    """Copies of the local channel, federated channel and fusion of each GROUP_ROWS clients
-    as (G, L) stacks, which later training does not reach; each block made as it is read."""
+def stacked_parts(clients, copy=True):
+    """The local channel, federated channel and fusion of each GROUP_ROWS clients as (G, L) stacks,
+    made as read: copies, or without `copy` a group's own models if a block is its members."""
     for lo in range(0, len(clients), GROUP_ROWS):
-        yield [MLP(getattr(clients[lo], attr).sizes, getattr(clients[lo], attr).out_act,
-                   np.array([getattr(c, attr).params for c in clients[lo:lo + GROUP_ROWS]]))
-               for attr in ("local_channel", "fed_channel", "fusion")]
+        block, group = clients[lo:lo + GROUP_ROWS], None if copy else clients[lo].group
+        yield [group.models[attr] if group is not None and group.members == block
+               else MLP(getattr(block[0], attr).sizes, getattr(block[0], attr).out_act,
+                        np.array([getattr(c, attr).params for c in block]))
+               for attr in PARTS[:3]]
 
 
 def stacked_embeddings(blocks, inputs) -> np.ndarray:
@@ -139,7 +140,7 @@ def stacked_embeddings(blocks, inputs) -> np.ndarray:
 PARTS = ("local_channel", "fed_channel", "fusion", "head1", "head2")
 
 
-@dataclass
+@dataclass(eq=False)   # identity: groups compare member lists, whose fields hold arrays
 class ClientState:
     client_id: int
     local_channel: MLP
@@ -158,6 +159,7 @@ class ClientState:
     fed_round: int = 0
     phase: Phase = Phase.LOCAL_TRAINING
     last_epoch_losses: list = field(default_factory=list)
+    group: object = field(default=None, repr=False)   # the ClientGroup it was built or stacked in
 
     # -- training ---------------------------------------------------------
 
@@ -193,8 +195,8 @@ class ClientState:
         self.fed_round += 1
         self.phase = Phase.LOCAL_TRAINING
 
-    def finish(self) -> None:
-        self.phase = Phase.IDLE
+    def finish(self) -> None:   # out of its group too: a finished run needs no cycle collector
+        self.phase, self.group = Phase.IDLE, None
 
     # -- inference --------------------------------------------------------
 
@@ -224,48 +226,57 @@ def _group_key(client: ClientState) -> tuple:
 
 
 def _own_arrays(c: ClientState) -> tuple:
-    """The arrays of a client that its group stacks, in a fixed order."""
+    """The arrays of a client that its group stacks, in a fixed order: `PARTS`, then these."""
     return (c.local_channel.params, c.fed_channel.params, c.fusion.params, c.head1.params,
             c.head2.params, c.center_bank.centers, c.dataset.inputs, c.dataset.labels)
+
+
+def _chunks(keys) -> list:
+    """The indices of equal keys in chunks of at most GROUP_ROWS, in list order: the groups."""
+    alike = {}
+    for i, key in enumerate(keys):
+        alike.setdefault(key, []).append(i)
+    return [ids[lo:lo + GROUP_ROWS] for ids in alike.values()
+            for lo in range(0, len(ids), GROUP_ROWS)]
 
 
 class ClientGroup:
     """Clients of one `_group_key`, each step one kernel call with a group axis.
 
-    Two members or more are stacked: one (G, L) model per trained part, one
-    (G, K, d) center bank and (G, n, ·) training sets, of which each member's
-    `MLP.params`, `CenterBank.centers` and dataset arrays become row views. A
-    group of one views its member's own arrays with a leading axis of 1 and
-    steps itself. A member of a larger group stepped alone is stepped by its
-    own group of one, built once and kept, bit for bit its row of the full
-    step; two or more step in one call, the other rows unchanged, when over a
-    third of the stack is due (`_steps`). A member that rebinds one of its
-    arrays or changes one of its `_settings` is refused at its next step.
-    Members keep their own learning rate and RNG streams."""
+    It holds one (G, L) model per trained part, a (G, K, d) center bank and (G, n, ·)
+    training sets whose rows are its members' `MLP.params`, centers and dataset arrays:
+    the `stacks` (`_own_arrays` order) `build_clients` made them in, or a stack of two
+    loose members or more, rebound to its rows. A group of one views its member's own
+    arrays with a leading axis of 1 and steps itself. A member of a larger group stepped
+    alone is stepped by its own group of one, built once and kept, bit for bit its row
+    of the full step; two or more step in one call, the other rows unchanged, when over
+    a third of the stack is due (`_steps`). A member that rebinds one of its arrays or
+    changes one of its `_settings` is refused at its next step. Members keep their own
+    learning rate and RNG streams."""
 
-    def __init__(self, members):
+    def __init__(self, members, stacks=None):
         self.members = list(members)
         first = self.members[0]
-        if any(_group_key(c) != _group_key(first) for c in self.members):
+        if len(set(map(_group_key, self.members))) > 1:
             raise ShapeError("clients of one group must share shapes and settings")
         self.settings = _settings(first)
         self.local_epochs, self.batch_size, self.loss_weights, bank_lr = self.settings
         self.n_samples = first.dataset.labels.size
-        one = len(self.members) == 1
-        stack = (lambda arrays: arrays[0][None]) if one else np.stack
-        self.models = {attr: MLP(getattr(first, attr).sizes, getattr(first, attr).out_act,
-                                 stack([getattr(c, attr).params for c in self.members]))
-                       for attr in PARTS}
-        centers = stack([c.center_bank.centers for c in self.members])
+        owner = stacks is not None or len(self.members) > 1
+        *parts, centers, self.inputs, self.labels = stacks or [
+            np.stack(arrays) if owner else arrays[0][None]
+            for arrays in zip(*map(_own_arrays, self.members))]
+        self.models = {attr: MLP(getattr(first, attr).sizes, getattr(first, attr).out_act, p)
+                       for attr, p in zip(PARTS, parts)}
         self.bank = CenterBank(centers, bank_lr)
         self.bank.centers = centers   # the bank copies what it is given
-        self.inputs = stack([c.dataset.inputs for c in self.members])
-        self.labels = stack([c.dataset.labels for c in self.members])
-        for g, c in enumerate(self.members if not one else ()):
-            for attr, model in self.models.items():
-                getattr(c, attr).params = model.params[g]
-            c.center_bank.centers = self.bank.centers[g]
-            c.dataset.inputs, c.dataset.labels = self.inputs[g], self.labels[g]
+        for g, c in enumerate(self.members if owner else ()):   # a group of one only views
+            c.group = self
+            if stacks is None:   # new part models: views a forward cached would pin old arrays
+                for attr, model in self.models.items():
+                    setattr(c, attr, model.row(g))
+                c.center_bank.centers, c.dataset.inputs, c.dataset.labels = (
+                    centers[g], self.inputs[g], self.labels[g])
         self._rows = [_own_arrays(c) for c in self.members]
         self._alone = {}   # row -> that member's group of one
         # views of the (G, n, ·) sets as (G*n, ·) rows: sample i of member g is row g*n + i
@@ -399,51 +410,59 @@ class ClientGroup:
 
 
 def group_clients(clients) -> list:
-    """Partition clients into ClientGroups of one `_group_key` and at most
-    GROUP_ROWS members, in list order; returns each client's (group, members)."""
-    keyed = {}
-    for c, client in enumerate(clients):
-        keyed.setdefault(_group_key(client), []).append(c)
+    """Partition clients into ClientGroups of one `_group_key` and at most GROUP_ROWS
+    members, in list order; a chunk that is a group's members in row order (as
+    `build_clients` made them) keeps that group. Returns each client's (group, members)."""
     place = [None] * len(clients)
-    for alike in keyed.values():
-        for lo in range(0, len(alike), GROUP_ROWS):
-            chunk = alike[lo:lo + GROUP_ROWS]
-            group = ClientGroup([clients[c] for c in chunk])
-            for c in chunk:
-                place[c] = (group, chunk)
+    for chunk in _chunks(map(_group_key, clients)):
+        members, group = [clients[c] for c in chunk], clients[chunk[0]].group
+        if group is None or group.members != members:
+            group = ClientGroup(members)
+        for c in chunk:
+            place[c] = (group, chunk)
     return place
 
 
-@functools.lru_cache(maxsize=1)   # the current run's init, read-only: clients copy it
-def _fed_init(input_dim, fed_hidden, emb_dim, seed) -> np.ndarray:
-    params = channel(input_dim, fed_hidden, emb_dim, (seed, 2)).params
-    params.flags.writeable = False
-    return params
+def build_clients(ids, trains, *, input_dim: int, training: TrainingParams = TrainingParams(),
+                  seed: int = 0) -> list:
+    """Fresh clients as the rows of their groups (`group_clients`' chunks, by class count and set
+    shape), bit for bit each built alone: parts from own seeds, but the federated channel from
+    the run's common init (averaging needs aligned neurons), and centers at class means of one
+    forward of a chunk (a zero init drags them to the origin)."""
+    tr, ids, trains, weights = training, list(ids), list(trains), training.loss_weights()
+    fed_sizes = (input_dim, tr.fed_hidden, tr.emb_dim)
+    fed, clients = init_params(fed_sizes, (seed, 2)), [None] * len(ids)
+    for chunk in _chunks((t.n_classes, t.inputs.shape) for t in trains):
+        k, g = trains[chunk[0]].n_classes, len(chunk)
+        models = {"fed_channel": MLP(fed_sizes, "linear", np.tile(fed, (g, 1)))}
+        for attr, sizes, tag in (("local_channel", (input_dim, tr.local_hidden, tr.emb_dim), 1),
+                                 ("head1", (tr.emb_dim, k), 3), ("head2", (tr.fuse_dim, k), 5),
+                                 ("fusion", (2 * tr.emb_dim, tr.fuse_dim), 4)):
+            models[attr] = MLP(sizes, "tanh" if attr == "fusion" else "linear",
+                               np.empty((g, param_count(sizes))))
+            for row, c in zip(models[attr].params, chunk):
+                init_params(sizes, (seed, ids[c], tag), out=row)
+        inputs, labels = map(np.stack, zip(*((trains[c].inputs, trains[c].labels) for c in chunk)))
+        z = fused_embeddings(*(models[attr] for attr in PARTS[:3]), inputs)
+        rows = (labels + k * np.arange(g)[:, None]).ravel().astype(np.intp)
+        touched, means = _class_means(z, rows, g * k)
+        if touched.size < g * k:   # each top label has samples: a missing class is below it
+            c, cls = divmod(int(np.argmax(touched != np.arange(touched.size))), k)
+            raise DomainError(f"client {ids[chunk[c]]} has no training sample of class {cls}")
+        centers = means.reshape(g, k, -1)
+        for row, c in enumerate(chunk):
+            clients[c] = ClientState(
+                ids[c], **{attr: model.row(row) for attr, model in models.items()},
+                center_bank=CenterBank(centers[row], tr.center_lr),
+                dataset=LabeledDataset(inputs[row], labels[row], trains[c].role),
+                loss_weights=weights, lr=tr.lr, local_epochs=tr.epochs, batch_size=tr.batch,
+                _batch_rng=seeded((seed, ids[c], 11)), _async_rng=seeded((seed, ids[c], 13)))
+            clients[c].center_bank.centers = centers[row]   # the bank copies what it is given
+        ClientGroup([clients[c] for c in chunk],
+                    [models[attr].params for attr in PARTS] + [centers, inputs, labels])
+    return clients
 
 
-def build_client(client_id: int, train: LabeledDataset, *, input_dim: int,
-                 training: TrainingParams = TrainingParams(), seed: int = 0) -> ClientState:
-    """Assemble a freshly initialized client for a training set."""
-    tr = training
-    n_classes = train.n_classes
-    base = (seed, client_id)
-    lc = channel(input_dim, tr.local_hidden, tr.emb_dim, (*base, 1))
-    # Common init across clients: parameter averaging needs aligned neurons.
-    fc_sizes = (input_dim, tr.fed_hidden, tr.emb_dim)
-    fc = MLP(fc_sizes, "linear", _fed_init(*fc_sizes, seed).copy())
-    h1 = linear_head(tr.emb_dim, n_classes, (*base, 3))
-    fu = fusion_head(2 * tr.emb_dim, tr.fuse_dim, (*base, 4))
-    h2 = linear_head(tr.fuse_dim, n_classes, (*base, 5))
-    # Centers start at each class's initial embedding mean, not at zero:
-    # a zero init drags every embedding toward the origin early in training.
-    z = fused_embeddings(lc, fc, fu, train.inputs)
-    touched, means = _class_means(z, train.labels.astype(np.intp, copy=False), n_classes)
-    if touched.size < n_classes:   # the top label has samples: a missing class is below it
-        raise DomainError(f"client {client_id} has no training sample of class "
-                          f"{np.argmax(touched != np.arange(touched.size))}")
-    return ClientState(
-        client_id=client_id, local_channel=lc, fed_channel=fc, head1=h1, head2=h2, fusion=fu,
-        center_bank=CenterBank(means, tr.center_lr), dataset=train,
-        loss_weights=tr.loss_weights(), lr=tr.lr, local_epochs=tr.epochs, batch_size=tr.batch,
-        _batch_rng=np.random.default_rng((*base, 11)),
-        _async_rng=np.random.default_rng((*base, 13)))
+def build_client(client_id: int, train: LabeledDataset, **settings) -> ClientState:
+    """A freshly initialized client for a training set: `build_clients` of one."""
+    return build_clients([client_id], [train], **settings)[0]

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the two checks every
-settings class runs on its counts."""
+"""Exception hierarchy shared across the package, and the checks every settings
+class runs on its counts and its real-valued settings."""
 
 import numpy as np
 
@@ -32,13 +32,26 @@ def whole(name, value, least=0) -> int:
     raise ConfigError(f"{name} must be a whole number >= {least}, got {value!r}")
 
 
+def real(name, value, low=-np.inf, high=np.inf, closed=True) -> float:
+    """`value` as a finite float in [low, high], or in (low, high) if not `closed`: 1 and
+    np.float32(0.5) are numbers; a bool, NaN, inf, string or other non-number is refused."""
+    try:
+        if not isinstance(value, (bool, np.bool_, str, bytes)) and np.isfinite(x := float(value)) \
+                and (low <= x <= high if closed else low < x < high):
+            return x
+    except (TypeError, ValueError, OverflowError):
+        pass
+    interval = f"[{low}, {high}]" if closed else f"({low}, {high})"
+    raise ConfigError(f"{name} must be a finite number in {interval}, got {value!r}")
+
+
 def per_client(value, n_clients, name, least=None) -> tuple:
     """A scalar (a 0-d array too) broadcast to n_clients entries, or a sequence of that
-    length, as a tuple; with `least`, each entry is `whole(name, entry, least)`."""
+    length, as a tuple: of `whole(name, entry, least)`, or without `least` of `real` entries."""
     value = tuple(value for _ in range(n_clients)) if np.ndim(value) == 0 else tuple(value)
     if len(value) != n_clients:
         raise ConfigError(f"{name} needs one value per client, got {len(value)}")
-    return value if least is None else tuple(whole(name, v, least) for v in value)
+    return tuple(real(name, v) if least is None else whole(name, v, least) for v in value)
 
 
 class ProtocolError(FedSimError):

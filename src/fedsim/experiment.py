@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .aggregation import AggregationConfig, usable_cpus
-from .client import TrainingParams, build_client, stacked_embeddings, stacked_parts
+from .client import TrainingParams, build_clients, stacked_embeddings, stacked_parts
 from .errors import ConfigError, whole
 from .metrics import MetricsRecord, ScoreSet, eer, pair_positions, score_pairs, tar_at_far
 from .server import ServerState, Strategy, load_probe_set
@@ -124,12 +124,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     if not total_loss_on:
         tr = replace(tr, alpha1=0.0, alpha3=0.0)
 
-    clients = []
-    test_of = {}   # client id -> test split
-    for c in cfg.clients:
-        train, test_of[c] = data[c]
-        clients.append(build_client(c, train, input_dim=cfg.synth.input_dim,
-                                    training=tr, seed=cfg.seed))
+    test_of = {c: data[c][1] for c in cfg.clients}   # client id -> test split
+    clients = build_clients(cfg.clients, [data[c][0] for c in cfg.clients],
+                            input_dim=cfg.synth.input_dim, training=tr, seed=cfg.seed)
 
     n = len(clients)
     if cfg.mode == "solo" or n == 1:
@@ -149,7 +146,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     pending = []   # the helper's future scoring the last round
 
     def score(returns, alike):
-        """Score each run of returns sharing test labels, from its parts' copies, in blocks."""
+        """Score each run of returns sharing test labels, from its parts' stacks, in blocks."""
         records = {}
         for run, blocks in alike:
             tests = [test_of[cl.client_id] for cl, _, _ in run]
@@ -171,14 +168,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             pending.pop().result()
 
     def on_round_complete(returns):
-        """Score a round in which a client scores alone past SCORE_ENTRIES in a helper, if a
-        second CPU is usable, while the next round trains; copy its parts here."""
+        """Score a round in which a client scores alone past SCORE_ENTRIES in a helper, if a second
+        CPU is usable, while the next round trains, from parts copied here; any other here."""
         alike = {}   # test labels -> the returns sharing them
         for ret in returns:
             alike.setdefault(test_of[ret[0].client_id].labels.tobytes(), []).append(ret)
         helper = max(len(test_of[cl.client_id].labels) for cl, _, _ in returns) ** 2 \
             > SCORE_ENTRIES and usable_cpus() > 1
-        alike = [(run, (list if helper else iter)(stacked_parts([cl for cl, _, _ in run])))
+        alike = [(run, (list if helper else iter)(stacked_parts([c for c, _, _ in run], helper)))
                  for run in alike.values()]   # a helper's copies are made here, now
         join()   # one round in flight at most, so `metrics` grows in plan order
         if not helper:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError, real
 
 
 @dataclass(frozen=True)
@@ -22,10 +22,8 @@ class LossWeights:
     alpha3: float
 
     def __post_init__(self):
-        if not np.isfinite((self.alpha1, self.alpha2, self.alpha3)).all():
-            raise ConfigError("loss weights must be finite")
-        if self.alpha1 < 0 or self.alpha2 < 0 or self.alpha3 < 0:
-            raise ConfigError("loss weights must be nonnegative")
+        for name in ("alpha1", "alpha2", "alpha3"):
+            object.__setattr__(self, name, real(name, getattr(self, name), 0))
         if self.alpha1 == 0 and self.alpha2 == 0 and self.alpha3 == 0:
             raise ConfigError("at least one loss weight must be positive")
 

@@ -22,15 +22,22 @@ def param_count(sizes) -> int:
     return sum(sizes[i + 1] * sizes[i] + sizes[i + 1] for i in range(len(sizes) - 1))
 
 
-def init_params(sizes, seed) -> np.ndarray:
-    """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer."""
-    rng = np.random.default_rng(seed)
+def seeded(key) -> np.random.Generator:
+    """`np.random.default_rng(key)`, bit for bit: SeedSequence reads an int in [0, 2**32) as one
+    uint32 word, and an array of such words ~3 µs faster than the ints (of ~11, timeit)."""
+    words = type(key) is tuple and all(type(k) is int and 0 <= k < 2 ** 32 for k in key)
+    return np.random.default_rng(np.array(key, np.uint32) if words else key)
+
+
+def init_params(sizes, seed, out=None) -> np.ndarray:
+    """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer, written into `out` if given."""
+    rng = seeded(seed)
     chunks = []
     for i in range(len(sizes) - 1):
         fan_in, fan_out = sizes[i], sizes[i + 1]
         bound = 1.0 / np.sqrt(fan_in)
         chunks.append(rng.uniform(-bound, bound, size=fan_out * fan_in + fan_out))
-    return np.concatenate(chunks)
+    return np.concatenate(chunks, out=out)
 
 
 @dataclass
@@ -97,22 +104,11 @@ class MLP:
     def clone(self) -> "MLP":
         return MLP(self.sizes, self.out_act, self.params.copy())
 
-
-def channel(in_dim, hidden, emb_dim, seed) -> MLP:
-    """Feature extractor: in -> tanh(hidden) -> emb."""
-    sizes = (in_dim, hidden, emb_dim)
-    return MLP(sizes, "linear", init_params(sizes, seed))
-
-
-def linear_head(in_dim, out_dim, seed) -> MLP:
-    sizes = (in_dim, out_dim)
-    return MLP(sizes, "linear", init_params(sizes, seed))
-
-
-def fusion_head(in_dim, out_dim, seed) -> MLP:
-    """Feature fusion layer: single linear map with tanh output."""
-    sizes = (in_dim, out_dim)
-    return MLP(sizes, "tanh", init_params(sizes, seed))
+    def row(self, g) -> "MLP":
+        """Row g of a (G, L) stack as a model that views it; its layout is checked already."""
+        row = object.__new__(MLP)
+        row.__dict__.update(vars(self), params=self.params[g], _views=(), _views_of=None)
+        return row
 
 
 def forward_batch(model: MLP, x: np.ndarray):

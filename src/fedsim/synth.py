@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError, per_client, whole
+from .errors import ConfigError, DomainError, ShapeError, per_client, real, whole
+from .nn import seeded
 
 PROTO_SCALE = 2.0
 PROBE_POOL_SIZE = 128   # rows of the server's probe source
@@ -33,8 +34,8 @@ class SynthSpec:
     def __post_init__(self):
         for name, least in (("n_clients", 1), ("seed", 0), ("input_dim", 1), ("latent_dim", 1)):
             object.__setattr__(self, name, whole(name, getattr(self, name), least))
-        if not 0.0 < self.open_set_split < 1.0:
-            raise ConfigError("open_set_split must be in (0, 1)")
+        object.__setattr__(self, "open_set_split", real("open_set_split", self.open_set_split,
+                                                        0, 1, closed=False))
         if self.latent_dim > self.input_dim:
             raise ConfigError("latent_dim must be in [1, input_dim]")
         n = self.n_clients
@@ -44,8 +45,6 @@ class SynthSpec:
                             ("rotation_deg", None), ("offset_scale", None),
                             ("noise_scale", None)):
             object.__setattr__(self, name, per_client(getattr(self, name), n, name, least))
-        if not np.isfinite(self.rotation_deg + self.offset_scale + self.noise_scale).all():
-            raise ConfigError("rotation_deg, offset_scale and noise_scale must be finite")
         for c in range(n):
             k_train, k_test = self.class_split(c)
             if k_train < 2 or k_test < 1:
@@ -104,19 +103,19 @@ def generate(spec: SynthSpec):
     """
     dim = spec.input_dim
     # Shared prototype subspace: the structure federation can exploit.
-    basis_rng = np.random.default_rng((spec.seed, 101))
+    basis_rng = seeded((spec.seed, 101))
     basis, _ = np.linalg.qr(basis_rng.standard_normal((dim, spec.latent_dim)))
 
     clients = []
     for c in range(spec.n_clients):
         k = spec.classes_per_client[c]
         m = spec.samples_per_class[c]
-        rng = np.random.default_rng((spec.seed, c))
+        rng = seeded((spec.seed, c))
         protos = PROTO_SCALE * rng.standard_normal((k, spec.latent_dim)) @ basis.T
         raw = protos[:, None, :] + spec.noise_scale[c] * rng.standard_normal((k, m, dim))
 
         rot = rotation_matrix(dim, spec.rotation_deg[c])
-        offset_rng = np.random.default_rng((spec.seed, c, 7))
+        offset_rng = seeded((spec.seed, c, 7))
         offset = spec.offset_scale[c] * offset_rng.standard_normal(dim)
         transformed = raw.reshape(-1, dim) @ rot.T + offset
 
@@ -127,7 +126,7 @@ def generate(spec: SynthSpec):
         test = LabeledDataset(transformed[~train_mask], labels[~train_mask] - k_train, "test")
         clients.append((train, test))
 
-    probe_rng = np.random.default_rng((spec.seed, 999))
+    probe_rng = seeded((spec.seed, 999))
     latent = probe_rng.standard_normal((PROBE_POOL_SIZE, spec.latent_dim))
     probe_source = PROTO_SCALE * latent @ basis.T
     return clients, probe_source

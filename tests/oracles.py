@@ -23,8 +23,25 @@ from fedsim.client import ClientState, fused_embeddings
 from fedsim.errors import DomainError, ShapeError
 from fedsim.losses import CenterBank
 from fedsim.metrics import IMPOSTOR_PAIR_CAP, ScoreSet
-from fedsim.nn import channel, fusion_head, linear_head
+from fedsim.nn import MLP, init_params
 from fedsim.simulation import EventKind, TimelineRecord
+
+
+def channel(in_dim, hidden, emb_dim, seed) -> MLP:
+    """Feature extractor: in -> tanh(hidden) -> emb."""
+    sizes = (in_dim, hidden, emb_dim)
+    return MLP(sizes, "linear", init_params(sizes, seed))
+
+
+def linear_head(in_dim, out_dim, seed) -> MLP:
+    sizes = (in_dim, out_dim)
+    return MLP(sizes, "linear", init_params(sizes, seed))
+
+
+def fusion_head(in_dim, out_dim, seed) -> MLP:
+    """Feature fusion layer: single linear map with tanh output."""
+    sizes = (in_dim, out_dim)
+    return MLP(sizes, "tanh", init_params(sizes, seed))
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -20,12 +20,13 @@ from fedsim.convergence import make_problem, run_fedavg_convergence, verify_simp
 from fedsim.experiment import ExperimentConfig, Toggles, run_experiment
 from fedsim.losses import CenterBank, LossWeights, center_loss_grad, cross_entropy_batch
 from fedsim.metrics import ScoreSet, eer, tar_at_far, write_metrics_csv
-from fedsim.nn import MLP, channel, forward_batch, fusion_head, linear_head
+from fedsim.nn import MLP, forward_batch
 from fedsim.server import ServerState, Strategy, handle_upload
 from fedsim.simulation import EventKind, SimConfig, run_simulation
 from fedsim.synth import LabeledDataset
-from oracles import (centralized_grad, finite_difference_grad,
-                     finite_difference_grad_stacked, fv_cos_grad, fv_cos_loss)
+from oracles import (centralized_grad, channel, finite_difference_grad,
+                     finite_difference_grad_stacked, fusion_head, fv_cos_grad, fv_cos_loss,
+                     linear_head)
 from sim_defaults import by_kind, sim_config
 
 

@@ -21,10 +21,11 @@ from fedsim.aggregation import (SPLIT_ROWS, AggregationConfig, _stack_params,
                                 probe_embeddings)
 from fedsim.client import build_client, stacked_embeddings, stacked_parts
 from fedsim.errors import ConfigError, DomainError, ShapeError
-from fedsim.nn import GROUP_ROWS, MLP, channel, forward_batch
+from fedsim.nn import GROUP_ROWS, MLP, forward_batch
 from fedsim.synth import LabeledDataset
 
 import oracles
+from oracles import channel
 
 
 def corr_from(entries):

@@ -3,8 +3,10 @@ adoption, loss gradients of the combined objective, and groups of clients
 trained as one stack."""
 
 import collections
+import gc
 import hashlib
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -12,16 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedsim.client
+import fedsim.experiment
 from fedsim.client import (ClientGroup, ClientState, Phase, TrainingParams,
-                           UploadMessage, build_client, async_loss_and_grads,
+                           UploadMessage, build_client, build_clients, async_loss_and_grads,
                            local_loss_and_grads)
 from fedsim.errors import DivergenceError, DomainError, ProtocolError, ShapeError
 from fedsim.experiment import ExperimentConfig, run_experiment
 from fedsim.losses import CenterBank, LossWeights
-from fedsim.nn import MLP, channel, fusion_head, linear_head
+from fedsim.nn import init_params
 from fedsim.synth import LabeledDataset, SynthSpec, generate
 import oracles
-from oracles import finite_difference_grad
+from oracles import channel, finite_difference_grad, fusion_head, linear_head
 
 
 def small_client(seed=0, lr=0.05, weights=None, n_classes=5):
@@ -610,17 +613,16 @@ class TestBuildClient:
             build_client(7, train, input_dim=3, seed=0)
 
     def test_clients_share_no_federated_memory(self):
-        fedsim.client._fed_init.cache_clear()
         trains = [train for train, _ in generate(SynthSpec())[0]]
-        clients = [build_client(c, train, input_dim=32, seed=3) for c, train in enumerate(trains)]
         tr = TrainingParams()
-        shared = fedsim.client._fed_init(32, tr.fed_hidden, tr.emb_dim, 3)
-        assert not shared.flags.writeable
-        for a, b in itertools.combinations(clients, 2):
-            assert not np.shares_memory(a.fed_channel.params, b.fed_channel.params)
-        for c in clients:
-            assert not np.shares_memory(c.fed_channel.params, shared)
-            assert np.array_equal(c.fed_channel.params, shared)
+        shared = init_params((32, tr.fed_hidden, tr.emb_dim), (3, 2))
+        for clients in ([build_client(c, train, input_dim=32, seed=3)
+                         for c, train in enumerate(trains)],
+                        build_clients(range(4), trains, input_dim=32, seed=3)):
+            for a, b in itertools.combinations(clients, 2):
+                assert not np.shares_memory(a.fed_channel.params, b.fed_channel.params)
+            for c in clients:
+                assert np.array_equal(c.fed_channel.params, shared)
         # train one client and adopt a dispatch: neither reaches a later build
         msg = clients[0].local_train_round()
         clients[0].adopt_global(msg.params + 1.0)
@@ -631,16 +633,132 @@ class TestBuildClient:
     def test_one_federated_init_per_run(self, monkeypatch):
         # counted, not timed: a build that draws the common init per client fails here
         calls = collections.Counter()
-        for name in ("channel", "linear_head", "fusion_head"):
-            def spy(*args, _init=getattr(fedsim.client, name)):
-                seed = args[-1]
-                calls["federated" if len(seed) == 2 else ("part", seed[1])] += 1
-                return _init(*args)
-            monkeypatch.setattr(fedsim.client, name, spy)
-        fedsim.client._fed_init.cache_clear()
+        init = fedsim.client.init_params
+
+        def spy(sizes, seed, **kwargs):
+            calls["federated" if len(seed) == 2 else ("part", seed[1])] += 1
+            return init(sizes, seed, **kwargs)
+
+        monkeypatch.setattr(fedsim.client, "init_params", spy)
         cfg = ExperimentConfig(mode="fedavg", rounds=1, seed=5,
                                synth=SynthSpec(n_clients=16, classes_per_client=10,
                                                samples_per_class=2),
                                training=TrainingParams(epochs=1))
         run_experiment(cfg)
         assert calls == {"federated": 1, **{("part", c): 4 for c in range(16)}}
+
+
+class TestBuildClients:
+    """`build_clients` makes a run's clients as the rows of their groups' stacks: each
+    must equal its lone build by `oracles.build_client` bit for bit, and `group_clients`
+    must step those groups, not copies of them."""
+
+    @staticmethod
+    def trains(data, n, seed):
+        """n drawn training sets of 2 or 3 classes and 2 or 3 samples a class: up to four
+        group keys, so chunks of one key are ragged at GROUP_ROWS."""
+        classes = data.draw(st.lists(st.sampled_from([3, 4]), min_size=n, max_size=n))
+        samples = data.draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n))
+        spec = SynthSpec(n_clients=n, classes_per_client=classes, samples_per_class=samples,
+                         input_dim=10, latent_dim=4, seed=seed)
+        return [train for train, _ in generate(spec)[0]], list(zip(classes, samples))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 40), rows=st.sampled_from([1, 16]), seed=st.integers(0, 2 ** 16),
+           data=st.data())
+    def test_every_client_is_its_lone_build(self, n, rows, seed, data):
+        trains, keys = self.trains(data, n, seed)
+        ids = data.draw(st.permutations(range(n + 3)))[:n]   # any distinct ids, any order
+        tr = TrainingParams(local_hidden=12, fed_hidden=8, emb_dim=6, fuse_dim=4)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fedsim.client, "GROUP_ROWS", rows)
+            clients = build_clients(ids, trains, input_dim=10, training=tr, seed=seed)
+            place = fedsim.client.group_clients(clients)
+        for client, c, train in zip(clients, ids, trains):
+            lone = oracles.build_client(c, train, input_dim=10, training=tr, seed=seed)
+            assert client.client_id == c and same_client(client, lone)
+            for stream in ("_batch_rng", "_async_rng"):   # the next draws, too
+                assert getattr(client, stream).random(3).tobytes() \
+                    == getattr(lone, stream).random(3).tobytes()
+        # one group per chunk of a key, in list order, and the run steps the built ones
+        assert len({id(group) for group, _ in place}) \
+            == sum(-(-keys.count(key) // rows) for key in set(keys))
+        for client, (group, members) in zip(clients, place):
+            assert group is client.group and group.members == [clients[c] for c in members]
+            g = group.members.index(client)
+            for part in PARTS:
+                assert np.shares_memory(getattr(client, part).params,
+                                        group.models[part].params[g])
+            assert np.shares_memory(client.center_bank.centers, group.bank.centers[g])
+            assert np.shares_memory(client.dataset.inputs, group.inputs[g])
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 40), rows=st.sampled_from([1, 16]), data=st.data())
+    def test_a_client_without_a_sample_of_a_class_is_named(self, n, rows, data):
+        trains, _ = self.trains(data, n, 0)
+        bad = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+        missing = {}
+        for c in bad:   # a class below the top one: the top label fixes the class count
+            missing[c] = data.draw(st.integers(0, trains[c].n_classes - 2))
+            keep = trains[c].labels != missing[c]
+            trains[c] = LabeledDataset(trains[c].inputs[keep], trains[c].labels[keep], "train")
+        ids = [100 + c for c in range(n)]
+        with pytest.MonkeyPatch.context() as patch, pytest.raises(DomainError) as info:
+            patch.setattr(fedsim.client, "GROUP_ROWS", rows)
+            build_clients(ids, trains, input_dim=10, seed=0)
+        assert str(info.value) in {f"client {ids[c]} has no training sample of class {k}"
+                                   for c, k in missing.items()}
+
+    def test_stacking_loose_clients_frees_their_old_arrays(self):
+        # a forward caches views of each part's parameters; rebinding the part to its
+        # row of the new stack must not leave them, and the arrays they view, alive
+        clients = alike_clients([0.05, 0.1, 0.02])
+        for c in clients:
+            c.extract_embeddings(c.dataset.inputs)
+        old = [weakref.ref(getattr(c, part).params) for c in clients for part in PARTS]
+        group = ClientGroup(clients)
+        gc.collect()
+        assert sum(ref() is not None for ref in old) == 0
+        assert all(np.shares_memory(getattr(c, part).params, group.models[part].params)
+                   for c in clients for part in PARTS)
+
+    def test_a_run_steps_the_arrays_its_clients_were_built_with(self):
+        # no second copy: every part a run trains is the array its client was built
+        # with, and nothing else of the build stays alive beside it
+        checks = []
+        run_simulation = fedsim.experiment.run_simulation
+
+        def spy(sim_cfg, clients, server, on_round_complete):
+            built = [(c, part, weakref.ref(getattr(c, part).params))
+                     for c in clients for part in PARTS]
+
+            def hook(returns):
+                gc.collect()
+                checks.append(all(ref() is getattr(c, part).params for c, part, ref in built))
+                on_round_complete(returns)
+            return run_simulation(sim_cfg, clients, server, hook)
+
+        cfg = ExperimentConfig(rounds=2, training=TrainingParams(epochs=1),
+                               synth=SynthSpec(n_clients=20, classes_per_client=10,
+                                               samples_per_class=2))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fedsim.experiment, "run_simulation", spy)
+            run_experiment(cfg)
+        assert checks == [True, True]
+
+    def test_a_finished_run_is_freed_at_once(self):
+        # a client and its group refer to each other until the client finishes
+        run_simulation, clients = fedsim.experiment.run_simulation, []
+
+        def spy(sim_cfg, run_clients, server, on_round_complete):
+            clients.extend(weakref.ref(c) for c in run_clients)
+            return run_simulation(sim_cfg, run_clients, server, on_round_complete)
+
+        gc.disable()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fedsim.experiment, "run_simulation", spy)
+                run_experiment(ExperimentConfig(rounds=1, training=TrainingParams(epochs=1)))
+            assert clients and all(ref() is None for ref in clients)
+        finally:
+            gc.enable()

@@ -538,15 +538,16 @@ class TestSweepVerb:
             self, small_config, tmp_path, capsys, monkeypatch):
         # in the seed-1 run, client 1's local channel outputs exact zeros: the alignment
         # loss names its row, which is client 1's divergence, and the sweep goes on
-        build_client = fedsim.experiment.build_client
+        build_clients = fedsim.experiment.build_clients
 
-        def zeroed(client_id, train, *, seed, **kwargs):
-            client = build_client(client_id, train, seed=seed, **kwargs)
-            if (seed, client_id) == (1, 1):
-                client.local_channel.params[...] = 0.0
-            return client
+        def zeroed(ids, trains, *, seed, **kwargs):
+            clients = build_clients(ids, trains, seed=seed, **kwargs)
+            for client in clients:
+                if (seed, client.client_id) == (1, 1):
+                    client.local_channel.params[...] = 0.0
+            return clients
 
-        monkeypatch.setattr(fedsim.experiment, "build_client", zeroed)
+        monkeypatch.setattr(fedsim.experiment, "build_clients", zeroed)
         out = str(tmp_path / "out")
         assert main(["sweep", "--config", small_config, "--out", out,
                      "--grid", "experiment.seed=0|1|2"]) == EXIT_DIVERGENCE
@@ -582,7 +583,7 @@ class TestSweepVerb:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("config error: grid point training.lr=-1: "
-                                "lr and center_lr must be finite and >= 0\n")
+                                "lr must be a finite number in [0, inf], got -1.0\n")
         assert not out.exists()
 
     def test_config_rewritten_mid_sweep_changes_no_run_id(self, small_config, tmp_path,

@@ -1,6 +1,7 @@
 """Every count setting goes through `errors.whole`: a whole value of any number type
 is kept as its int, and a bool, fraction, NaN, inf or non-number is a `ConfigError`
-that names the setting, raised when the setting is built."""
+that names the setting, raised when the setting is built. Every real-valued setting
+goes through `errors.real` alike: a finite number in range is kept as a float."""
 
 import re
 from argparse import Namespace
@@ -9,12 +10,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from fedsim.aggregation import AggregationConfig
 from fedsim.cli import EXIT_CONFIG, cmd_verify, main
 from fedsim.client import TrainingParams
 from fedsim.config import build_experiment_config, default_values
 from fedsim.convergence import make_problem, run_fedavg_convergence
 from fedsim.errors import ConfigError
 from fedsim.experiment import ExperimentConfig, Toggles, run_experiment
+from fedsim.losses import LossWeights
 from fedsim.nn import MLP
 from fedsim.server import load_probe_set
 from fedsim.simulation import SimConfig
@@ -144,3 +147,76 @@ def test_scalar_client_subset_refused(value):
     # iterating an int raised a TypeError
     with pytest.raises(ConfigError, match="^client_subset must be a sequence"):
         ExperimentConfig(client_subset=value)
+
+
+# (setting named in the error, a build that takes the real value): every real-valued
+# setting goes through `errors.real`
+REALS = [
+    *((name, lambda v, name=name: TrainingParams(**{name: v}))
+      for name in ("lr", "center_lr", "alpha1", "alpha2", "alpha3")),
+    *((name, lambda v, name=name: LossWeights(**{"alpha1": 1.0, "alpha2": 1.0, "alpha3": 1.0,
+                                                 name: v}))
+      for name in ("alpha1", "alpha2", "alpha3")),
+    *((name, lambda v, name=name: AggregationConfig(**{name: v}))
+      for name in ("gamma", "clamp_epsilon")),
+    *((name, lambda v, name=name: SynthSpec(**{name: v}))
+      for name in ("open_set_split", "offset_scale", "noise_scale", "rotation_deg")),
+    ("offset_scale", lambda v: SynthSpec(offset_scale=(1.0, v, 1.0, 1.0))),
+]
+
+
+@pytest.mark.parametrize("value", ["a", "0.5", b"1", float("nan"), float("inf"), -np.inf,
+                                   True, np.False_, 1j, object()])
+@pytest.mark.parametrize("name, build", REALS,
+                         ids=[f"{i}-{name}" for i, (name, _) in enumerate(REALS)])
+def test_non_number_refused(name, build, value):
+    # a string, a bool or a non-finite value used to raise a TypeError or run
+    with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be a finite number in "):
+        build(value)
+
+
+@pytest.mark.parametrize("name, build, value", [
+    ("lr", lambda v: TrainingParams(lr=v), -0.1),
+    ("center_lr", lambda v: TrainingParams(center_lr=v), -1),
+    ("alpha2", lambda v: TrainingParams(alpha2=v), -1e-300),
+    ("gamma", lambda v: AggregationConfig(gamma=v), 1.5),
+    ("gamma", lambda v: AggregationConfig(gamma=v), -0.0001),
+    ("clamp_epsilon", lambda v: AggregationConfig(clamp_epsilon=v), 0),
+    ("open_set_split", lambda v: SynthSpec(open_set_split=v), 0.0),
+    ("open_set_split", lambda v: SynthSpec(open_set_split=v), 1),
+])
+def test_out_of_range_refused(name, build, value):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be a finite number in "
+                                          rf".*, got {re.escape(repr(value))}$"):
+        build(value)
+
+
+def test_the_six_type_errors_name_their_setting():
+    # each of these raised a TypeError from a comparison of a str with a number
+    for name, build in [("lr", lambda: TrainingParams(lr="a")),
+                        ("alpha1", lambda: TrainingParams(alpha1="a")),
+                        ("gamma", lambda: AggregationConfig(gamma="a")),
+                        ("clamp_epsilon", lambda: AggregationConfig(clamp_epsilon="a")),
+                        ("open_set_split", lambda: SynthSpec(open_set_split="a")),
+                        ("offset_scale", lambda: SynthSpec(offset_scale="a"))]:
+        with pytest.raises(ConfigError, match=rf"^{name} must be a finite number in .*'a'$"):
+            build()
+
+
+def test_real_settings_are_stored_as_floats_and_run_alike(tmp_path):
+    values = {"lr": np.float32(0.5), "center_lr": 1, "alpha1": np.int64(0), "gamma": 1,
+              "clamp_epsilon": np.float64(1e-6), "open_set_split": 0.75, "offset_scale": 2}
+    built = [TrainingParams(lr=values["lr"], center_lr=1, alpha1=np.int64(0)),
+             AggregationConfig(gamma=1, clamp_epsilon=values["clamp_epsilon"]),
+             SynthSpec(open_set_split=0.75, offset_scale=2)]
+    for name, value in values.items():
+        (stored,) = [getattr(b, name) for b in built if hasattr(b, name)]
+        for v in stored if isinstance(stored, tuple) else (stored,):
+            assert type(v) is float and v == value
+
+    def digest(gamma, lr):
+        cfg = ExperimentConfig(rounds=1, agg=AggregationConfig(gamma=gamma),
+                               training=TrainingParams(lr=lr),
+                               synth=SynthSpec(n_clients=2))
+        return artifact_digest(run_experiment(cfg), tmp_path)
+    assert digest(1, np.float32(0.5)) == digest(1.0, 0.5)

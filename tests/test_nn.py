@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim.errors import ShapeError
-from fedsim.nn import (MLP, backward_batch, channel, forward_batch, fusion_head,
-                       init_params, linear_head, param_count, sgd_step)
+from fedsim.nn import MLP, backward_batch, forward_batch, init_params, param_count, sgd_step
 import oracles
-from oracles import finite_difference_grad
+from oracles import channel, finite_difference_grad, fusion_head, linear_head
 
 
 def make_linear(in_dim, out_dim, weights, bias=None):

@@ -8,9 +8,10 @@ from fedsim.aggregation import AggregationConfig
 from fedsim.client import UploadMessage
 from fedsim.errors import ConfigError, DivergenceError, ProtocolError, \
     ShapeError, StaleMessageError
-from fedsim.nn import MLP, channel, forward_batch
+from fedsim.nn import MLP, forward_batch
 from fedsim.server import (DispatchMessage, ServerState, Strategy,
                            handle_upload, load_probe_set, run_aggregation)
+from oracles import channel
 
 
 def make_server(n=3, gamma=0.5, strategy=Strategy.PERSONALIZED, seed=0):

@@ -18,10 +18,11 @@ from fedsim.client import Phase, TrainingParams, build_client, fused_embeddings
 from fedsim.errors import ConfigError, DivergenceError, ProtocolError
 from fedsim.experiment import ExperimentConfig, Toggles, run_experiment
 from fedsim.metrics import IMPOSTOR_PAIR_CAP
-from fedsim.nn import MLP, channel
+from fedsim.nn import MLP
 from fedsim.server import ServerState, Strategy
 from fedsim.simulation import EventKind, SimConfig, run_simulation
 from fedsim.synth import LabeledDataset, SynthSpec, generate
+from oracles import channel
 from sim_defaults import by_kind, sim_config
 from test_aggregation import submitted, usable_cpus
 from test_golden import artifact_digest
@@ -437,6 +438,41 @@ class TestHelperScorer:
                 run_experiment(OPEN_SET)
         assert want["over"] == "raise"
         assert seen == [(False, want)] * 4   # 2 clients scored alone, 2 rounds
+
+    @pytest.mark.parametrize("cfg, cpus, lent", [(MANY_CLIENTS, 2, True), (OPEN_SET, 1, True),
+                                                 (OPEN_SET, 2, False)],
+                             ids=["many_clients", "open_set-inline", "open_set-helper"])
+    def test_inline_rounds_read_whole_groups_in_place(self, cfg, cpus, lent):
+        # an inline round's blocks of whole groups are the groups' own stacks; a helper's
+        # round reads copies, as training goes on meanwhile. Either way the embeddings are
+        # those of copies made at the hook, bit for bit
+        groups, blocks_seen = set(), []
+        run_simulation = fedsim.experiment.run_simulation
+        stacked_embeddings = fedsim.experiment.stacked_embeddings
+
+        def spy_simulation(sim_cfg, clients, server, on_round_complete):
+            groups.update(c.group for c in clients)
+            return run_simulation(sim_cfg, clients, server, on_round_complete)
+
+        def spy_embeddings(blocks, inputs):
+            blocks = list(blocks)
+            stacks = [group.models[part].params for group in groups
+                      for part in ("local_channel", "fed_channel", "fusion")]
+            for parts in blocks:
+                assert all(any(np.shares_memory(m.params, s) for s in stacks) == lent
+                           for m in parts)
+            copies = [[MLP(m.sizes, m.out_act, m.params.copy()) for m in parts]
+                      for parts in blocks]
+            got = stacked_embeddings(blocks, inputs)
+            assert got.tobytes() == stacked_embeddings(copies, inputs).tobytes()
+            blocks_seen.append(len(blocks))
+            return got
+
+        with usable_cpus(cpus), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fedsim.experiment, "run_simulation", spy_simulation)
+            patch.setattr(fedsim.experiment, "stacked_embeddings", spy_embeddings)
+            run_experiment(cfg)
+        assert blocks_seen == [len(groups)] * cfg.rounds
 
 
 class TestConservation:
